@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainConfig, config_hash, parse_scalar, serialize_value
+from .config import ConfigError, TrainConfig, config_hash, parse_field, serialize_value
 from .gnn import RGCNLayerParams, RGCNModel
 from .models import ModelParams
 from .optim import OptimizerState, init_optimizer
@@ -153,11 +153,11 @@ def load_checkpoint(directory: str) -> Checkpoint:
     config_kv = {}
     for key, value in meta.items():
         if key.startswith("config."):
-            config_kv[key[len("config."):]] = parse_scalar(value)
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(config_kv) - known
-    if unknown:
-        raise CheckpointError(f"meta has unknown config key {sorted(unknown)[0]!r}")
+            name = key[len("config."):]
+            try:
+                config_kv[name] = parse_field(name, value)
+            except ConfigError as e:
+                raise CheckpointError(f"meta {key}: {e}") from None
     config = TrainConfig(**config_kv)
     if config_hash(config) != meta["config_hash"]:
         raise CheckpointError("config hash does not match the stored config")

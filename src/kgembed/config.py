@@ -150,6 +150,20 @@ def parse_scalar(text: str):
     return s
 
 
+def parse_field(key: str, text: str):
+    """Parse one serialized TrainConfig value by the field's declared type.
+
+    Strings stay verbatim (a dataset named ``007`` or ``true`` is not a
+    number or a bool); other types take ``parse_scalar`` and the type
+    check of the config-file path.
+    """
+    ftypes = {f.name: f.type for f in fields(TrainConfig)}
+    if key not in ftypes:
+        raise ConfigError(f"unknown config key: {key!r}")
+    value = text if ftypes[key] == "str" else parse_scalar(text)
+    return _coerce(key, ftypes[key], value)
+
+
 def parse_config_file(path: str) -> dict:
     """Read ``key: value`` lines; bracketed values parse to lists of scalars."""
     out: dict = {}

@@ -1,14 +1,31 @@
 """Filtered link-prediction evaluation: MRR and Hits@K, per direction.
 
 Protocol: for each query triple and each prediction direction, score every
-entity in the open slot, push the scores of all *other* known-true
-completions (from train + valid + test) to -inf, and rank the target with
-the mid-rank tie rule
+entity in the open slot, drop all *other* known-true completions (from
+train + valid + test), and rank the target with the mid-rank tie rule
 
     rank = 1 + |{s > s_target}| + floor(|{s == s_target}| / 2)
 
 (the equal set includes the target itself). Mid-ranking keeps a
 constant-output model at chance level instead of MRR ~ 1.
+
+Ranks are exact: each equals the rank from per-triple float64 ``score``
+(or ``rgcn_score``) values, bit for bit, ties included. A scorer offers
+
+- ``fast_candidates(queries, slot, cache) -> (scores, bounds)``: [B, E]
+  fast scores and an a-priori bound on each one's distance from the
+  exact score (the gamma_n * sum |a_k b_k| dot-product bound, see
+  :mod:`kgembed.models`). ``cache`` is a dict that lives for one ranking
+  pass, where the scorer may keep entity-side work between chunks;
+- ``score_triples(triples)``: exact scores of explicit triples.
+
+A candidate whose fast score differs from the target's by more than the
+sum of their two bounds is certainly above or below it. Only the band in
+between, and the target, are re-scored exactly; so the kernels never
+decide a comparison their rounding could flip. A query with any
+non-finite fast score or bound is ranked from exact scores of all its
+candidates. A scorer that has only ``score_candidates(queries, slot)``,
+an exact [B, E] matrix, takes the same path with bound zero.
 """
 
 from __future__ import annotations
@@ -20,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .data import IndexedKG
 from .sampling import HEAD, TAIL
 
@@ -75,28 +93,76 @@ def build_filter_sets(kg: IndexedKG) -> FilterSets:
     )
 
 
+# Queries ranked together: a chunk's [chunk, E] float64 arrays stay near
+# cache size at the FB15K-237 entity count.
+_CHUNK_QUERIES = 32
+
+# Relative slack on the summed bounds, covering the rounding of the
+# difference and of the sum in the band test.
+_BAND_SLACK = 1.0 + 2.0**-40
+
+
 def ranks_for_queries(
     scorer, queries: np.ndarray, slot: int, filters: FilterSets, threads: int = 1
 ) -> np.ndarray:
     """Filtered rank of the true entity for each query, one direction."""
     queries = np.asarray(queries, dtype=np.int64)
+    col = 2 if slot == TAIL else 0
+    cache: dict = {}
+
+    def known(query) -> np.ndarray | None:
+        h, r, t = (int(v) for v in query)
+        return filters.hr2t.get((h, r)) if slot == TAIL else filters.rt2h.get((r, t))
 
     def run_chunk(chunk: np.ndarray) -> np.ndarray:
-        scores = scorer.score_candidates(chunk, slot)
-        target = chunk[:, 2] if slot == TAIL else chunk[:, 0]
-        target_scores = scores[np.arange(len(chunk)), target].copy()
-        for i, (h, r, t) in enumerate(chunk):
-            known = (
-                filters.hr2t.get((int(h), int(r))) if slot == TAIL else filters.rt2h.get((int(r), int(t)))
-            )
-            if known is not None:
-                scores[i, known] = -np.inf
-            scores[i, target[i]] = target_scores[i]
-        greater = (scores > target_scores[:, None]).sum(axis=1)
-        equal = (scores == target_scores[:, None]).sum(axis=1)
+        n = len(chunk)
+        rows = np.arange(n)
+        target = chunk[:, col]
+        if hasattr(scorer, "fast_candidates"):
+            scores, bounds = scorer.fast_candidates(chunk, slot, cache)
+
+            def exact(i, e):
+                triples = chunk[i]
+                triples[:, col] = e
+                return scorer.score_triples(triples)
+
+        else:
+            matrix = scorer.score_candidates(chunk, slot)
+            scores, bounds = matrix.copy(), np.zeros_like(matrix)
+
+            def exact(i, e):
+                return matrix[i, e]
+
+        # a row sum is finite only if every entry is (or falls back needlessly on overflow)
+        finite = np.isfinite(scores.sum(axis=1) + bounds.sum(axis=1))
+        target_scores = scores[rows, target]
+        for i, query in enumerate(chunk):
+            k = known(query)
+            if k is not None:
+                scores[i, k] = -np.inf  # filtered: certainly below the band
+        scores[rows, target] = target_scores
+        with np.errstate(invalid="ignore", over="ignore"):
+            scores -= target_scores[:, None]
+            bounds += bounds[rows, target][:, None]
+            bounds *= _BAND_SLACK
+            greater = np.count_nonzero(scores > bounds, axis=1)
+            band = np.abs(scores) <= bounds
+        for i in np.flatnonzero(~finite):  # exact scores of every unfiltered candidate
+            greater[i] = 0
+            band[i] = True
+            k = known(chunk[i])
+            if k is not None:
+                band[i, k] = False
+            band[i, target[i]] = True
+
+        bi, be = band.nonzero()
+        band_scores = exact(bi, be)
+        exact_targets = exact(rows, target)[bi]
+        greater += np.bincount(bi[band_scores > exact_targets], minlength=n)
+        equal = np.bincount(bi[band_scores == exact_targets], minlength=n)
         return 1 + greater + equal // 2
 
-    chunks = [queries[lo : lo + 512] for lo in range(0, len(queries), 512)]
+    chunks = [queries[lo : lo + _CHUNK_QUERIES] for lo in range(0, len(queries), _CHUNK_QUERIES)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_chunk, chunks))
@@ -145,12 +211,23 @@ def evaluate(
 
 
 class CKGEScorer:
-    """Adapter giving conventional KGE params the candidate-scoring interface."""
+    """Conventional KGE params behind the ranking interface."""
 
     def __init__(self, params):
         self.params = params
 
-    def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:
-        from .models import score_candidates
+    def fast_candidates(
+        self, queries: np.ndarray, slot: int, cache: dict | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return models.fast_candidates(self.params, queries, slot, cache)
 
-        return score_candidates(self.params, queries, slot)
+    def score_triples(self, triples: np.ndarray) -> np.ndarray:
+        # few enough rows that score()'s gathered float64 rows stay ~8 MiB
+        widest = max(t[0].size for t in self.params.tables.values())
+        step = max(1, (1 << 20) // widest)
+        parts = range(0, len(triples), step)
+        return np.concatenate([models.score(self.params, triples[lo : lo + step]) for lo in parts])
+
+    def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:
+        """Exact [B, E] candidate matrix (the reference path, not used for ranking)."""
+        return models.score_candidates(self.params, queries, slot)

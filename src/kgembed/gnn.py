@@ -26,7 +26,8 @@ from .losses import (
     self_adversarial_loss,
     self_adversarial_loss_grads,
 )
-from .sampling import GraphBatch
+from .models import bilinear_candidates
+from .sampling import TAIL, GraphBatch
 
 
 @dataclass
@@ -275,10 +276,31 @@ class RGCNScorer:
         self.encoded = rgcn_forward(
             model.layers, full_graph, model.entity_emb[full_graph.node_ids].astype(np.float64)
         )
+        self._norms = np.sqrt((self.encoded * self.encoded).sum(axis=1))
+
+    def fast_candidates(
+        self, queries: np.ndarray, slot: int, cache: dict | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """DistMult decoding of every candidate as one GEMM, with its error bound.
+
+        ``cache`` is unused: the encoding is all the entity-side work.
+        """
+        queries = np.asarray(queries, dtype=np.int64)
+        fixed = queries[:, 0] if slot == TAIL else queries[:, 2]
+        q = self.encoded[fixed] * self.model.rel_emb.astype(np.float64)[queries[:, 1]]
+        return bilinear_candidates(q, self.encoded, self._norms, self.encoded.shape[1])
+
+    def score_triples(self, triples: np.ndarray) -> np.ndarray:
+        step = max(1, (1 << 20) // self.encoded.shape[1])
+        return np.concatenate(
+            [
+                rgcn_score(self.encoded, self.model.rel_emb, triples[lo : lo + step])
+                for lo in range(0, len(triples), step)
+            ]
+        )
 
     def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:
-        from .sampling import TAIL
-
+        """Exact [B, E] candidate matrix (the reference path, not used for ranking)."""
         queries = np.asarray(queries, dtype=np.int64)
         enc = self.encoded
         rel = self.model.rel_emb.astype(np.float64)[queries[:, 1]]

@@ -8,11 +8,32 @@ Gradients are derived by hand per model and composed with the loss
 derivatives from :mod:`kgembed.losses`; correctness is pinned by the
 finite-difference test suite rather than an autodiff dependency.
 
-Candidate scoring (one slot swept over every entity) evaluates the same
-floating-point expression tree as ``score`` with the candidate table
-substituted in, so per-triple and all-candidate paths agree to the bit
-for elementwise models (matmul-backed TransH/TransR may differ in the
-last ulp).
+Candidate scoring (one slot swept over every entity) has two paths.
+
+- ``fast_candidates`` is what ranking uses. Each model has one kernel:
+  a GEMM ``q @ E.T`` for DistMult, ComplEx and SimplE; the
+  ||a||^2 + ||e||^2 - 2 a.e GEMM for TransE-L2, TransH and RotatE; for
+  TransR the same GEMM on M_r^T a, with ||M_r e||^2 computed once per
+  relation; and a float32 per-dimension accumulation for TransE-L1.
+  With the [B, E] scores it returns a per-entry bound on their distance
+  from the float64 value ``score`` returns for that triple, ``score``'s
+  own rounding included. The bound is the a-priori forward-error bound
+  of a dot product, gamma_n * sum_k |a_k b_k| with
+  gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, sec. 3.1), for the kernel and for ``score``.
+  The sum of magnitudes is majorized by norms: ||p_b|| ||e|| for the
+  bilinear models (Cauchy-Schwarz), N^2 with N = ||query side|| +
+  f_b ||e|| for squared distances. n is at least twice the longest chain
+  of roundings in either evaluation, so the slack also covers the
+  rounding of the bound's own arithmetic. For -sqrt distance scores the
+  bound on the squared distance is carried through the square root; for
+  TransE-L1 float32's unit roundoff enters the bound. The bound assumes
+  float32 parameters, whose products neither overflow nor underflow in
+  float64; a non-finite score or bound voids it (ranking then scores
+  that query exactly).
+- ``score_candidates`` evaluates ``score``'s own float64 expression tree
+  over a [B, E, d] broadcast. It is the bitwise reference the candidate
+  tests compare against, not a ranking path.
 """
 
 from __future__ import annotations
@@ -395,6 +416,304 @@ _CANDIDATES = {
     "complex": _cand_complex,
     "rotate": _cand_rotate,
     "simple": _cand_simple,
+}
+
+
+# ---------------------------------------------------------------------------
+# fast candidate scoring with an a-priori error bound
+
+
+def _gamma(n: int, u: float = 2.0**-53) -> float:
+    """gamma_n = n u / (1 - n u): the relative error of n chained roundings."""
+    return n * u / (1 - n * u)
+
+
+def _slack(width: int) -> float:
+    """Bound coefficient for kernels whose dot products have ``width`` terms.
+
+    Neither a kernel nor ``score`` rounds more than 8 (width + 4) times
+    along any chain; doubling that covers the computed norms and products
+    the bound itself is made of.
+    """
+    return _gamma(16 * (width + 4))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x).sum(axis=1))
+
+
+def _memo(cache: dict, key, make):
+    """``cache[key]``, made on first use.
+
+    Threads ranking different chunks may both make a missing entry; they
+    store equal arrays.
+    """
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
+def _entities(params: ModelParams, cache: dict, name: str = "ent"):
+    """An entity table in float64 and its row norms."""
+
+    def make():
+        ent = params.tables[name].astype(np.float64)
+        return ent, _norms(ent)
+
+    return _memo(cache, name, make)
+
+
+def fast_candidates(
+    params: ModelParams, queries: np.ndarray, slot: int, cache: dict | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every entity in ``slot`` of each query, with an error bound.
+
+    Returns float64 [B, n_entities] scores and bounds such that
+    ``|scores[i, e] - score(params, [query i with e in slot])| <= bounds[i, e]``
+    wherever both are finite. ``cache`` keeps the entity-side work
+    (float64 tables, norms, TransR's projected entity norms) between
+    calls; it is valid only while the parameters are unchanged.
+    """
+    queries = _check_ids(params, queries)
+    if slot not in (HEAD, TAIL):
+        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
+    fixed = queries[:, 0] if slot == TAIL else queries[:, 2]
+    fn = _FAST[params.model]
+    return fn(params, fixed, queries[:, 1], slot, {} if cache is None else cache)
+
+
+def bilinear_candidates(
+    q: np.ndarray, ent: np.ndarray, ent_norms: np.ndarray, width: int, mag: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``q @ ent.T`` and its bound, for scores sum_k q_k e_k.
+
+    Row b of ``q`` holds what the score multiplies a candidate row by.
+    ``mag`` (default ``|q|``) majorizes the magnitudes of the products
+    each entry is made of, up to a rounding the slack covers; it differs
+    from ``|q|`` where forming ``q`` cancels.
+    """
+    mag = np.abs(q) if mag is None else mag
+    bound = np.multiply.outer(_slack(width) * _norms(mag), ent_norms)
+    return q @ ent.T, bound
+
+
+def _distance_terms(ent: np.ndarray) -> np.ndarray:
+    """[e, 1, ||e||^2] rows: with [2a, -||a||^2, -1] one GEMM gives -||a - e||^2."""
+    return np.concatenate([ent, np.ones((len(ent), 1)), (ent * ent).sum(axis=1)[:, None]], axis=1)
+
+
+def _neg_sq_distances(
+    a: np.ndarray, terms: np.ndarray, linear: np.ndarray | None = None
+) -> np.ndarray:
+    """-||a_b - e||^2 for every query row and entity, as one GEMM.
+
+    ``linear`` replaces ``a`` in the cross term 2 a.e (TransH's projection).
+    """
+    linear = a if linear is None else linear
+    lhs = np.concatenate(
+        [2.0 * linear, -(a * a).sum(axis=1)[:, None], -np.ones((len(a), 1))], axis=1
+    )
+    return lhs @ terms.T
+
+
+def _distance_root_bound(query_part, ent_factor, ent_norms, width: int) -> np.ndarray:
+    """sqrt(beta) for a squared distance whose terms are majorized by N^2.
+
+    N[b, e] = query_part[b] + ent_factor * ||e|| (``ent_factor`` a scalar
+    or a [B, 1] column) is the norm of a vector that bounds, coordinate by
+    coordinate, the difference and every magnitude its rounding errors
+    are relative to; beta = slack * N^2 bounds the squared distance's
+    error. The tiny floor keeps the root positive.
+    """
+    c = np.sqrt(_slack(width))
+    return (c * ent_factor) * ent_norms + (c * query_part + 2.0**-500)[:, None]
+
+
+def _sqrt_scores(
+    neg_d2: np.ndarray, floor: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """-sqrt scores from negated squared distances within floor^2 of ``score``'s.
+
+    With x, y >= 0 and |x - y| <= beta = floor^2,
+    |sqrt(x) - sqrt(y)| <= beta / max(sqrt(x), floor). Both square roots
+    round by at most 2u (root + floor) <= kappa * floor, since
+    root <= N + floor and N <= floor / sqrt(slack).
+    """
+    kappa = 2.0**-50 * (1.0 / np.sqrt(_slack(width)) + 2.0)
+    score = np.minimum(neg_d2, 0.0, out=neg_d2)
+    score *= -1.0
+    np.sqrt(score, out=score)
+    bound = np.maximum(score, floor)
+    np.divide(floor, bound, out=bound)
+    bound += kappa
+    bound *= floor
+    score *= -1.0
+    return score, bound
+
+
+def _fast_transe(params, x, r, slot, cache):
+    if params.transe_p == 1:
+        return _fast_transe_l1(params, x, r, slot, cache)
+    ent, ent_norms = _entities(params, cache)
+    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
+    a = xe + rr if slot == TAIL else xe - rr
+    neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
+    floor = _distance_root_bound(_norms(xe) + _norms(rr), 1.0, ent_norms, params.dim)
+    return _sqrt_scores(neg_d2, floor, params.dim)
+
+
+# queries per block of the L1 loop: its [block, E] float32 arrays stay in cache
+_L1_BLOCK = 16
+
+
+def _fast_transe_l1(params, x, r, slot, cache):
+    ent = params.tables["ent"]
+    cols = _memo(cache, "cols", lambda: np.ascontiguousarray(ent.T))
+    ent_l1 = _memo(cache, "l1", lambda: np.abs(ent).sum(axis=1, dtype=np.float64))
+    xe, rr = _rows(ent, x), _rows(params.tables["rel"], r)
+    # the candidate-free part of the difference: h + r - e, or e - (t - r)
+    a = (xe + rr if slot == TAIL else xe - rr).astype(np.float32)
+    scores = np.empty((len(a), ent.shape[0]))
+    for lo in range(0, len(a), _L1_BLOCK):
+        block = a[lo : lo + _L1_BLOCK]
+        acc = np.zeros((len(block), ent.shape[0]), dtype=np.float32)
+        tmp = np.empty_like(acc)
+        with np.errstate(over="ignore"):  # an overflow makes the query rank exactly
+            for k in range(params.dim):
+                np.subtract(block[:, k : k + 1], cols[k], out=tmp)
+                np.abs(tmp, out=tmp)
+                acc += tmp
+        np.negative(acc, out=scores[lo : lo + _L1_BLOCK])
+    # float32 rounds every term and partial sum, float64 ``score`` likewise;
+    # the constant covers float32's absolute rounding of subnormal values
+    n = 2 * (params.dim + 4)
+    c = _gamma(n, 2.0**-24) + _gamma(n)
+    query_l1 = np.abs(xe).sum(axis=1) + np.abs(rr).sum(axis=1)
+    bound = np.add.outer(c * query_l1 + n * 2.0**-149, c * ent_l1)
+    return scores, bound
+
+
+def _fast_transh(params, x, r, slot, cache):
+    ent, ent_norms = _entities(params, cache)
+    w = _rows(params.tables["norm"], r)
+    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
+    xp = _transh_project(xe, w)
+    a = xp + rr if slot == TAIL else xp - rr
+    # -||a - P e||^2 = 2 (P a).e - ||a||^2 - ||e||^2 + (2 - ||w||^2) (w.e)^2,  P = I - w w^T
+    terms = _memo(cache, "terms", lambda: _distance_terms(ent))
+    neg_d2 = _neg_sq_distances(a, terms, linear=_transh_project(a, w))
+    we = w @ ent.T
+    we *= we
+    ww = (w * w).sum(axis=1)
+    we *= (2.0 - ww)[:, None]
+    neg_d2 += we
+    # a projection scales a vector by at most 1 + ||w||^2
+    f = 1.0 + ww
+    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], ent_norms, params.dim)
+    floor *= floor
+    return neg_d2, floor
+
+
+def _fast_transr(params, x, r, slot, cache):
+    ent, ent_norms = _entities(params, cache)
+    m = _rows(params.tables["proj"], r)
+    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
+    xm = np.einsum("nij,nj->ni", m, xe)
+    a = xm + rr if slot == TAIL else xm - rr
+    # -||a - M e||^2 = 2 (M^T a).e - ||a||^2 - ||M e||^2, ||M e||^2 made once per relation
+    def projected_sq_norms(rel):
+        pe = ent @ params.tables["proj"][rel].astype(np.float64).T
+        return (pe * pe).sum(axis=1)
+
+    neg_d2 = (2.0 * np.einsum("nij,ni->nj", m, a)) @ ent.T
+    neg_d2 -= (a * a).sum(axis=1)[:, None]
+    neg_d2 -= np.stack(
+        [_memo(cache, ("proj", int(rel)), lambda: projected_sq_norms(rel)) for rel in r]
+    )
+    f = np.sqrt((m * m).sum(axis=(1, 2)))  # ||M||_F bounds the projection's gain
+    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], ent_norms, params.dim)
+    floor *= floor
+    return neg_d2, floor
+
+
+def _fast_rotate(params, x, r, slot, cache):
+    d = params.dim
+    ent, ent_norms = _entities(params, cache)
+    xe = _rows(params.tables["ent"], x)
+    xre, xim = _split(xe, d)
+    theta = _rows(params.tables["rel"], r)
+    cos, sin = np.cos(theta), np.sin(theta)
+    if slot == TAIL:
+        a = np.concatenate([xre * cos - xim * sin, xre * sin + xim * cos], axis=1)
+        neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
+        # |rotated h_k| <= |h_re,k| + |h_im,k|, whose norm over both halves is <= 2 ||h||
+        width, floor = 2 * d, _distance_root_bound(2.0 * _norms(xe), 1.0, ent_norms, 2 * d)
+    else:
+        # ||rot(e) - t||^2 = sum_k (c_k^2 + s_k^2)(e_re,k^2 + e_im,k^2) - 2 e.rot^T(t) + ||t||^2
+        # holds for the rounded cos/sin too, which need not satisfy c^2 + s^2 = 1
+        def make_terms():
+            ere, eim = _split(ent, d)
+            return np.concatenate([ere * ere + eim * eim, ere, eim, np.ones((len(ent), 1))], axis=1)
+
+        lhs = np.concatenate(
+            [
+                -(cos * cos + sin * sin),
+                2.0 * (cos * xre + sin * xim),
+                2.0 * (cos * xim - sin * xre),
+                -(xe * xe).sum(axis=1)[:, None],
+            ],
+            axis=1,
+        )
+        neg_d2 = lhs @ _memo(cache, "rotated_terms", make_terms).T
+        width, floor = 3 * d, _distance_root_bound(_norms(xe), 2.0, ent_norms, 3 * d)
+    return _sqrt_scores(neg_d2, floor, width)
+
+
+def _fast_distmult(params, x, r, slot, cache):
+    q = _rows(params.tables["ent"], x) * _rows(params.tables["rel"], r)
+    return bilinear_candidates(q, *_entities(params, cache), params.dim)
+
+
+def _fast_complex(params, x, r, slot, cache):
+    d = params.dim
+    xre, xim = _split(_rows(params.tables["ent"], x), d)
+    rre, rim = _split(_rows(params.tables["rel"], r), d)
+    if slot == TAIL:  # Re(<h, r, conj(e)>) = (h r)_re . e_re + (h r)_im . e_im
+        q = [xre * rre - xim * rim, xre * rim + xim * rre]
+    else:  # the same sum regrouped by the candidate's halves
+        q = [rre * xre + rim * xim, rre * xim - rim * xre]
+    # forming q may cancel: bound by the magnitudes of its products
+    mag = [np.abs(xre * rre) + np.abs(xim * rim), np.abs(xre * rim) + np.abs(xim * rre)]
+    return bilinear_candidates(
+        np.concatenate(q, axis=1), *_entities(params, cache), 2 * d, mag=np.concatenate(mag, axis=1)
+    )
+
+
+def _fast_simple(params, x, r, slot, cache):
+    rr, ri = _rows(params.tables["rel"], r), _rows(params.tables["rel_inv"], r)
+    if slot == TAIL:  # h_h r e_t + e_h r_inv t_h
+        q = [_rows(params.tables["ent_h"], x) * rr, ri * _rows(params.tables["ent_t"], x)]
+        names = ("ent_t", "ent_h")
+    else:  # e_h r t_t + t_h r_inv e_t
+        q = [rr * _rows(params.tables["ent_t"], x), _rows(params.tables["ent_h"], x) * ri]
+        names = ("ent_h", "ent_t")
+
+    def make():
+        cand = np.concatenate([params.tables[n].astype(np.float64) for n in names], axis=1)
+        return cand, _norms(cand)
+
+    cand, cand_norms = _memo(cache, names, make)
+    return bilinear_candidates(0.5 * np.concatenate(q, axis=1), cand, cand_norms, 2 * params.dim)
+
+
+_FAST = {
+    "transe": _fast_transe,
+    "transh": _fast_transh,
+    "transr": _fast_transr,
+    "distmult": _fast_distmult,
+    "complex": _fast_complex,
+    "rotate": _fast_rotate,
+    "simple": _fast_simple,
 }
 
 

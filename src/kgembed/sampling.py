@@ -234,6 +234,8 @@ def full_graph(kg: IndexedKG, n_neg: int = 1, seed=0) -> GraphBatch:
 
     Used for full-graph training on small KGs and for evaluation-time
     encoding; node_ids covers every entity so local ids equal global ids.
+    ``n_neg=0`` draws no corruptions (``negatives`` holds the train edges
+    with an empty [E, 0, 3] candidate array): encoding reads edges only.
     """
     order = np.lexsort((kg.train[:, 0], kg.train[:, 1], kg.train[:, 2]))
     picked = kg.train[order]

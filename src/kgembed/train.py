@@ -67,7 +67,7 @@ def _stream(config: TrainConfig, *key: int) -> np.random.SeedSequence:
 
 def make_scorer(params, kg: IndexedKG):
     if isinstance(params, RGCNModel):
-        return RGCNScorer(params, full_graph(kg))
+        return RGCNScorer(params, full_graph(kg, n_neg=0))
     return CKGEScorer(params)
 
 

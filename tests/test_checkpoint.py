@@ -241,3 +241,13 @@ def test_resume_rejects_config_drift(tmp_path, toy_kg):
 
     with pytest.raises(ConfigError, match="config"):
         train(cfg.with_overrides(lr=0.1), kg, run_dir=str(tmp_path), resume=True)
+
+
+@pytest.mark.parametrize("dataset", ["007", "1e5", "true"])
+def test_config_meta_parsed_by_declared_type(tmp_path, toy_kg, dataset):
+    _, kg = toy_kg
+    cfg = train_config(dataset=dataset, max_epochs=1)
+    train(cfg, kg, run_dir=str(tmp_path))
+    back = load_checkpoint(str(tmp_path / "last"))
+    assert back.config == cfg
+    assert back.config.dataset == dataset

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgembed.evaluate import (
     CKGEScorer,
@@ -180,3 +182,153 @@ def test_threads_do_not_change_results(toy_kg):
     threaded = evaluate(scorer, kg, queries, filters, threads=4)
     assert serial.mrr == threaded.mrr
     assert serial.head.hits == threaded.head.hits
+
+
+# --- fast kernels with a certified tie band --------------------------------
+
+BAND_MODELS = [("transe", 1), ("transe", 2), ("transh", 1), ("transr", 1), ("distmult", 1),
+               ("complex", 1), ("rotate", 1), ("simple", 1)]
+ENTITY_TABLES = ("ent", "ent_h", "ent_t")
+
+
+def band_kg():
+    rng = np.random.default_rng(20)
+    return make_kg(random_label_triples(rng, 12, 2, 30))[1]
+
+
+def band_params(model, p, kg, seed=0):
+    params = init_params(model, kg.n_entities, kg.n_relations, 12, seed=seed)
+    params.transe_p = p
+    if model == "transr":
+        rng = np.random.default_rng(seed)
+        params.tables["proj"] += rng.normal(0, 0.3, params.tables["proj"].shape).astype(np.float32)
+    return params
+
+
+def dup_rows(params):
+    for name in ENTITY_TABLES:
+        if name in params.tables:
+            t = params.tables[name]
+            t[1:4] = t[0]
+            t[5:7] = t[4]
+
+
+def ulp_rows(params):
+    for name in ENTITY_TABLES:
+        if name in params.tables:
+            t = params.tables[name]
+            t[1] = t[0]
+            t[1, 0] = np.nextafter(t[0, 0], np.float32(np.inf))
+            t[2] = t[0]
+            t[2, -1] = np.nextafter(t[0, -1], np.float32(-np.inf))
+            t[5] = t[4]
+            t[5, 1] = np.nextafter(t[4, 1], np.float32(np.inf))
+
+
+def zero_tables(params):
+    for t in params.tables.values():
+        t[...] = 0.0
+
+
+def scaled_rows(params):
+    ulp_rows(params)
+    for name in ENTITY_TABLES:
+        if name in params.tables:
+            params.tables[name] *= np.float32(1e6)
+
+
+def permuted_rows(params):
+    """Candidates whose real-number tail scores tie and whose float scores differ in the
+    last bits: entities 4.. permute one vector, entities 0-3 and every relation are
+    constant (per half for the 2d-wide tables), TransH normals and TransR maps are
+    permutation-equivariant."""
+    rng = np.random.default_rng(21)
+    for name in ENTITY_TABLES:
+        if name in params.tables:
+            t = params.tables[name]
+            halves = 2 if t.shape[1] == 2 * params.dim else 1
+            base = rng.normal(size=params.dim).astype(np.float32)
+            t[:4] = np.float32(0.3)
+            for row in range(4, len(t)):
+                t[row] = np.concatenate([rng.permutation(base) for _ in range(halves)])
+    params.tables["rel"][...] = np.float32(0.7)
+    if "rel_inv" in params.tables:
+        params.tables["rel_inv"][...] = np.float32(-0.4)
+    if "norm" in params.tables:
+        params.tables["norm"][...] = np.float32(1.0 / np.sqrt(params.dim))
+    if "proj" in params.tables:
+        params.tables["proj"][...] = np.eye(params.dim, dtype=np.float32)
+
+
+# queries whose open slot is an entity with tied or near-tied copies; heads 0-2 are the
+# constant rows of permuted_rows
+BAND_QUERIES = np.array([[0, 0, 4], [1, 1, 6], [2, 0, 9], [4, 1, 0], [8, 0, 3], [0, 1, 1]])
+
+
+def assert_matches_oracle(params, kg, queries):
+    """Per query (so MRR is the reciprocal rank) and direction, exactly."""
+    filters = build_filter_sets(kg)
+    scorer = CKGEScorer(params)
+    for q in queries:
+        report = evaluate(scorer, kg, q[None], filters)
+        oracle = bruteforce_report(params, kg, q[None], filters)
+        assert report.head.mrr == oracle["head"][0], (q, "head")
+        assert report.tail.mrr == oracle["tail"][0], (q, "tail")
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [dup_rows, ulp_rows, zero_tables, scaled_rows, permuted_rows],
+    ids=["duplicate-rows", "one-ulp", "all-zero", "scaled-1e6", "permuted-rows"],
+)
+@pytest.mark.parametrize("model,p", BAND_MODELS)
+def test_fast_ranks_match_oracle_on_ties(model, p, scenario):
+    kg = band_kg()
+    params = band_params(model, p, kg)
+    scenario(params)
+    assert_matches_oracle(params, kg, BAND_QUERIES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(BAND_MODELS),
+    dim=st.integers(1, 9),
+    n_entities=st.integers(2, 9),
+    log_scale=st.floats(-8, 8),
+    sparsity=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_scores_within_bound(model, dim, n_entities, log_scale, sparsity, seed):
+    """|fast - score()| <= bound for every entry, under random parameters."""
+    kind, p = model
+    rng = np.random.default_rng(seed)
+    params = init_params(kind, n_entities, 3, dim, seed=seed)
+    params.transe_p = p
+    for name, t in params.tables.items():
+        values = rng.normal(size=t.shape) * 10.0**log_scale * (rng.random(t.shape) >= sparsity)
+        if kind == "rotate" and name == "rel":
+            values = rng.uniform(-10, 10, t.shape)
+        t[...] = values.astype(np.float32)
+    queries = np.stack([rng.integers(0, n_entities, 4), rng.integers(0, 3, 4),
+                        rng.integers(0, n_entities, 4)], axis=1)
+    for slot in (HEAD, TAIL):
+        fast, bounds = CKGEScorer(params).fast_candidates(queries, slot)
+        for e in range(n_entities):
+            probe = queries.copy()
+            probe[:, 0 if slot == HEAD else 2] = e
+            assert np.all(np.abs(fast[:, e] - score(params, probe)) <= bounds[:, e]), (slot, e)
+
+
+def test_non_finite_fast_scores_fall_back_to_exact():
+    # float32 L1 accumulation overflows where float64 score() does not
+    kg = band_kg()
+    params = band_params("transe", 1, kg)
+    big = np.float32(3.0e38)
+    params.tables["ent"][0] = big
+    params.tables["ent"][4] = -big
+    params.tables["ent"][7] = big
+    params.tables["ent"][7, ::2] = -big
+    scores, _ = CKGEScorer(params).fast_candidates(BAND_QUERIES, TAIL)
+    assert not np.isfinite(scores).all()
+    assert_matches_oracle(params, kg, BAND_QUERIES)
+

@@ -253,3 +253,46 @@ def test_scorer_covers_all_entities(toy_kg):
             probe[:, 0 if slot == HEAD else 2] = e
             expect = rgcn_score(scorer.encoded, model.rel_emb, probe)
             assert np.allclose(m[:, e], expect, rtol=1e-12)
+
+
+# --- ranking ---------------------------------------------------------------
+
+
+def rgcn_oracle_ranks(encoded, rel_emb, kg, queries, slot, filters):
+    """Filtered mid-ranks from one per-triple rgcn_score call per candidate."""
+    from kgembed.sampling import TAIL
+
+    ranks = []
+    for h, r, t in queries.tolist():
+        target = t if slot == TAIL else h
+        known = filters.hr2t.get((h, r)) if slot == TAIL else filters.rt2h.get((r, t))
+        known = set() if known is None else set(known.tolist())
+        scores = {}
+        for e in range(kg.n_entities):
+            triple = [h, r, e] if slot == TAIL else [e, r, t]
+            scores[e] = rgcn_score(encoded, rel_emb, np.array([triple]))[0]
+        kept = [s for e, s in scores.items() if e == target or e not in known]
+        greater = sum(s > scores[target] for s in kept)
+        equal = sum(s == scores[target] for s in kept)
+        ranks.append(1 + greater + equal // 2)
+    return ranks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, "zero-decoder"])
+def test_scorer_ranks_match_per_triple_oracle(seed):
+    from kgembed.evaluate import build_filter_sets, ranks_for_queries
+    from kgembed.sampling import HEAD, TAIL
+
+    rng = np.random.default_rng(30 if seed == "zero-decoder" else seed)
+    _, kg = random_graph_kg(rng, n_entities=14, n_triples=45)
+    model = init_rgcn(kg.n_entities, kg.n_relations, dim=5, n_bases=2,
+                      seed=3 if seed == "zero-decoder" else seed)
+    if seed == "zero-decoder":
+        model.rel_emb[...] = 0.0  # every candidate ties with the target
+    scorer = RGCNScorer(model, full_graph(kg, n_neg=0))
+    encoded = rgcn_forward(model.layers, full_graph(kg), model.entity_emb.astype(np.float64))
+    filters = build_filter_sets(kg)
+    queries = np.concatenate([kg.train[:6], kg.test])
+    for slot in (HEAD, TAIL):
+        got = ranks_for_queries(scorer, queries, slot, filters).tolist()
+        assert got == rgcn_oracle_ranks(encoded, model.rel_emb, kg, queries, slot, filters), slot

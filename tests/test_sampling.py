@@ -285,3 +285,12 @@ def test_full_graph_covers_entities(toy_kg):
     g = full_graph(kg)
     assert (g.node_ids == np.arange(kg.n_entities)).all()
     assert len(g.edges) == len(kg.train)
+
+
+def test_full_graph_without_negatives(toy_kg):
+    _, kg = toy_kg
+    plain, bare = full_graph(kg), full_graph(kg, n_neg=0)
+    assert np.array_equal(bare.edges, plain.edges)
+    assert np.array_equal(bare.edge_norm, plain.edge_norm)
+    assert np.array_equal(bare.node_norm, plain.node_norm)
+    assert bare.negatives.negatives.shape == (len(kg.train), 0, 3)
