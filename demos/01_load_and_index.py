@@ -6,7 +6,10 @@ one tab-separated (head, relation, tail) triple per line.
 
 import os
 
+import numpy as np
+
 from kgembed import add_inverse_relations, load_kg
+from kgembed.data import TAIL
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "countries")
 
@@ -21,13 +24,15 @@ print("\nfirst few entity ids:")
 for label in list(vocab.entity_to_id)[:5]:
     print(f"  {label:10s} -> {vocab.entity_to_id[label]}")
 
-# the index keeps tail sets per (head, relation) and head sets per
-# (relation, tail), built from train only; samplers filter against these
+# the train index holds the distinct train triples as sorted packed keys;
+# samplers filter against it, and it lists the known completions of a
+# batch of queries as (row, entity) pairs, each row's entities ascending
 oslo = vocab.entity_to_id["oslo"]
 located = vocab.relation_to_id["located_in"]
-tails = kg.hr2t[(oslo, located)]
+_, tails = kg.train_index.completions(np.array([[oslo, located, 0]]), TAIL)
 print(f"\ntails of (oslo, located_in): {[vocab.id_to_entity[t] for t in tails]}")
-print(f"frequency of (oslo, located_in): {kg.freq_hr[(oslo, located)]}")
+print(f"is (oslo, located_in, {vocab.id_to_entity[tails[0]]}) in train: "
+      f"{kg.in_train([[oslo, located, tails[0]]])[0]}")
 
 # inverse augmentation doubles the relation space and mirrors every triple,
 # so head prediction can be phrased as tail prediction over r-inverse

@@ -165,7 +165,12 @@ def parse_field(key: str, text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read ``key: value`` lines; bracketed values parse to lists of scalars."""
+    """Read ``key: value`` lines; bracketed values parse to lists of scalars.
+
+    Values of ``str``-typed TrainConfig fields, list items included, stay
+    verbatim (``dataset: 007`` names a dataset, not the number 7).
+    """
+    str_keys = {f.name for f in fields(TrainConfig) if f.type == "str"}
     out: dict = {}
     try:
         fh = open(path, encoding="utf-8")
@@ -190,9 +195,9 @@ def parse_config_file(path: str) -> dict:
                 items = [x.strip() for x in value[1:-1].split(",") if x.strip()]
                 if not items:
                     raise ConfigError(f"{path}:{lineno}: empty list for key {key!r}")
-                out[key] = [parse_scalar(x) for x in items]
+                out[key] = items if key in str_keys else [parse_scalar(x) for x in items]
             else:
-                out[key] = parse_scalar(value)
+                out[key] = value if key in str_keys else parse_scalar(value)
     return out
 
 

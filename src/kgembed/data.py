@@ -1,14 +1,19 @@
-"""Triple/rule file loading, vocabularies, index structures, and rule grounding.
+"""Triple/rule file loading, vocabularies, the triple index, and rule grounding.
 
 A dataset is a directory with ``train.txt``, ``valid.txt`` and ``test.txt``,
 one tab-separated ``head relation tail`` triple per line (the de facto
 layout of the public FB15K-237 / WN18RR distributions).
+
+One structure answers "which triples are known": :class:`TripleIndex`,
+the distinct triples of an id array as two sorted int64 key arrays,
+(h*R + r)*E + t and (r*E + t)*E + h. It serves train membership, the
+Bernoulli statistics, the 1-vs-all labels, rule grounding, and (over all
+three splits) evaluation filtering.
 """
 
 from __future__ import annotations
 
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +21,10 @@ import numpy as np
 Triple = tuple[str, str, str]
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
+
+HEAD, TAIL = 0, 1  # the open slot of a query: the entity to predict
+
+_COLUMNS = ("head entity", "relation", "tail entity")
 
 
 class DataFormatError(ValueError):
@@ -45,45 +54,96 @@ class Vocab:
         return len(self.id_to_relation)
 
 
+class TripleIndex:
+    """The distinct triples of an [n, 3] id array, as two sorted key arrays.
+
+    ``hrt`` holds (h*R + r)*E + t and ``rth`` holds (r*E + t)*E + h, each
+    ascending without repeats. The triples sharing (h, r) form one run of
+    ``hrt`` with tails ascending, those sharing (r, t) one run of ``rth``
+    with heads ascending. So membership is one ``searchsorted``, and the
+    known completions of a batch of queries are two. Every id is checked
+    against [0, E) or [0, R) before packing, since an id out of range
+    would alias the key of another triple.
+    """
+
+    def __init__(self, triples, n_entities: int, n_relations: int):
+        self.n_entities, self.n_relations = n_entities, n_relations
+        self.hrt = np.unique(self._keys(np.reshape(triples, (-1, 3)), (0, 1, 2)))
+        hr, t = np.divmod(self.hrt, n_entities)
+        h, r = np.divmod(hr, n_relations)
+        self.rth = np.sort((r * n_entities + t) * n_entities + h)
+
+    def _keys(self, triples, cols) -> np.ndarray:
+        """Pack columns ``cols`` of [..., 3] id rows into one int64 key per row."""
+        triples = np.asarray(triples, dtype=np.int64)
+        key = 0
+        for col in cols:
+            ids = triples[..., col]
+            n = self.n_relations if col == 1 else self.n_entities
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                bad = ids[(ids < 0) | (ids >= n)].flat[0]
+                raise ValueError(f"{_COLUMNS[col]} id {bad} outside [0, {n})")
+            key = key * n + ids
+        return key
+
+    def contains(self, triples) -> np.ndarray:
+        """Whether each [..., 3] id row is an indexed triple."""
+        keys = self._keys(triples, (0, 1, 2))
+        if not len(self.hrt):
+            return np.zeros(keys.shape, dtype=bool)
+        pos = np.minimum(np.searchsorted(self.hrt, keys), len(self.hrt) - 1)
+        return self.hrt[pos] == keys
+
+    def completions(self, queries, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indexed completions of each [n, 3] query's open slot, as CSR pairs.
+
+        Returns ``(row, entity)``: for ``slot`` TAIL every indexed tail of
+        row i's (h, r), for HEAD every head of its (r, t); rows ascend,
+        and each row's entities ascend. The open slot's value is ignored.
+        """
+        if slot == TAIL:
+            keys, prefix = self.hrt, self._keys(queries, (0, 1))
+        else:
+            keys, prefix = self.rth, self._keys(queries, (1, 2))
+        lo = np.searchsorted(keys, prefix * self.n_entities)
+        counts = np.searchsorted(keys, (prefix + 1) * self.n_entities) - lo
+        rows = np.repeat(np.arange(len(prefix)), counts)
+        at = np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return rows, keys[at] % self.n_entities
+
+    def pairs(self, slot: int) -> np.ndarray:
+        """The distinct fixed pairs with a completion: [m, 2] (h, r) rows for
+        ``slot`` TAIL, (r, t) rows for HEAD, ascending."""
+        keys = self.hrt if slot == TAIL else self.rth
+        prefix = np.unique(keys // self.n_entities)
+        return np.stack(np.divmod(prefix, self.n_relations if slot == TAIL else self.n_entities), 1)
+
+
 @dataclass
 class IndexedKG:
-    """Integer-encoded splits plus the train-set statistics used by samplers.
+    """Integer-encoded splits plus the index of the train split.
 
-    ``hr2t`` / ``rt2h`` and the frequency counts are built from the train
-    split only; evaluation-time filtering over all splits is a separate
-    structure (see :func:`kgembed.evaluate.build_filter_sets`).
+    ``train_index``, a :class:`TripleIndex` over the distinct train
+    triples, is built on construction. It answers ``in_train`` (the
+    samplers' filtering), the Bernoulli statistics, the 1-vs-all labels
+    and rule grounding. Evaluation filters against a second index over
+    all splits (see :func:`kgembed.evaluate.build_filter_sets`).
     """
 
     train: np.ndarray  # [n,3] int64 (h, r, t)
     valid: np.ndarray
     test: np.ndarray
-    hr2t: dict[tuple[int, int], set[int]]
-    rt2h: dict[tuple[int, int], set[int]]
-    freq_hr: dict[tuple[int, int], int]
-    freq_rt: dict[tuple[int, int], int]
     n_entities: int
     n_relations: int
     has_inverses: bool = False
-    # sorted packed train keys, lazily built; used for vectorized membership
-    _train_keys: np.ndarray | None = field(default=None, repr=False)
+    train_index: TripleIndex = field(init=False, repr=False)
 
-    def pack(self, triples: np.ndarray) -> np.ndarray:
-        """Encode (h,r,t) rows as single int64 keys (h*R+r)*E+t."""
-        triples = np.asarray(triples, dtype=np.int64)
-        return (triples[..., 0] * self.n_relations + triples[..., 1]) * self.n_entities + triples[..., 2]
-
-    def train_keys(self) -> np.ndarray:
-        if self._train_keys is None:
-            self._train_keys = np.unique(self.pack(self.train))
-        return self._train_keys
+    def __post_init__(self):
+        self.train_index = TripleIndex(self.train, self.n_entities, self.n_relations)
 
     def in_train(self, triples: np.ndarray) -> np.ndarray:
         """Vectorized train-set membership for an array of id triples."""
-        keys = self.train_keys()
-        cand = self.pack(triples)
-        pos = np.searchsorted(keys, cand)
-        pos = np.minimum(pos, len(keys) - 1)
-        return keys[pos] == cand
+        return self.train_index.contains(triples)
 
 
 @dataclass(frozen=True)
@@ -189,35 +249,11 @@ def index_kg(
     test: list[Triple],
     vocab: Vocab,
 ) -> IndexedKG:
-    """Encode splits to id arrays and build train-set statistics.
-
-    ``hr2t[(h,r)]`` holds every train tail for the pair, ``rt2h[(r,t)]``
-    every train head; the frequency dicts count train occurrences
-    (duplicate lines in the raw file each count).
-    """
-    train_arr = _encode_split(train, vocab)
-    valid_arr = _encode_split(valid, vocab)
-    test_arr = _encode_split(test, vocab)
-
-    hr2t: dict[tuple[int, int], set[int]] = defaultdict(set)
-    rt2h: dict[tuple[int, int], set[int]] = defaultdict(set)
-    freq_hr: dict[tuple[int, int], int] = defaultdict(int)
-    freq_rt: dict[tuple[int, int], int] = defaultdict(int)
-    for h, r, t in train_arr:
-        h, r, t = int(h), int(r), int(t)
-        hr2t[(h, r)].add(t)
-        rt2h[(r, t)].add(h)
-        freq_hr[(h, r)] += 1
-        freq_rt[(r, t)] += 1
-
+    """Encode splits to id arrays and index the train split."""
     return IndexedKG(
-        train=train_arr,
-        valid=valid_arr,
-        test=test_arr,
-        hr2t=dict(hr2t),
-        rt2h=dict(rt2h),
-        freq_hr=dict(freq_hr),
-        freq_rt=dict(freq_rt),
+        train=_encode_split(train, vocab),
+        valid=_encode_split(valid, vocab),
+        test=_encode_split(test, vocab),
         n_entities=vocab.n_entities,
         n_relations=vocab.n_relations,
     )
@@ -226,7 +262,7 @@ def index_kg(
 def add_inverse_relations(kg: IndexedKG) -> IndexedKG:
     """Return a new KG with an inverse triple (t, r+n_relations, h) per train triple.
 
-    Doubles ``n_relations`` and rebuilds all train statistics. Refuses to
+    Doubles ``n_relations`` and re-indexes the train split. Refuses to
     run on a KG that already carries inverses.
     """
     if kg.has_inverses:
@@ -234,27 +270,10 @@ def add_inverse_relations(kg: IndexedKG) -> IndexedKG:
     n_rel = kg.n_relations
     inv = kg.train[:, [2, 1, 0]].copy()
     inv[:, 1] += n_rel
-    train = np.concatenate([kg.train, inv], axis=0)
-
-    hr2t: dict[tuple[int, int], set[int]] = defaultdict(set)
-    rt2h: dict[tuple[int, int], set[int]] = defaultdict(set)
-    freq_hr: dict[tuple[int, int], int] = defaultdict(int)
-    freq_rt: dict[tuple[int, int], int] = defaultdict(int)
-    for h, r, t in train:
-        h, r, t = int(h), int(r), int(t)
-        hr2t[(h, r)].add(t)
-        rt2h[(r, t)].add(h)
-        freq_hr[(h, r)] += 1
-        freq_rt[(r, t)] += 1
-
     return IndexedKG(
-        train=train,
+        train=np.concatenate([kg.train, inv], axis=0),
         valid=kg.valid.copy(),
         test=kg.test.copy(),
-        hr2t=dict(hr2t),
-        rt2h=dict(rt2h),
-        freq_hr=dict(freq_hr),
-        freq_rt=dict(freq_rt),
         n_entities=kg.n_entities,
         n_relations=2 * n_rel,
         has_inverses=True,
@@ -303,38 +322,26 @@ def ground_rules(rules: list[Rule], kg: IndexedKG) -> list[Grounding]:
     relation; chain rules yield one grounding per joinable triple pair.
     Conclusions already present in train are kept, flagged ``in_train``.
     """
-    by_rel: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for h, r, t in kg.train:
-        by_rel[int(r)].append((int(h), int(r), int(t)))
-
-    out: list[Grounding] = []
+    parts = []
     for rule in rules:
+        first = kg.train[kg.train[:, 1] == rule.body_relations[0]]  # train order, duplicates kept
         if len(rule.body_relations) == 1:
-            r1 = rule.body_relations[0]
-            for h, _, t in by_rel.get(r1, ()):
-                concl = (h, rule.head_relation, t)
-                out.append(
-                    Grounding(
-                        body_triples=((h, r1, t),),
-                        conclusion=concl,
-                        confidence=rule.confidence,
-                        in_train=concl[2] in kg.hr2t.get((concl[0], concl[1]), ()),
-                    )
-                )
-        else:
-            r1, r2 = rule.body_relations
-            for h, _, m in by_rel.get(r1, ()):
-                for z in sorted(kg.hr2t.get((m, r2), ())):
-                    concl = (h, rule.head_relation, z)
-                    out.append(
-                        Grounding(
-                            body_triples=((h, r1, m), (m, r2, z)),
-                            conclusion=concl,
-                            confidence=rule.confidence,
-                            in_train=concl[2] in kg.hr2t.get((concl[0], concl[1]), ()),
-                        )
-                    )
-    return out
+            body = first[:, None]
+        else:  # join r1(x, y) with every train r2(y, z), z ascending
+            probe = first[:, [2, 1, 0]]
+            probe[:, 1] = rule.body_relations[1]
+            rows, z = kg.train_index.completions(probe, TAIL)
+            second = np.stack([first[rows, 2], probe[rows, 1], z], axis=1)
+            body = np.stack([first[rows], second], axis=1)
+        concl = np.stack([body[:, 0, 0], np.full(len(body), rule.head_relation), body[:, -1, 2]], 1)
+        parts.append((rule.confidence, body.tolist(), concl))
+    concls = np.concatenate([c for _, _, c in parts]) if parts else np.zeros((0, 3), np.int64)
+    flags = iter(kg.in_train(concls).tolist())
+    return [
+        Grounding(tuple(map(tuple, b)), tuple(c), conf, next(flags))
+        for conf, bodies, concl in parts
+        for b, c in zip(bodies, concl.tolist())
+    ]
 
 
 def write_groundings(groundings: list[Grounding], path: str) -> None:
@@ -353,7 +360,7 @@ def read_groundings(path: str, kg: IndexedKG) -> list[Grounding]:
     """
     if not os.path.exists(path):
         raise DataFormatError(f"groundings file not found: {path}")
-    out: list[Grounding] = []
+    parsed: list[tuple[float, list]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -369,16 +376,15 @@ def read_groundings(path: str, kg: IndexedKG) -> list[Grounding]:
                 raise DataFormatError(f"{path}:{lineno}: malformed grounding line") from None
             if any(len(t) != 3 for t in triples):
                 raise DataFormatError(f"{path}:{lineno}: triples must be h,r,t")
-            concl = triples[0]
-            out.append(
-                Grounding(
-                    body_triples=tuple(triples[1:]),
-                    conclusion=concl,
-                    confidence=conf,
-                    in_train=concl[2] in kg.hr2t.get((concl[0], concl[1]), ()),
-                )
-            )
-    return out
+            parsed.append((conf, triples))
+    try:
+        flags = kg.in_train(np.array([t[0] for _, t in parsed], dtype=np.int64).reshape(-1, 3))
+    except ValueError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+    return [
+        Grounding(body_triples=tuple(t[1:]), conclusion=t[0], confidence=conf, in_train=flag)
+        for (conf, t), flag in zip(parsed, flags.tolist())
+    ]
 
 
 def write_vocab(vocab: Vocab, directory: str) -> None:

@@ -1,13 +1,16 @@
 """Filtered link-prediction evaluation: MRR and Hits@K, per direction.
 
 Protocol: for each query triple and each prediction direction, score every
-entity in the open slot, drop all *other* known-true completions (from
-train + valid + test), and rank the target with the mid-rank tie rule
+entity in the open slot, drop all *other* known-true completions, and
+rank the target with the mid-rank tie rule
 
     rank = 1 + |{s > s_target}| + floor(|{s == s_target}| / 2)
 
 (the equal set includes the target itself). Mid-ranking keeps a
-constant-output model at chance level instead of MRR ~ 1.
+constant-output model at chance level instead of MRR ~ 1. The known
+completions come from one :class:`kgembed.data.TripleIndex` over train +
+valid + test (:func:`build_filter_sets`); a chunk of queries reads them as
+CSR (row, entity) pairs from one lookup.
 
 Ranks are exact: each equals the rank from per-triple float64 ``score``
 (or ``rgcn_score``) values, bit for bit, ties included. A scorer offers
@@ -31,25 +34,15 @@ an exact [B, E] matrix, takes the same path with bound zero.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
-from .data import IndexedKG
-from .sampling import HEAD, TAIL
+from .data import HEAD, TAIL, IndexedKG, TripleIndex
 
 DEFAULT_KS = (1, 3, 10)
-
-
-@dataclass(frozen=True)
-class FilterSets:
-    """Known-true completions over all splits, keyed by the fixed pair."""
-
-    hr2t: dict[tuple[int, int], np.ndarray]
-    rt2h: dict[tuple[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -78,19 +71,10 @@ class RankingReport:
         return 0.5 * (self.head.hits[k] + self.tail.hits[k])
 
 
-def build_filter_sets(kg: IndexedKG) -> FilterSets:
-    """Collect every (pair -> completions) over train, valid and test."""
-    hr2t: dict[tuple[int, int], set[int]] = defaultdict(set)
-    rt2h: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for split in (kg.train, kg.valid, kg.test):
-        for h, r, t in split:
-            h, r, t = int(h), int(r), int(t)
-            hr2t[(h, r)].add(t)
-            rt2h[(r, t)].add(h)
-    return FilterSets(
-        hr2t={k: np.fromiter(v, dtype=np.int64) for k, v in hr2t.items()},
-        rt2h={k: np.fromiter(v, dtype=np.int64) for k, v in rt2h.items()},
-    )
+def build_filter_sets(kg: IndexedKG) -> TripleIndex:
+    """Index every known triple, over train, valid and test."""
+    every = np.concatenate([kg.train, kg.valid, kg.test])
+    return TripleIndex(every, kg.n_entities, kg.n_relations)
 
 
 # Queries ranked together: a chunk's [chunk, E] float64 arrays stay near
@@ -103,16 +87,12 @@ _BAND_SLACK = 1.0 + 2.0**-40
 
 
 def ranks_for_queries(
-    scorer, queries: np.ndarray, slot: int, filters: FilterSets, threads: int = 1
+    scorer, queries: np.ndarray, slot: int, filters: TripleIndex, threads: int = 1
 ) -> np.ndarray:
     """Filtered rank of the true entity for each query, one direction."""
     queries = np.asarray(queries, dtype=np.int64)
     col = 2 if slot == TAIL else 0
     cache: dict = {}
-
-    def known(query) -> np.ndarray | None:
-        h, r, t = (int(v) for v in query)
-        return filters.hr2t.get((h, r)) if slot == TAIL else filters.rt2h.get((r, t))
 
     def run_chunk(chunk: np.ndarray) -> np.ndarray:
         n = len(chunk)
@@ -136,10 +116,8 @@ def ranks_for_queries(
         # a row sum is finite only if every entry is (or falls back needlessly on overflow)
         finite = np.isfinite(scores.sum(axis=1) + bounds.sum(axis=1))
         target_scores = scores[rows, target]
-        for i, query in enumerate(chunk):
-            k = known(query)
-            if k is not None:
-                scores[i, k] = -np.inf  # filtered: certainly below the band
+        known_rows, known = filters.completions(chunk, slot)
+        scores[known_rows, known] = -np.inf  # filtered: certainly below the band
         scores[rows, target] = target_scores
         with np.errstate(invalid="ignore", over="ignore"):
             scores -= target_scores[:, None]
@@ -147,13 +125,12 @@ def ranks_for_queries(
             bounds *= _BAND_SLACK
             greater = np.count_nonzero(scores > bounds, axis=1)
             band = np.abs(scores) <= bounds
-        for i in np.flatnonzero(~finite):  # exact scores of every unfiltered candidate
-            greater[i] = 0
-            band[i] = True
-            k = known(chunk[i])
-            if k is not None:
-                band[i, k] = False
-            band[i, target[i]] = True
+        fallback = ~finite  # exact scores of every unfiltered candidate
+        greater[fallback] = 0
+        band[fallback] = True
+        drop = fallback[known_rows]
+        band[known_rows[drop], known[drop]] = False
+        band[fallback, target[fallback]] = True
 
         bi, be = band.nonzero()
         band_scores = exact(bi, be)
@@ -175,7 +152,7 @@ def evaluate(
     scorer,
     kg: IndexedKG,
     split,
-    filters: FilterSets,
+    filters: TripleIndex,
     ks: tuple[int, ...] = DEFAULT_KS,
     limit_fraction: float | None = None,
     seed: int = 0,

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IndexedKG
-
-HEAD, TAIL = 0, 1
+from .data import HEAD, TAIL, IndexedKG
 
 RETRY_CAP = 10  # resampling rounds before accepting a filtered candidate, flagged
 
@@ -76,11 +74,9 @@ class GraphBatch:
 
 def filter_known(candidates, kg: IndexedKG) -> list:
     """Drop candidates present in the train split, preserving order."""
-    out = []
-    for h, r, t in candidates:
-        if int(t) not in kg.hr2t.get((int(h), int(r)), ()):
-            out.append((h, r, t))
-    return out
+    candidates = [tuple(c) for c in candidates]
+    known = kg.in_train(np.array(candidates, dtype=np.int64).reshape(-1, 3))
+    return [c for c, k in zip(candidates, known.tolist()) if not k]
 
 
 def _corrupt(
@@ -89,14 +85,21 @@ def _corrupt(
     n_neg: int,
     head_prob,
     rng: np.random.Generator,
+    node_ids: np.ndarray | None = None,
 ) -> NegBatch:
-    """Shared corruption core: pick slots, draw entities, filter, retry."""
-    positives = np.asarray(positives, dtype=np.int64)
-    if positives.ndim != 2 or positives.shape[1] != 3:
-        raise ValueError("positives must be an [n, 3] array")
-    if n_neg < 1:
-        raise ValueError(f"n_neg must be >= 1, got {n_neg}")
+    """Shared corruption core: pick slots, draw entities, filter, retry.
+
+    With ``node_ids``, ``positives`` hold indices into it: replacements
+    are drawn over that node set, and filtered after mapping to global ids.
+    """
+    if node_ids is None:  # caller-supplied positives; graph batches build their own
+        positives = np.asarray(positives, dtype=np.int64)
+        if positives.ndim != 2 or positives.shape[1] != 3:
+            raise ValueError("positives must be an [n, 3] array")
+        if n_neg < 1:
+            raise ValueError(f"n_neg must be >= 1, got {n_neg}")
     b = positives.shape[0]
+    m = kg.n_entities if node_ids is None else len(node_ids)
 
     slot = np.where(rng.random((b, n_neg)) < head_prob, HEAD, TAIL).astype(np.uint8)
     negatives = np.repeat(positives[:, None, :], n_neg, axis=1)
@@ -104,15 +107,22 @@ def _corrupt(
     rows = np.arange(b)[:, None]
     negs = np.arange(n_neg)[None, :]
 
-    negatives[rows, negs, cols] = rng.integers(0, kg.n_entities, size=(b, n_neg), dtype=np.int64)
-    bad = kg.in_train(negatives)
+    def in_train(tr):
+        if node_ids is not None:
+            tr = tr.copy()
+            tr[..., 0] = node_ids[tr[..., 0]]
+            tr[..., 2] = node_ids[tr[..., 2]]
+        return kg.in_train(tr)
+
+    negatives[rows, negs, cols] = rng.integers(0, m, size=(b, n_neg), dtype=np.int64)
+    bad = in_train(negatives)
     for _ in range(RETRY_CAP):
         if not bad.any():
             break
         bi, bj = bad.nonzero()
-        redraw = rng.integers(0, kg.n_entities, size=len(bi), dtype=np.int64)
+        redraw = rng.integers(0, m, size=len(bi), dtype=np.int64)
         negatives[bi, bj, cols[bi, bj]] = redraw
-        bad = kg.in_train(negatives)
+        bad = in_train(negatives)
     return NegBatch(positives=positives, negatives=negatives, slot=slot, fallback=bad)
 
 
@@ -127,22 +137,18 @@ def uniform_negatives(kg: IndexedKG, positives: np.ndarray, n_neg: int, seed) ->
 
 
 def bernoulli_table(kg: IndexedKG) -> BernoulliTable:
-    """Compute per-relation tph / hpt / p_head from the train split."""
-    counts = np.zeros(kg.n_relations, dtype=np.float64)
-    heads = [set() for _ in range(kg.n_relations)]
-    tails = [set() for _ in range(kg.n_relations)]
-    for h, r, t in kg.train:
-        r = int(r)
-        counts[r] += 1
-        heads[r].add(int(h))
-        tails[r].add(int(t))
-    tph = np.full(kg.n_relations, np.nan)
-    hpt = np.full(kg.n_relations, np.nan)
-    for r in range(kg.n_relations):
-        if counts[r] > 0:
-            tph[r] = counts[r] / len(heads[r])
-            hpt[r] = counts[r] / len(tails[r])
-    with np.errstate(invalid="ignore"):
+    """Compute per-relation tph / hpt / p_head from the train split.
+
+    Triple counts are over raw train lines (duplicates each count); head
+    and tail counts are over the distinct (h, r) and (r, t) pairs.
+    """
+    n_rel = kg.n_relations
+    counts = np.bincount(kg.train[:, 1], minlength=n_rel).astype(np.float64)
+    heads = np.bincount(kg.train_index.pairs(TAIL)[:, 1], minlength=n_rel)
+    tails = np.bincount(kg.train_index.pairs(HEAD)[:, 0], minlength=n_rel)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tph = np.where(counts > 0, counts / heads, np.nan)
+        hpt = np.where(counts > 0, counts / tails, np.nan)
         p_head = tph / (tph + hpt)
     return BernoulliTable(tph=tph, hpt=hpt, p_head=p_head)
 
@@ -196,7 +202,7 @@ def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:
 
     edge_norm, node_norm = _graph_norms(edges, len(node_ids))
 
-    negatives = _corrupt_local(kg, node_ids, edges, n_neg, rng)
+    negatives = _corrupt(kg, edges, n_neg, 0.5, rng, node_ids)
     return GraphBatch(
         node_ids=node_ids,
         edges=edges,
@@ -243,7 +249,7 @@ def full_graph(kg: IndexedKG, n_neg: int = 1, seed=0) -> GraphBatch:
     edges = picked.astype(np.int64)
     edge_norm, node_norm = _graph_norms(edges, kg.n_entities)
     rng = np.random.default_rng(seed)
-    negatives = _corrupt_local(kg, node_ids, edges, n_neg, rng)
+    negatives = _corrupt(kg, edges, n_neg, 0.5, rng, node_ids)
     return GraphBatch(
         node_ids=node_ids,
         edges=edges,
@@ -262,37 +268,3 @@ def _graph_norms(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarra
     indeg = np.bincount(edges[:, 2], minlength=n_nodes)
     node_norm = np.where(indeg > 0, 1.0 / np.maximum(indeg, 1), 1.0)
     return edge_norm, node_norm
-
-
-def _corrupt_local(
-    kg: IndexedKG,
-    node_ids: np.ndarray,
-    local_triples: np.ndarray,
-    n_neg: int,
-    rng: np.random.Generator,
-) -> NegBatch:
-    """Uniform corruption over the batch node set, filtered against train globally."""
-    b = len(local_triples)
-    m = len(node_ids)
-    slot = np.where(rng.random((b, n_neg)) < 0.5, HEAD, TAIL).astype(np.uint8)
-    negatives = np.repeat(local_triples[:, None, :], n_neg, axis=1)
-    rows = np.arange(b)[:, None]
-    negs = np.arange(n_neg)[None, :]
-    cols = np.where(slot == HEAD, 0, 2)
-    negatives[rows, negs, cols] = rng.integers(0, m, size=(b, n_neg), dtype=np.int64)
-
-    def to_global(tr):
-        g = tr.copy()
-        g[..., 0] = node_ids[tr[..., 0]]
-        g[..., 2] = node_ids[tr[..., 2]]
-        return g
-
-    bad = kg.in_train(to_global(negatives))
-    for _ in range(RETRY_CAP):
-        if not bad.any():
-            break
-        bi, bj = bad.nonzero()
-        redraw = rng.integers(0, m, size=len(bi), dtype=np.int64)
-        negatives[bi, bj, cols[bi, bj]] = redraw
-        bad = kg.in_train(to_global(negatives))
-    return NegBatch(positives=local_triples, negatives=negatives, slot=slot, fallback=bad)

@@ -16,8 +16,8 @@ import numpy as np
 from . import models, rules
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, config_hash
-from .data import Grounding, IndexedKG, read_groundings
-from .evaluate import CKGEScorer, FilterSets, RankingReport, build_filter_sets, evaluate
+from .data import TAIL, Grounding, IndexedKG, read_groundings
+from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
 from .gnn import RGCNModel, RGCNScorer, init_rgcn, rgcn_loss_and_grad
 from .losses import LossSpec
 from .optim import init_optimizer, optimizer_step
@@ -80,10 +80,8 @@ def _all_sampler_batch(kg: IndexedKG, positives: np.ndarray) -> LabeledBatch:
     triples[:, 1] = np.repeat(positives[:, 1], n_e)
     triples[:, 2] = np.tile(np.arange(n_e, dtype=np.int64), b)
     labels = np.zeros(b * n_e)
-    for i, (h, r, _) in enumerate(positives):
-        known = kg.hr2t.get((int(h), int(r)))
-        if known:
-            labels[i * n_e + np.fromiter(known, dtype=np.int64)] = 1.0
+    rows, tails = kg.train_index.completions(positives, TAIL)
+    labels[rows * n_e + tails] = 1.0
     return LabeledBatch(triples=triples, labels=labels)
 
 

@@ -39,6 +39,16 @@ def test_parse_scalars_and_comments(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "text, expect",
+    [("dataset: 007\n", ("007", {})), ("dataset: true\n", ("true", {})),
+     ("dataset: [007, abc]\n", ("", {"dataset": ["007", "abc"]}))],
+)
+def test_config_file_keeps_str_fields_verbatim(tmp_path, text, expect):
+    config, space = build_train_config(parse_config_file(write(tmp_path, text)), allow_lists=True)
+    assert (config.dataset, space) == expect
+
+
 def test_parse_lists(tmp_path):
     doc = parse_config_file(write(tmp_path, "lr: [0.1, 0.01]\ndim: [16, 32]\n"))
     assert doc["lr"] == [0.1, 0.01] and doc["dim"] == [16, 32]

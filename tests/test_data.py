@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgembed.data import (
+    HEAD,
+    TAIL,
     DataFormatError,
     Rule,
+    TripleIndex,
     add_inverse_relations,
     build_vocab,
     ground_rules,
@@ -95,13 +98,26 @@ def test_vocab_round_trip(triples):
 # --- index_kg --------------------------------------------------------------
 
 
+def completion_sets(index, n_entities, n_relations, slot):
+    """{fixed pair: completions} read from ``index`` over every possible pair."""
+    pairs = [(a, b) for a in range(n_entities if slot == TAIL else n_relations)
+             for b in range(n_relations if slot == TAIL else n_entities)]
+    queries = np.array([(a, b, 0) if slot == TAIL else (0, a, b) for a, b in pairs], dtype=np.int64)
+    rows, ents = index.completions(queries, slot)
+    out = {}
+    for i, e in zip(rows.tolist(), ents.tolist()):
+        out.setdefault(pairs[i], set()).add(e)
+    return out
+
+
 def test_index_statistics_example():
     vocab, kg = make_kg([("a", "r", "b"), ("a", "r", "c")])
     a, b, c = (vocab.entity_to_id[x] for x in "abc")
     r = vocab.relation_to_id["r"]
-    assert kg.hr2t[(a, r)] == {b, c}
-    assert kg.rt2h[(r, b)] == {a}
-    assert kg.freq_hr[(a, r)] == 2
+    rows, tails = kg.train_index.completions(np.array([[a, r, 0]]), TAIL)
+    assert rows.tolist() == [0, 0] and tails.tolist() == sorted([b, c])
+    rows, heads = kg.train_index.completions(np.array([[0, r, b]]), HEAD)
+    assert rows.tolist() == [0] and heads.tolist() == [a]
 
 
 def test_index_unknown_label_errors():
@@ -113,33 +129,78 @@ def test_index_unknown_label_errors():
 def test_index_matches_bruteforce_scan(toy_kg):
     vocab, kg = toy_kg
     # independent nested-loop oracle over the encoded train array
-    hr2t, rt2h, fhr, frt = {}, {}, {}, {}
+    hr2t, rt2h = {}, {}
     for h, r, t in kg.train:
         h, r, t = int(h), int(r), int(t)
         hr2t.setdefault((h, r), set()).add(t)
         rt2h.setdefault((r, t), set()).add(h)
-        fhr[(h, r)] = fhr.get((h, r), 0) + 1
-        frt[(r, t)] = frt.get((r, t), 0) + 1
-    assert kg.hr2t == hr2t and kg.rt2h == rt2h
-    assert kg.freq_hr == fhr and kg.freq_rt == frt
+    assert completion_sets(kg.train_index, kg.n_entities, kg.n_relations, TAIL) == hr2t
+    assert completion_sets(kg.train_index, kg.n_entities, kg.n_relations, HEAD) == rt2h
 
 
 def test_index_statistics_soundness(toy_kg):
     _, kg = toy_kg
-    for h, r, t in kg.train:
-        assert int(t) in kg.hr2t[(int(h), int(r))]
-        assert int(h) in kg.rt2h[(int(r), int(t))]
-    # distinct train triples partition across hr2t values
+    rows, tails = kg.train_index.completions(kg.train, TAIL)
+    for i, (h, r, t) in enumerate(kg.train.tolist()):
+        assert t in tails[rows == i]
+    rows, heads = kg.train_index.completions(kg.train, HEAD)
+    for i, (h, r, t) in enumerate(kg.train.tolist()):
+        assert h in heads[rows == i]
+    # distinct train triples partition across the (h, r) completion lists
     distinct = {tuple(x) for x in kg.train.tolist()}
-    assert sum(len(v) for v in kg.hr2t.values()) == len(distinct)
+    pairs = kg.train_index.pairs(TAIL)
+    _, tails = kg.train_index.completions(np.column_stack([pairs, pairs[:, 0]]), TAIL)
+    assert len(tails) == len(distinct)
+    assert sorted(map(tuple, pairs.tolist())) == sorted({(h, r) for h, r, _ in distinct})
 
 
 def test_in_train_membership(toy_kg):
     _, kg = toy_kg
     assert kg.in_train(kg.train).all()
     absent = np.array([[0, 0, 0]])
-    expect = 0 in kg.hr2t.get((0, 0), set())
+    expect = (0, 0, 0) in {tuple(x) for x in kg.train.tolist()}
     assert kg.in_train(absent)[0] == expect
+
+
+def test_membership_rejects_out_of_range_ids():
+    # E = 3, R = 2: the key of (0, 0, 5) equals the key of (0, 1, 2)
+    _, kg = make_kg([("a", "p", "b"), ("a", "q", "c")])
+    assert (kg.n_entities, kg.n_relations) == (3, 2)
+    with pytest.raises(ValueError, match="tail entity id 5 outside"):
+        kg.in_train([[0, 0, 5]])
+    with pytest.raises(ValueError, match="head entity id -1 outside"):
+        kg.in_train([[-1, 0, 1]])
+    with pytest.raises(ValueError, match="relation id 2 outside"):
+        kg.in_train([[0, 2, 1]])
+    with pytest.raises(ValueError, match="relation id 7 outside"):
+        kg.train_index.completions(np.array([[0, 7, 0]]), TAIL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_index_matches_set_scan(data):
+    n_e = data.draw(st.integers(1, 6))
+    n_r = data.draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, n_e - 1), st.integers(0, n_r - 1), st.integers(0, n_e - 1))
+    rows = data.draw(st.lists(triple, max_size=40))
+    if rows:  # repeat some rows: the index keeps distinct triples
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=10))
+    index = TripleIndex(np.array(rows, dtype=np.int64).reshape(-1, 3), n_e, n_r)
+    known = set(rows)
+    every = [(h, r, t) for h in range(n_e) for r in range(n_r) for t in range(n_e)]
+    assert index.contains(np.array(every)).tolist() == [x in known for x in every]
+    for slot in (HEAD, TAIL):
+        # every possible pair is queried, those with no completion included
+        expect = {}
+        for h, r, t in known:
+            key, e = ((h, r), t) if slot == TAIL else ((r, t), h)
+            expect.setdefault(key, set()).add(e)
+        assert completion_sets(index, n_e, n_r, slot) == expect
+        rows_, ents = index.completions(np.array(every), slot)
+        listed = list(zip(rows_.tolist(), ents.tolist()))
+        assert listed == sorted(set(listed))  # rows ascend, entities ascend within a row
+        per_query = [len(expect.get((h, r) if slot == TAIL else (r, t), ())) for h, r, t in every]
+        assert len(ents) == sum(per_query)
 
 
 # --- add_inverse_relations -------------------------------------------------
@@ -188,8 +249,10 @@ def test_inverse_bijection(data):
 def test_inverse_rebuilds_statistics(toy_kg):
     _, kg = toy_kg
     aug = add_inverse_relations(kg)
-    for h, r, t in aug.train:
-        assert int(t) in aug.hr2t[(int(h), int(r))]
+    rows, tails = aug.train_index.completions(aug.train, TAIL)
+    for i, (h, r, t) in enumerate(aug.train.tolist()):
+        assert t in tails[rows == i]
+    assert aug.in_train(aug.train).all()
 
 
 # --- rules and grounding ---------------------------------------------------
@@ -325,6 +388,14 @@ def test_groundings_file_round_trip(tmp_path, toy_kg):
     assert [(g.conclusion, g.body_triples, g.confidence, g.in_train) for g in back] == [
         (g.conclusion, g.body_triples, g.confidence, g.in_train) for g in groundings
     ]
+
+
+def test_groundings_file_rejects_out_of_range_conclusion(tmp_path, toy_kg):
+    _, kg = toy_kg
+    path = tmp_path / "g.tsv"
+    path.write_text("0.9\t0,0,99\t0,0,1\n")
+    with pytest.raises(DataFormatError, match=r"g\.tsv: tail entity id 99 outside"):
+        read_groundings(str(path), kg)
 
 
 # --- dataset dir / vocab dumps --------------------------------------------

@@ -16,6 +16,7 @@ from kgembed.models import init_params, score
 from kgembed.sampling import GraphBatch, NegBatch, full_graph, sample_graph
 
 from conftest import make_kg, random_label_triples
+from test_evaluate import known_completions
 
 
 def random_graph_kg(rng, n_entities=12, n_relations=3, n_triples=40):
@@ -259,14 +260,14 @@ def test_scorer_covers_all_entities(toy_kg):
 
 
 def rgcn_oracle_ranks(encoded, rel_emb, kg, queries, slot, filters):
-    """Filtered mid-ranks from one per-triple rgcn_score call per candidate."""
+    """Filtered mid-ranks from one per-triple rgcn_score call per candidate;
+    known completions are scanned from the raw splits (``filters`` is not read)."""
     from kgembed.sampling import TAIL
 
     ranks = []
     for h, r, t in queries.tolist():
         target = t if slot == TAIL else h
-        known = filters.hr2t.get((h, r)) if slot == TAIL else filters.rt2h.get((r, t))
-        known = set() if known is None else set(known.tolist())
+        known = known_completions(kg, h, r, t, slot)
         scores = {}
         for e in range(kg.n_entities):
             triple = [h, r, e] if slot == TAIL else [e, r, t]

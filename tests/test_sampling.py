@@ -35,7 +35,7 @@ def test_filter_removes_train_triple(toy_kg):
 def test_filter_keeps_unknown(toy_kg):
     _, kg = toy_kg
     cand = (0, 0, 0)
-    expected = [] if 0 in kg.hr2t.get((0, 0), set()) else [cand]
+    expected = [] if cand in {tuple(x) for x in kg.train.tolist()} else [cand]
     assert filter_known([cand], kg) == expected
 
 
@@ -135,6 +135,36 @@ def test_bernoulli_table_bounds(toy_kg):
     assert (table.tph[present] >= 1).all() and (table.hpt[present] >= 1).all()
     p_tail = 1.0 - table.p_head[present]
     assert np.allclose(table.p_head[present] + p_tail, 1.0)
+
+
+def bernoulli_oracle(kg):
+    """tph / hpt / p_head by set counting over the raw train rows."""
+    counts = np.zeros(kg.n_relations)
+    heads = [set() for _ in range(kg.n_relations)]
+    tails = [set() for _ in range(kg.n_relations)]
+    for h, r, t in kg.train.tolist():
+        counts[r] += 1
+        heads[r].add(h)
+        tails[r].add(t)
+    tph = np.full(kg.n_relations, np.nan)
+    hpt = np.full(kg.n_relations, np.nan)
+    for r in range(kg.n_relations):
+        if counts[r] > 0:
+            tph[r] = counts[r] / len(heads[r])
+            hpt[r] = counts[r] / len(tails[r])
+    with np.errstate(invalid="ignore"):
+        return tph, hpt, tph / (tph + hpt)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bernoulli_table_matches_set_counting(seed):
+    rng = np.random.default_rng(seed)
+    labels = random_label_triples(rng, 12, 5, 80)
+    labels += labels[:15]  # duplicate lines each count
+    _, kg = make_kg(labels, valid=[("e0", "ghost", "e1")])  # a relation absent from train
+    table = bernoulli_table(kg)
+    for got, expect in zip((table.tph, table.hpt, table.p_head), bernoulli_oracle(kg)):
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
 
 def test_bern_empirical_frequency(bern_fixture):
