@@ -377,8 +377,11 @@ def read_groundings(path: str, kg: IndexedKG) -> list[Grounding]:
             if any(len(t) != 3 for t in triples):
                 raise DataFormatError(f"{path}:{lineno}: triples must be h,r,t")
             parsed.append((conf, triples))
-    try:
-        flags = kg.in_train(np.array([t[0] for _, t in parsed], dtype=np.int64).reshape(-1, 3))
+    conclusions = [t[0] for _, t in parsed]
+    bodies = [b for _, t in parsed for b in t[1:]]
+    try:  # one lookup range-checks every triple; only the conclusions' flags are kept
+        every = np.array(conclusions + bodies, dtype=np.int64).reshape(-1, 3)
+        flags = kg.in_train(every)[: len(parsed)]
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
     return [

@@ -113,13 +113,13 @@ def ranks_for_queries(
             def exact(i, e):
                 return matrix[i, e]
 
-        # a row sum is finite only if every entry is (or falls back needlessly on overflow)
-        finite = np.isfinite(scores.sum(axis=1) + bounds.sum(axis=1))
         target_scores = scores[rows, target]
         known_rows, known = filters.completions(chunk, slot)
-        scores[known_rows, known] = -np.inf  # filtered: certainly below the band
-        scores[rows, target] = target_scores
         with np.errstate(invalid="ignore", over="ignore"):
+            # a row sum is finite only if every entry is (or falls back needlessly on overflow)
+            finite = np.isfinite(scores.sum(axis=1) + bounds.sum(axis=1))
+            scores[known_rows, known] = -np.inf  # filtered: certainly below the band
+            scores[rows, target] = target_scores
             scores -= target_scores[:, None]
             bounds += bounds[rows, target][:, None]
             bounds *= _BAND_SLACK

@@ -26,8 +26,8 @@ from .losses import (
     self_adversarial_loss,
     self_adversarial_loss_grads,
 )
-from .models import bilinear_candidates
-from .sampling import TAIL, GraphBatch
+from .models import GradAccumulator, bilinear_candidates
+from .sampling import TAIL, GraphBatch, candidate_triples
 
 
 @dataclass
@@ -234,7 +234,7 @@ def rgcn_loss_and_grad(
 
     rel64 = model.rel_emb.astype(np.float64)
     d_reps = np.zeros_like(reps)
-    rel_ids_parts, rel_rows_parts = [], []
+    rel_acc = GradAccumulator()
     for triples, coeff in ((nb.positives, d_pos), (neg_flat, d_neg.reshape(-1))):
         keep = coeff != 0.0
         if not keep.any():
@@ -244,21 +244,14 @@ def rgcn_loss_and_grad(
         er = rel64[tr[:, 1]]
         np.add.at(d_reps, tr[:, 0], c * (er * et))
         np.add.at(d_reps, tr[:, 2], c * (eh * er))
-        rel_ids_parts.append(tr[:, 1])
-        rel_rows_parts.append(c * (eh * et))
+        rel_acc.add("rel_emb", tr[:, 1], c * (eh * et))
 
     d_x0, layer_grads = rgcn_backward(model.layers, msg_graph, caches, d_reps)
 
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "entity_emb": (graph.node_ids, d_x0)
+        "entity_emb": (graph.node_ids, d_x0),
+        **rel_acc.finalize(),
     }
-    if rel_ids_parts:
-        ids = np.concatenate(rel_ids_parts)
-        rows = np.concatenate(rel_rows_parts, axis=0)
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        buf = np.zeros((len(uniq), rows.shape[1]), dtype=np.float64)
-        np.add.at(buf, inverse, rows)
-        grads["rel_emb"] = (uniq, buf)
     for i, lg in enumerate(layer_grads):
         grads[f"layer{i}.basis"] = (np.arange(lg["basis"].shape[0]), lg["basis"])
         grads[f"layer{i}.coeff"] = (np.arange(lg["coeff"].shape[0]), lg["coeff"])
@@ -295,16 +288,11 @@ class RGCNScorer:
         return np.concatenate(
             [
                 rgcn_score(self.encoded, self.model.rel_emb, triples[lo : lo + step])
-                for lo in range(0, len(triples), step)
+                for lo in range(0, max(len(triples), 1), step)  # one call for no triples too
             ]
         )
 
     def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:
         """Exact [B, E] candidate matrix (the reference path, not used for ranking)."""
-        queries = np.asarray(queries, dtype=np.int64)
-        enc = self.encoded
-        rel = self.model.rel_emb.astype(np.float64)[queries[:, 1]]
-        if slot == TAIL:
-            q = enc[queries[:, 0]] * rel
-            return (q[:, None, :] * enc[None, :, :]).sum(axis=-1)
-        return ((enc[None, :, :] * rel[:, None, :]) * enc[queries[:, 2]][:, None, :]).sum(axis=-1)
+        n_e = self.encoded.shape[0]
+        return self.score_triples(candidate_triples(queries, slot, n_e)).reshape(-1, n_e)

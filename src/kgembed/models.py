@@ -31,9 +31,10 @@ Candidate scoring (one slot swept over every entity) has two paths.
   float32 parameters, whose products neither overflow nor underflow in
   float64; a non-finite score or bound voids it (ranking then scores
   that query exactly).
-- ``score_candidates`` evaluates ``score``'s own float64 expression tree
-  over a [B, E, d] broadcast. It is the bitwise reference the candidate
-  tests compare against, not a ranking path.
+- ``score_candidates`` is ``score`` itself over the explicit candidate
+  triples, so it equals per-triple scores bit for bit by construction.
+  It is the exact reference the candidate tests compare against;
+  ranking calls ``fast_candidates`` instead.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .losses import (
     self_adversarial_loss,
     self_adversarial_loss_grads,
 )
-from .sampling import HEAD, TAIL, LabeledBatch, NegBatch
+from .sampling import HEAD, TAIL, LabeledBatch, NegBatch, candidate_triples
 
 MODEL_KINDS = ("transe", "transh", "transr", "distmult", "complex", "rotate", "simple")
 
@@ -285,138 +286,20 @@ def score_candidates(
 ) -> np.ndarray:
     """Score every entity in ``slot`` of each query; returns float64 [B, n_entities].
 
-    Row i column e is the score of query i with entity e substituted into
-    the head (slot=0) or tail (slot=1) position.
+    Row i column e is ``score`` of query i with entity e substituted into
+    the head (slot=0) or tail (slot=1) position, bit for bit: each chunk of
+    queries is scored as explicit triples, whose gathered rows hold about
+    ``chunk_elems`` elements per table (one query per chunk at least).
     """
     queries = _check_ids(params, queries)
-    if slot not in (HEAD, TAIL):
-        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
     n_e = params.n_entities
-    width = max(params.tables[k].shape[-1] for k in params.tables)
-    rows_per_chunk = max(1, chunk_elems // max(1, n_e * width))
+    per_triple = max(t[0].size for t in params.tables.values())
+    rows_per_chunk = max(1, chunk_elems // (n_e * per_triple))
     out = np.empty((len(queries), n_e), dtype=np.float64)
-    fn = _CANDIDATES[params.model]
     for lo in range(0, len(queries), rows_per_chunk):
         q = queries[lo : lo + rows_per_chunk]
-        out[lo : lo + len(q)] = fn(params, q[:, 0], q[:, 1], q[:, 2], slot)
+        out[lo : lo + len(q)] = score(params, candidate_triples(q, slot, n_e)).reshape(-1, n_e)
     return out
-
-
-def _cand_transe(params, h, r, t, slot):
-    ent = params.tables["ent"].astype(np.float64)
-    if slot == TAIL:
-        d = (_rows(params.tables["ent"], h) + _rows(params.tables["rel"], r))[:, None, :] - ent[
-            None, :, :
-        ]
-    else:
-        d = (ent[None, :, :] + _rows(params.tables["rel"], r)[:, None, :]) - _rows(
-            params.tables["ent"], t
-        )[:, None, :]
-    return _neg_norm(d, params.transe_p)
-
-
-def _cand_transh(params, h, r, t, slot):
-    ent = params.tables["ent"].astype(np.float64)
-    w = _rows(params.tables["norm"], r)
-    rel = _rows(params.tables["rel"], r)
-    # candidate projections: ent - (ent . w_b) w_b, per query row b
-    dots = np.einsum("ed,bd->be", ent, w)
-    cand_p = ent[None, :, :] - dots[:, :, None] * w[:, None, :]
-    if slot == TAIL:
-        hp = _transh_project(_rows(params.tables["ent"], h), w)
-        d = (hp + rel)[:, None, :] - cand_p
-    else:
-        tp = _transh_project(_rows(params.tables["ent"], t), w)
-        d = (cand_p + rel[:, None, :]) - tp[:, None, :]
-    return -(d * d).sum(axis=-1)
-
-
-def _cand_transr(params, h, r, t, slot):
-    ent = params.tables["ent"].astype(np.float64)
-    m = _rows(params.tables["proj"], r)
-    rel = _rows(params.tables["rel"], r)
-    cand_m = np.einsum("bij,ej->bei", m, ent)
-    if slot == TAIL:
-        mh = np.einsum("bij,bj->bi", m, _rows(params.tables["ent"], h))
-        d = (mh + rel)[:, None, :] - cand_m
-    else:
-        mt = np.einsum("bij,bj->bi", m, _rows(params.tables["ent"], t))
-        d = (cand_m + rel[:, None, :]) - mt[:, None, :]
-    return -(d * d).sum(axis=-1)
-
-
-def _cand_distmult(params, h, r, t, slot):
-    ent = params.tables["ent"].astype(np.float64)
-    rel = _rows(params.tables["rel"], r)
-    if slot == TAIL:
-        return ((_rows(params.tables["ent"], h) * rel)[:, None, :] * ent[None, :, :]).sum(axis=-1)
-    return (
-        (ent[None, :, :] * rel[:, None, :]) * _rows(params.tables["ent"], t)[:, None, :]
-    ).sum(axis=-1)
-
-
-def _cand_complex(params, h, r, t, slot):
-    d = params.dim
-    ere, eim = _split(params.tables["ent"].astype(np.float64), d)
-    rre, rim = _split(_rows(params.tables["rel"], r), d)
-    if slot == TAIL:
-        hre, him = _split(_rows(params.tables["ent"], h), d)
-        re = (hre * rre - him * rim)[:, None, :]
-        im = (hre * rim + him * rre)[:, None, :]
-        return (re * ere[None, :, :] + im * eim[None, :, :]).sum(axis=-1)
-    tre, tim = _split(_rows(params.tables["ent"], t), d)
-    re = ere[None, :, :] * rre[:, None, :] - eim[None, :, :] * rim[:, None, :]
-    im = ere[None, :, :] * rim[:, None, :] + eim[None, :, :] * rre[:, None, :]
-    return (re * tre[:, None, :] + im * tim[:, None, :]).sum(axis=-1)
-
-
-def _cand_rotate(params, h, r, t, slot):
-    d = params.dim
-    ere, eim = _split(params.tables["ent"].astype(np.float64), d)
-    theta = _rows(params.tables["rel"], r)
-    cos, sin = np.cos(theta), np.sin(theta)
-    if slot == TAIL:
-        hre, him = _split(_rows(params.tables["ent"], h), d)
-        ure = (hre * cos - him * sin)[:, None, :] - ere[None, :, :]
-        uim = (hre * sin + him * cos)[:, None, :] - eim[None, :, :]
-    else:
-        tre, tim = _split(_rows(params.tables["ent"], t), d)
-        ure = (ere[None, :, :] * cos[:, None, :] - eim[None, :, :] * sin[:, None, :]) - tre[
-            :, None, :
-        ]
-        uim = (ere[None, :, :] * sin[:, None, :] + eim[None, :, :] * cos[:, None, :]) - tim[
-            :, None, :
-        ]
-    return -np.sqrt((ure * ure + uim * uim).sum(axis=-1))
-
-
-def _cand_simple(params, h, r, t, slot):
-    enth = params.tables["ent_h"].astype(np.float64)
-    entt = params.tables["ent_t"].astype(np.float64)
-    rr = _rows(params.tables["rel"], r)
-    ri = _rows(params.tables["rel_inv"], r)
-    if slot == TAIL:
-        eh_h = _rows(params.tables["ent_h"], h)
-        et_h = _rows(params.tables["ent_t"], h)
-        s1 = ((eh_h * rr)[:, None, :] * entt[None, :, :]).sum(axis=-1)
-        s2 = ((enth[None, :, :] * ri[:, None, :]) * et_h[:, None, :]).sum(axis=-1)
-    else:
-        et_t = _rows(params.tables["ent_t"], t)
-        eh_t = _rows(params.tables["ent_h"], t)
-        s1 = ((enth[None, :, :] * rr[:, None, :]) * et_t[:, None, :]).sum(axis=-1)
-        s2 = ((eh_t * ri)[:, None, :] * entt[None, :, :]).sum(axis=-1)
-    return 0.5 * (s1 + s2)
-
-
-_CANDIDATES = {
-    "transe": _cand_transe,
-    "transh": _cand_transh,
-    "transr": _cand_transr,
-    "distmult": _cand_distmult,
-    "complex": _cand_complex,
-    "rotate": _cand_rotate,
-    "simple": _cand_simple,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -166,19 +166,29 @@ def bern_negatives(
     return _corrupt(kg, positives, n_neg, p[:, None], rng)
 
 
+def candidate_triples(queries, slot: int, n_entities: int) -> np.ndarray:
+    """Every entity in ``slot`` of each [B, 3] query, as [B * n_entities, 3] triples.
+
+    Row i * n_entities + e is query i with entity e in the head (slot=0)
+    or tail (slot=1) position.
+    """
+    if slot not in (HEAD, TAIL):
+        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
+    queries = np.asarray(queries, dtype=np.int64)
+    col = 0 if slot == HEAD else 2
+    out = np.repeat(queries, n_entities, axis=0)
+    out.reshape(len(queries), n_entities, 3)[:, :, col] = np.arange(n_entities)
+    return out
+
+
 def all_negatives(triple, slot: int, kg: IndexedKG) -> np.ndarray:
     """All n_entities candidates for one slot of one triple, the positive included.
 
     Candidate i replaces the slot entity with entity id i, so the row at
     the positive's own entity id equals the positive.
     """
-    if slot not in (HEAD, TAIL):
-        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
     h, r, t = (int(x) for x in triple)
-    out = np.empty((kg.n_entities, 3), dtype=np.int64)
-    out[:, 0], out[:, 1], out[:, 2] = h, r, t
-    out[:, 0 if slot == HEAD else 2] = np.arange(kg.n_entities)
-    return out
+    return candidate_triples([[h, r, t]], slot, kg.n_entities)
 
 
 def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:

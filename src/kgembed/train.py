@@ -25,6 +25,7 @@ from .sampling import (
     LabeledBatch,
     bern_negatives,
     bernoulli_table,
+    candidate_triples,
     full_graph,
     mask_edges,
     sample_graph,
@@ -74,15 +75,10 @@ def make_scorer(params, kg: IndexedKG):
 def _all_sampler_batch(kg: IndexedKG, positives: np.ndarray) -> LabeledBatch:
     """1-vs-all tail-slot batch: every entity labeled by train membership."""
     n_e = kg.n_entities
-    b = len(positives)
-    triples = np.empty((b * n_e, 3), dtype=np.int64)
-    triples[:, 0] = np.repeat(positives[:, 0], n_e)
-    triples[:, 1] = np.repeat(positives[:, 1], n_e)
-    triples[:, 2] = np.tile(np.arange(n_e, dtype=np.int64), b)
-    labels = np.zeros(b * n_e)
+    labels = np.zeros(len(positives) * n_e)
     rows, tails = kg.train_index.completions(positives, TAIL)
     labels[rows * n_e + tails] = 1.0
-    return LabeledBatch(triples=triples, labels=labels)
+    return LabeledBatch(triples=candidate_triples(positives, TAIL, n_e), labels=labels)
 
 
 def train(

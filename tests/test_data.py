@@ -398,6 +398,18 @@ def test_groundings_file_rejects_out_of_range_conclusion(tmp_path, toy_kg):
         read_groundings(str(path), kg)
 
 
+def test_groundings_file_rejects_out_of_range_body(tmp_path, toy_kg):
+    _, kg = toy_kg
+    path = tmp_path / "g.tsv"
+    for line, message in (
+        ("0.9\t0,1,1\t0,0,-1\t-1,0,1\n", r"g\.tsv: head entity id -1 outside"),
+        ("0.9\t0,1,1\t0,7,1\n", r"g\.tsv: relation id 7 outside"),
+    ):
+        path.write_text(line)
+        with pytest.raises(DataFormatError, match=message):
+            read_groundings(str(path), kg)
+
+
 # --- dataset dir / vocab dumps --------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,18 @@ def test_fast_scores_within_bound(model, dim, n_entities, log_scale, sparsity, s
             probe = queries.copy()
             probe[:, 0 if slot == HEAD else 2] = e
             assert np.all(np.abs(fast[:, e] - score(params, probe)) <= bounds[:, e]), (slot, e)
+
+
+def test_rows_holding_both_infinities_rank_without_warnings():
+    _, kg = make_kg([("a", "r", "b"), ("c", "r", "d"), ("a", "r", "c")])
+    filters = build_filter_sets(kg)
+    inf = np.inf
+    # query (a, r, b): a above b, c filtered; query (c, r, d): b above, a and c tie with d
+    m = np.array([[inf, 5.0, inf, -inf], [-inf, inf, -inf, -inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranks = ranks_for_queries(MatrixScorer(m, m), kg.train[:2], TAIL, filters)
+    assert ranks.tolist() == [2, 3]
 
 
 def test_non_finite_fast_scores_fall_back_to_exact():

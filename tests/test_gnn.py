@@ -253,7 +253,8 @@ def test_scorer_covers_all_entities(toy_kg):
             probe = queries.copy()
             probe[:, 0 if slot == HEAD else 2] = e
             expect = rgcn_score(scorer.encoded, model.rel_emb, probe)
-            assert np.allclose(m[:, e], expect, rtol=1e-12)
+            assert np.array_equal(m[:, e], expect)
+        assert scorer.score_candidates(queries[:0], slot).shape == (0, kg.n_entities)
 
 
 # --- ranking ---------------------------------------------------------------
