@@ -202,7 +202,7 @@ class CKGEScorer:
         # few enough rows that score()'s gathered float64 rows stay ~8 MiB
         widest = max(t[0].size for t in self.params.tables.values())
         step = max(1, (1 << 20) // widest)
-        parts = range(0, len(triples), step)
+        parts = range(0, max(len(triples), 1), step)  # one call for no triples too
         return np.concatenate([models.score(self.params, triples[lo : lo + step]) for lo in parts])
 
     def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:

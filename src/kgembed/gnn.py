@@ -26,7 +26,7 @@ from .losses import (
     self_adversarial_loss,
     self_adversarial_loss_grads,
 )
-from .models import GradAccumulator, bilinear_candidates
+from .models import GradAccumulator, bilinear_candidates, scatter_add
 from .sampling import TAIL, GraphBatch, candidate_triples
 
 
@@ -129,7 +129,7 @@ def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray):
         mask = rel == r
         w_r = np.einsum("b,bio->io", coeff[r], basis)
         msg = (x[src[mask]] @ w_r) * graph.edge_norm[mask][:, None]
-        np.add.at(agg, dst[mask], msg)
+        scatter_add(agg, dst[mask], msg)
         rel_groups.append((int(r), mask, w_r))
     pre = agg + x @ w0
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
@@ -181,7 +181,7 @@ def rgcn_backward(
             g_wr = x[src[mask]].T @ d_msg
             g_coeff[r] = np.einsum("bio,io->b", basis, g_wr)
             g_basis += coeff[r][:, None, None] * g_wr
-            np.add.at(d_in, src[mask], d_msg @ w_r.T)
+            scatter_add(d_in, src[mask], d_msg @ w_r.T)
         layer_grads[li] = {"basis": g_basis, "coeff": g_coeff, "self": g_self}
         d_x = d_in
     return d_x, layer_grads
@@ -242,8 +242,8 @@ def rgcn_loss_and_grad(
         tr, c = triples[keep], coeff[keep][:, None]
         eh, et = reps[tr[:, 0]], reps[tr[:, 2]]
         er = rel64[tr[:, 1]]
-        np.add.at(d_reps, tr[:, 0], c * (er * et))
-        np.add.at(d_reps, tr[:, 2], c * (eh * er))
+        scatter_add(d_reps, tr[:, 0], c * (er * et))
+        scatter_add(d_reps, tr[:, 2], c * (eh * er))
         rel_acc.add("rel_emb", tr[:, 1], c * (eh * et))
 
     d_x0, layer_grads = rgcn_backward(model.layers, msg_graph, caches, d_reps)

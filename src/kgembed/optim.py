@@ -17,6 +17,10 @@ OPTIMIZER_KINDS = ("sgd", "adagrad", "adam")
 ADAGRAD_EPS = 1e-10
 
 
+class NonFiniteGradientError(ValueError):
+    """A gradient row holds a NaN or an infinity."""
+
+
 @dataclass
 class OptimizerState:
     """Per-table optimizer slots; empty for sgd.
@@ -76,7 +80,9 @@ def optimizer_step(
             raise KeyError(f"gradient for unknown table {name!r}")
         if not np.isfinite(g).all():
             bad = ids[np.argwhere(~np.isfinite(g).reshape(len(ids), -1).all(axis=1))[0][0]]
-            raise ValueError(f"non-finite gradient in table {name!r} at row {int(bad)}")
+            raise NonFiniteGradientError(
+                f"non-finite gradient in table {name!r} at row {int(bad)}"
+            )
         table = tables[name]
         g64 = np.asarray(g, dtype=np.float64)
         x = table[ids].astype(np.float64)

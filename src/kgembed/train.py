@@ -20,7 +20,7 @@ from .data import TAIL, Grounding, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
 from .gnn import RGCNModel, RGCNScorer, init_rgcn, rgcn_loss_and_grad
 from .losses import LossSpec
-from .optim import init_optimizer, optimizer_step
+from .optim import NonFiniteGradientError, init_optimizer, optimizer_step
 from .sampling import (
     LabeledBatch,
     bern_negatives,
@@ -225,6 +225,16 @@ def _tables(params) -> dict[str, np.ndarray]:
     return params.tables if isinstance(params, models.ModelParams) else params.tables()
 
 
+def _step(config, opt, tables, grads, epoch: int, batch: int) -> None:
+    """One optimizer update; a non-finite gradient also names the epoch, batch and model."""
+    try:
+        optimizer_step(opt, tables, grads, config.lr)
+    except NonFiniteGradientError as err:
+        raise NonFiniteGradientError(
+            f"epoch {epoch}, batch {batch}, model {config.model}: {err}"
+        ) from err
+
+
 def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float:
     rng = np.random.default_rng(_stream(config, epoch, 0, _SHUFFLE))
     perm = rng.permutation(len(kg.train))
@@ -262,7 +272,7 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
         else:
             loss, grads = models.grad(params, batch, spec)
 
-        optimizer_step(opt, params.tables, grads, config.lr)
+        _step(config, opt, params.tables, grads, epoch, bi)
         params.version += 1
         models.renormalize_normals(params)
         total += loss
@@ -288,7 +298,7 @@ def _rgcn_epoch(config, kg, params, opt, spec, epoch) -> float:
         else:
             msg_graph = None
         loss, grads = rgcn_loss_and_grad(params, graph, msg_graph, spec)
-        optimizer_step(opt, params.tables(), grads, config.lr)
+        _step(config, opt, params.tables(), grads, epoch, bi)
         params.version += 1
         total += loss
         batches += 1

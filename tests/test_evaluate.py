@@ -351,3 +351,9 @@ def test_non_finite_fast_scores_fall_back_to_exact():
     assert not np.isfinite(scores).all()
     assert_matches_oracle(params, kg, BAND_QUERIES)
 
+
+
+def test_score_triples_of_no_triples_is_empty():
+    params = init_params("transe", 5, 2, 4, seed=0)
+    scores = CKGEScorer(params).score_triples(np.zeros((0, 3), dtype=np.int64))
+    assert scores.shape == (0,) and scores.dtype == np.float64

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from kgembed.losses import LossSpec
+from kgembed import models
+from kgembed.losses import (
+    LossSpec,
+    bce_loss,
+    bce_loss_grads,
+    margin_loss,
+    margin_loss_grads,
+    self_adversarial_loss,
+    self_adversarial_loss_grads,
+)
 from kgembed.models import (
     MODEL_KINDS,
     ModelParams,
@@ -10,6 +19,7 @@ from kgembed.models import (
     renormalize_entities,
     renormalize_normals,
     score,
+    scatter_add,
     score_candidates,
     score_grad,
 )
@@ -277,6 +287,143 @@ def test_spot_finite_difference(model):
             assert relative_error(rows[k][coord], numeric) < 1e-4
             checked += 1
     assert checked > 0
+
+
+# every model kind, TransE under both norms
+GRAD_MODELS = [("transe", 1), ("transe", 2)] + [(m, 1) for m in MODEL_KINDS if m != "transe"]
+NEG_LOSSES = ("margin", "self_adversarial", "bce")
+
+
+def grad_params(model, p, n_entities=10, n_relations=4):
+    params = init_params(model, n_entities, n_relations, 5, seed=31)
+    params.transe_p = p
+    if model == "transr":
+        rng = np.random.default_rng(1)
+        params.tables["proj"] += rng.normal(0, 0.3, params.tables["proj"].shape).astype(
+            np.float32
+        )
+    return params
+
+
+def neg_batch(positives, slot, replacement):
+    """The negatives of ``positives`` with ``replacement[i, j]`` put in ``slot[i, j]``."""
+    neg = np.repeat(positives[:, None, :], slot.shape[1], axis=1)
+    head = slot == HEAD
+    neg[..., 0] = np.where(head, replacement, neg[..., 0])
+    neg[..., 2] = np.where(head, neg[..., 2], replacement)
+    return NegBatch(positives, neg, slot.astype(np.uint8), np.zeros(slot.shape, dtype=bool))
+
+
+def flat_reference(params, batch, spec):
+    """The loss, and score_grad over positives then negatives with the loss's coefficients."""
+    b, n = batch.negatives.shape[:2]
+    pos = score(params, batch.positives)
+    neg = score(params, batch.negatives.reshape(-1, 3)).reshape(b, n)
+    if spec.kind == "margin":
+        loss = margin_loss(pos, neg, spec.margin)
+        d_pos, d_neg = margin_loss_grads(pos, neg, spec.margin)
+    elif spec.kind == "self_adversarial":
+        loss = self_adversarial_loss(pos, neg, spec.margin, spec.adv_temperature)
+        d_pos, d_neg = self_adversarial_loss_grads(pos, neg, spec.margin, spec.adv_temperature)
+    else:
+        scores = np.concatenate([pos, neg.reshape(-1)])
+        labels = np.concatenate([np.ones(b), np.zeros(b * n)])
+        loss = bce_loss(scores, labels, spec.label_smoothing)
+        d = bce_loss_grads(scores, labels, spec.label_smoothing)
+        d_pos, d_neg = d[:b], d[b:]
+    triples = np.concatenate([batch.positives, batch.negatives.reshape(-1, 3)])
+    return loss, score_grad(params, triples, np.concatenate([d_pos, d_neg.reshape(-1)]))
+
+
+def assert_matches_flat(params, batch, spec):
+    loss, grads = grad(params, batch, spec)
+    ref_loss, ref = flat_reference(params, batch, spec)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grads.keys() == ref.keys()
+    for table, (ref_ids, ref_rows) in ref.items():
+        ids, rows = grads[table]
+        assert np.array_equal(ids, ref_ids), table
+        assert np.allclose(rows, ref_rows, rtol=1e-12, atol=1e-15), table
+
+
+def chunk_positives(monkeypatch, params, n, positives):
+    """Make ``grad`` run the negatives ``positives`` at a time."""
+    widest = max(t[0].size for t in params.tables.values())
+    monkeypatch.setattr(models, "_GRAD_CHUNK_ELEMS", positives * n * widest)
+
+
+@pytest.mark.parametrize("loss", NEG_LOSSES)
+@pytest.mark.parametrize("model,p", GRAD_MODELS)
+def test_negatives_grad_matches_flat_reference(monkeypatch, model, p, loss):
+    """Duplicate positives, replacements equal to the anchor, 7 positives in chunks of 3."""
+    params = grad_params(model, p)
+    rng = np.random.default_rng(32)
+    b, n = 7, 4
+    pos = np.stack([rng.integers(0, 10, b), rng.integers(0, 4, b), rng.integers(0, 10, b)], axis=1)
+    pos[3] = pos[0]
+    slot = rng.integers(0, 2, (b, n))
+    repl = rng.integers(0, 10, (b, n))
+    # the replacement is the entity the corruption left alone: (t, r, t) or (h, r, h)
+    repl[0, 0], slot[0, 0] = pos[0, 2], HEAD
+    repl[0, 1], slot[0, 1] = pos[0, 0], TAIL
+    chunk_positives(monkeypatch, params, n, 3)
+    assert_matches_flat(params, neg_batch(pos, slot, repl), LossSpec(loss, margin=2.0))
+
+
+@pytest.mark.parametrize("loss", NEG_LOSSES)
+@pytest.mark.parametrize("model,p", GRAD_MODELS)
+def test_negatives_grad_single_negative(model, p, loss):
+    params = grad_params(model, p)
+    rng = np.random.default_rng(33)
+    pos = np.stack([rng.integers(0, 10, 5), rng.integers(0, 4, 5), rng.integers(0, 10, 5)], axis=1)
+    batch = neg_batch(pos, rng.integers(0, 2, (5, 1)), rng.integers(0, 10, (5, 1)))
+    assert_matches_flat(params, batch, LossSpec(loss, margin=2.0))
+
+
+@pytest.mark.parametrize("model,p", GRAD_MODELS)
+def test_negatives_grad_inactive_margin_negatives(monkeypatch, model, p):
+    """Some negatives satisfy the margin, and so do all of the first positive's.
+
+    The first positive's negatives are the positive itself, which a zero
+    margin leaves inactive. No two positives share an id and no other
+    replacement is a positive's entity, so a row added for an anchor no
+    kept negative uses shows in the ids.
+    """
+    params = grad_params(model, p, n_entities=40, n_relations=6)
+    rng = np.random.default_rng(34)
+    b, n = 6, 5
+    pos = np.stack([np.arange(0, 2 * b, 2), np.arange(b), np.arange(1, 2 * b, 2)], axis=1)
+    slot = rng.integers(0, 2, (b, n))
+    repl = rng.integers(2 * b, 40, (b, n))
+    repl[0] = np.where(slot[0] == HEAD, pos[0, 0], pos[0, 2])
+    batch = neg_batch(pos, slot, repl)
+    neg = score(params, batch.negatives.reshape(-1, 3)).reshape(b, n)
+    active = neg > score(params, pos)[:, None]
+    assert not active[0].any() and active.any() and (~active[1:]).any()
+    chunk_positives(monkeypatch, params, n, 4)
+    assert_matches_flat(params, batch, LossSpec("margin", margin=0.0))
+
+
+def test_negatives_must_share_their_positive_anchor():
+    params = init_params("distmult", 6, 2, 4, seed=35)
+    pos = np.array([[0, 0, 1]])
+    neg = np.array([[[2, 1, 1]]])  # head replaced, but the relation differs too
+    nb = NegBatch(pos, neg, np.array([[HEAD]], dtype=np.uint8), np.zeros((1, 1), bool))
+    with pytest.raises(ValueError, match=r"negative \[0, 0\]"):
+        grad(params, nb, LossSpec("bce"))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 4), (9, 3, 3)])
+def test_scatter_add_bitwise_equals_add_at(monkeypatch, shape):
+    monkeypatch.setattr(models, "_SCATTER_CHUNK_ELEMS", 7)  # chunks smaller than some rows
+    rng = np.random.default_rng(36)
+    index = rng.integers(0, shape[0], 40)
+    rows = rng.normal(size=(40,) + shape[1:]) * 10.0 ** rng.integers(-8, 8, (40,) + shape[1:])
+    expected = rng.normal(size=shape)
+    out = expected.copy()
+    np.add.at(expected, index, rows)
+    scatter_add(out, index, rows)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_grad_labeled_batch_requires_bce():

@@ -1,11 +1,19 @@
+import importlib
+import re
+
 import numpy as np
 import pytest
 
+import kgembed.models
 from kgembed.config import ConfigError, TrainConfig
 from kgembed.data import Grounding
+from kgembed.optim import NonFiniteGradientError
 from kgembed.train import early_stop, final_report, train
 
 from conftest import make_kg
+
+# the module; the package exports its ``train`` function under the same name
+train_module = importlib.import_module("kgembed.train")
 
 
 def tiny_config(**kv):
@@ -229,6 +237,44 @@ def test_rgcn_subsampled_epochs(toy_kg):
     )
     result = train(cfg, kg)
     assert len(result.log) == 2
+
+
+# --- non-finite gradients ---------------------------------------------------
+
+
+def test_non_finite_gradient_names_epoch_batch_and_model(monkeypatch, toy_kg):
+    _, kg = toy_kg
+    init = kgembed.models.init_params
+
+    def planted(*args, **kwargs):
+        params = init(*args, **kwargs)
+        params.tables["ent"][2] = np.nan
+        return params
+
+    monkeypatch.setattr(kgembed.models, "init_params", planted)
+    cfg = tiny_config(model="transe", loss="self_adversarial", batch_size=4, max_epochs=1)
+    with pytest.raises(NonFiniteGradientError) as err:
+        train(cfg, kg)
+    match = re.fullmatch(
+        r"epoch 1, batch 0, model transe: non-finite gradient in table 'ent' at row (\d+)",
+        str(err.value),
+    )
+    assert match and int(match.group(1)) < kg.n_entities
+
+
+def test_non_finite_gradient_names_epoch_batch_and_model_rgcn(monkeypatch, toy_kg):
+    _, kg = toy_kg
+    init = train_module.init_rgcn
+
+    def planted(*args, **kwargs):
+        model = init(*args, **kwargs)
+        model.rel_emb[1] = np.nan
+        return model
+
+    monkeypatch.setattr(train_module, "init_rgcn", planted)
+    cfg = TrainConfig(model="rgcn", dim=4, n_bases=2, loss="bce", n_neg=2, max_epochs=1, seed=0)
+    with pytest.raises(NonFiniteGradientError, match=r"^epoch 1, batch 0, model rgcn: "):
+        train(cfg, kg)
 
 
 # --- rule injection ---------------------------------------------------------
