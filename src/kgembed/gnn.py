@@ -13,6 +13,7 @@ conventional models and checked against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .losses import (
     self_adversarial_loss,
     self_adversarial_loss_grads,
 )
-from .models import GradAccumulator, bilinear_candidates, scatter_add
+from .models import GradAccumulator, bilinear_candidates
 from .sampling import TAIL, GraphBatch, candidate_triples
 
 
@@ -116,6 +117,31 @@ def init_rgcn(
         layers=layers,
         rel_emb=uni((n_relations, dim)),
     )
+
+
+# elements per np.add.at call of scatter_add, which also sizes its flat index
+_SCATTER_CHUNK_ELEMS = 1 << 16
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(out, index, rows)`` for whole rows of a C-contiguous ``out``.
+
+    Rows are scattered element by element through a 1-D flat index, numpy's
+    fast path for ``ufunc.at``, a bounded chunk of rows per call. Every
+    element receives its additions in the same order as from the 2-D call,
+    so the sums are bit for bit the same.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous output")
+    index = np.asarray(index, dtype=np.int64)
+    width = math.prod(out.shape[1:])
+    flat = out.reshape(-1)
+    rows = np.asarray(rows).reshape(len(index), width)
+    cols = np.arange(width, dtype=np.int64)
+    step = max(1, _SCATTER_CHUNK_ELEMS // width)
+    for lo in range(0, len(index), step):
+        flat_index = (index[lo : lo + step, None] * width + cols).reshape(-1)
+        np.add.at(flat, flat_index, rows[lo : lo + step].reshape(-1))
 
 
 def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray):

@@ -15,8 +15,8 @@ columns a corruption shares with its positive (the relation, and the
 entity the slot left alone) over the N negatives, and adds them once
 per positive; only the replaced entities' rows are scattered one by
 one (for TransE, B N + 6 B rows per step instead of 3 B (N + 1)).
-``finalize`` scatters through a 1-D flat index, bit for bit
-``np.add.at``.
+As in :func:`score_grad`, negatives whose coefficient is zero never
+reach the formulas.
 
 Candidate scoring (one slot swept over every entity) has two paths.
 
@@ -49,7 +49,6 @@ Candidate scoring (one slot swept over every entity) has two paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -622,31 +621,6 @@ _H, _R, _T = 0, 1, 2
 # positives per chunk * N * the widest table's row
 _GRAD_CHUNK_ELEMS = 1 << 20
 
-# elements per np.add.at call of scatter_add, which also sizes its flat index
-_SCATTER_CHUNK_ELEMS = 1 << 16
-
-
-def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(out, index, rows)`` for whole rows of a C-contiguous ``out``.
-
-    Rows are scattered element by element through a 1-D flat index, numpy's
-    fast path for ``ufunc.at``, a bounded chunk of rows per call. Every
-    element receives its additions in the same order as from the 2-D call,
-    so the sums are bit for bit the same.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("scatter_add needs a C-contiguous output")
-    index = np.asarray(index, dtype=np.int64)
-    width = math.prod(out.shape[1:])
-    flat = out.reshape(-1)
-    rows = np.asarray(rows).reshape(len(index), width)
-    cols = np.arange(width, dtype=np.int64)
-    step = max(1, _SCATTER_CHUNK_ELEMS // width)
-    for lo in range(0, len(index), step):
-        flat_index = (index[lo : lo + step, None] * width + cols).reshape(-1)
-        np.add.at(flat, flat_index, rows[lo : lo + step].reshape(-1))
-
-
 class GradAccumulator:
     """Collects per-row gradient contributions and merges them per table.
 
@@ -669,12 +643,11 @@ class GradAccumulator:
     def finalize(self) -> SparseGrad:
         out: SparseGrad = {}
         for table, parts in self._parts.items():
-            uniq, inverse = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
-            buf = np.zeros((len(uniq),) + parts[0][1].shape[1:], dtype=np.float64)
-            lo = 0
-            for ids, rows in parts:
-                scatter_add(buf, inverse[lo : lo + len(ids)], rows)
-                lo += len(ids)
+            ids = np.concatenate([p[0] for p in parts])
+            rows = np.concatenate([p[1] for p in parts], axis=0)
+            uniq, inverse = np.unique(ids, return_inverse=True)
+            buf = np.zeros((len(uniq),) + rows.shape[1:], dtype=np.float64)
+            np.add.at(buf, inverse, rows)
             out[table] = (uniq, buf)
         return out
 
@@ -682,32 +655,45 @@ class GradAccumulator:
 class _NegRows:
     """The accumulator the gradient formulas see for a chunk of negatives.
 
-    The formulas run on the chunk's negatives flattened from [B, N], so
-    their rows are laid out [B, N, ...]. In a corrupted triple the relation
-    and the entity the slot left alone are the positive's, so those rows
-    are summed over N and added once per positive, under the positive's id.
-    Only the replaced entities' rows are added one by one. Negatives whose
-    coefficient is zero (``kept`` False) add nothing, and a positive's
-    anchor row is added only if a kept negative uses it.
+    The formulas run only on the chunk's kept negatives (``kept``: nonzero
+    coefficient), taken from [B, N] in row-major order. In a corrupted
+    triple the relation and the entity the slot left alone are the
+    positive's, so those rows are summed per positive, in order, and added
+    once, under the positive's id. Only the replaced entities' rows are
+    added one by one. A positive's anchor row is added only if a kept
+    negative uses it. When every negative is kept (self-adversarial, bce)
+    the rows lie in [B, N] order and are summed over N; otherwise (margin)
+    ``np.bincount`` sums the kept rows, in time proportional to them.
     """
 
     def __init__(self, acc: GradAccumulator, positives: np.ndarray, slot: np.ndarray, kept):
         self.acc = acc
         self.positives = positives
-        self.shape = kept.shape
-        head = slot == HEAD
-        self.replaced = {_H: kept & head, _T: kept & ~head}
-        self.anchor = {_H: kept & ~head, _R: kept, _T: kept & head}
+        self.all_kept = kept.all()
+        self.owner = kept.nonzero()[0]  # the positive of each kept negative
+        head = slot[kept] == HEAD
+        self.replaced = {_H: head, _T: ~head}
+        self.anchor = {_H: ~head, _R: np.ones_like(head), _T: head}
+        self.used = {
+            col: np.bincount(self.owner[a], minlength=len(positives)) > 0
+            for col, a in self.anchor.items()
+        }
 
     def add(self, table: str, ids: np.ndarray, rows: np.ndarray, column: int) -> None:
-        rows = rows.reshape(self.shape + rows.shape[1:])
-        anchor = self.anchor[column]
-        used = anchor.any(axis=1)
-        summed = rows.sum(axis=1, where=anchor.reshape(anchor.shape + (1,) * (rows.ndim - 2)))
-        self.acc.add(table, self.positives[used, column], summed[used])
+        anchor, used = self.anchor[column], self.used[column]
+        b, shape = len(self.positives), rows.shape[1:]
+        if self.all_kept:
+            where = anchor.reshape((b, -1) + (1,) * len(shape))
+            summed = rows.reshape((b, -1) + shape).sum(axis=1, where=where)[used]
+        else:
+            width = rows[0].size
+            index = (self.owner[anchor, None] * width + np.arange(width)).reshape(-1)
+            summed = np.bincount(index, weights=rows[anchor].reshape(-1), minlength=b * width)
+            summed = summed.reshape((b,) + shape)[used]
+        self.acc.add(table, self.positives[used, column], summed)
         if column != _R:
             replaced = self.replaced[column]
-            self.acc.add(table, ids.reshape(self.shape)[replaced], rows[replaced])
+            self.acc.add(table, ids[replaced], rows[replaced])
 
 
 def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> SparseGrad:
@@ -914,7 +900,7 @@ def grad(
         coeff = d_neg[lo : lo + step]
         keep = coeff != 0.0
         if keep.any():
-            negs = batch.negatives[lo : lo + step].reshape(-1, 3)
+            negs = batch.negatives[lo : lo + step][keep]
             rows = _NegRows(acc, batch.positives[lo : lo + step], batch.slot[lo : lo + step], keep)
-            formula(params, negs[:, 0], negs[:, 1], negs[:, 2], coeff.reshape(-1), rows)
+            formula(params, negs[:, 0], negs[:, 1], negs[:, 2], coeff[keep], rows)
     return loss, acc.finalize()

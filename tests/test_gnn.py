@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kgembed import gnn
 from kgembed.gnn import (
     RGCNLayerParams,
     RGCNModel,
@@ -10,6 +11,7 @@ from kgembed.gnn import (
     rgcn_forward,
     rgcn_loss_and_grad,
     rgcn_score,
+    scatter_add,
 )
 from kgembed.losses import LossSpec
 from kgembed.models import init_params, score
@@ -298,3 +300,16 @@ def test_scorer_ranks_match_per_triple_oracle(seed):
     for slot in (HEAD, TAIL):
         got = ranks_for_queries(scorer, queries, slot, filters).tolist()
         assert got == rgcn_oracle_ranks(encoded, model.rel_emb, kg, queries, slot, filters), slot
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 4), (9, 3, 3)])
+def test_scatter_add_bitwise_equals_add_at(monkeypatch, shape):
+    monkeypatch.setattr(gnn, "_SCATTER_CHUNK_ELEMS", 7)  # chunks smaller than some rows
+    rng = np.random.default_rng(36)
+    index = rng.integers(0, shape[0], 40)
+    rows = rng.normal(size=(40,) + shape[1:]) * 10.0 ** rng.integers(-8, 8, (40,) + shape[1:])
+    expected = rng.normal(size=shape)
+    out = expected.copy()
+    np.add.at(expected, index, rows)
+    scatter_add(out, index, rows)
+    assert out.tobytes() == expected.tobytes()
