@@ -13,7 +13,8 @@ valid + test (:func:`build_filter_sets`); a chunk of queries reads them as
 CSR (row, entity) pairs from one lookup.
 
 Ranks are exact: each equals the rank from per-triple float64 ``score``
-(or ``rgcn_score``) values, bit for bit, ties included. A scorer offers
+values, bit for bit, ties included (an RGCN scorer is DistMult over the
+encoded entities, so its scores are ``rgcn_score``'s). A scorer offers
 
 - ``fast_candidates(queries, slot, cache) -> (scores, bounds)``: [B, E]
   fast scores and an a-priori bound on each one's distance from the

@@ -9,26 +9,23 @@ with ReLU on hidden layers and identity on the last. Message aggregation
 follows the batch's canonical edge order, so forward passes are
 run-to-run deterministic. Backward passes are hand-derived like the
 conventional models and checked against finite differences.
+
+The decoder is the conventional DistMult model over the encoded node
+rows: training takes its loss and gradient from :func:`models.grad`, and
+ranking uses DistMult's candidate kernel, so only the encoder lives here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .losses import (
-    LossSpec,
-    bce_loss,
-    bce_loss_grads,
-    margin_loss,
-    margin_loss_grads,
-    self_adversarial_loss,
-    self_adversarial_loss_grads,
-)
-from .models import GradAccumulator, bilinear_candidates
-from .sampling import TAIL, GraphBatch, candidate_triples
+from . import models
+from .evaluate import CKGEScorer
+from .losses import LossSpec
+from .sampling import GraphBatch
 
 
 @dataclass
@@ -214,13 +211,22 @@ def rgcn_backward(
 
 
 def rgcn_score(encoded: np.ndarray, rel_emb: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """DistMult over encoded node representations; triples index ``encoded`` rows."""
+    """DistMult over encoded node representations; triples index ``encoded`` rows.
+
+    The per-triple reference for the decoder, which trains and ranks
+    through :mod:`kgembed.models` with the same arithmetic.
+    """
     triples = np.asarray(triples, dtype=np.int64)
     if triples.size and triples[:, [0, 2]].max() >= encoded.shape[0]:
         raise ValueError("triple endpoint outside the encoded node set")
     enc = np.asarray(encoded, dtype=np.float64)
     rel = np.asarray(rel_emb, dtype=np.float64)[triples[:, 1]]
     return ((enc[triples[:, 0]] * rel) * enc[triples[:, 2]]).sum(axis=-1)
+
+
+def _decoder(reps: np.ndarray, rel_emb: np.ndarray) -> models.ModelParams:
+    """DistMult over encoded node rows, as conventional model parameters."""
+    return models.ModelParams("distmult", rel_emb.shape[1], {"ent": reps, "rel": rel_emb})
 
 
 def rgcn_loss_and_grad(
@@ -232,52 +238,20 @@ def rgcn_loss_and_grad(
     ``message_graph`` (the same batch with edge dropout applied) when
     given, else on ``graph`` itself.
     """
-    spec.validate()
     msg_graph = message_graph if message_graph is not None else graph
     x0 = model.entity_emb[graph.node_ids].astype(np.float64)
     reps, caches = rgcn_forward(model.layers, msg_graph, x0, return_cache=True)
+    loss, decoder_grads = models.grad(_decoder(reps, model.rel_emb), graph.negatives, spec)
 
-    nb = graph.negatives
-    b, n = nb.negatives.shape[:2]
-    pos_scores = rgcn_score(reps, model.rel_emb, nb.positives)
-    neg_flat = nb.negatives.reshape(-1, 3)
-    neg_scores = rgcn_score(reps, model.rel_emb, neg_flat).reshape(b, n)
-
-    if spec.kind == "margin":
-        loss = margin_loss(pos_scores, neg_scores, spec.margin)
-        d_pos, d_neg = margin_loss_grads(pos_scores, neg_scores, spec.margin)
-    elif spec.kind == "self_adversarial":
-        loss = self_adversarial_loss(pos_scores, neg_scores, spec.margin, spec.adv_temperature)
-        d_pos, d_neg = self_adversarial_loss_grads(
-            pos_scores, neg_scores, spec.margin, spec.adv_temperature
-        )
-    else:
-        scores = np.concatenate([pos_scores, neg_scores.reshape(-1)])
-        labels = np.concatenate([np.ones(b), np.zeros(b * n)])
-        loss = bce_loss(scores, labels, spec.label_smoothing)
-        d = bce_loss_grads(scores, labels, spec.label_smoothing)
-        d_pos, d_neg = d[:b], d[b:].reshape(b, n)
-
-    rel64 = model.rel_emb.astype(np.float64)
     d_reps = np.zeros_like(reps)
-    rel_acc = GradAccumulator()
-    for triples, coeff in ((nb.positives, d_pos), (neg_flat, d_neg.reshape(-1))):
-        keep = coeff != 0.0
-        if not keep.any():
-            continue
-        tr, c = triples[keep], coeff[keep][:, None]
-        eh, et = reps[tr[:, 0]], reps[tr[:, 2]]
-        er = rel64[tr[:, 1]]
-        scatter_add(d_reps, tr[:, 0], c * (er * et))
-        scatter_add(d_reps, tr[:, 2], c * (eh * er))
-        rel_acc.add("rel_emb", tr[:, 1], c * (eh * et))
-
+    if "ent" in decoder_grads:
+        ids, rows = decoder_grads["ent"]
+        d_reps[ids] = rows
     d_x0, layer_grads = rgcn_backward(model.layers, msg_graph, caches, d_reps)
 
-    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {
-        "entity_emb": (graph.node_ids, d_x0),
-        **rel_acc.finalize(),
-    }
+    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {"entity_emb": (graph.node_ids, d_x0)}
+    if "rel" in decoder_grads:
+        grads["rel_emb"] = decoder_grads["rel"]
     for i, lg in enumerate(layer_grads):
         grads[f"layer{i}.basis"] = (np.arange(lg["basis"].shape[0]), lg["basis"])
         grads[f"layer{i}.coeff"] = (np.arange(lg["coeff"].shape[0]), lg["coeff"])
@@ -285,40 +259,13 @@ def rgcn_loss_and_grad(
     return loss, grads
 
 
-class RGCNScorer:
-    """Evaluation adapter: encode once over the full train graph, decode on demand."""
+class RGCNScorer(CKGEScorer):
+    """Evaluation adapter: encode once over the full train graph, rank with DistMult."""
 
     def __init__(self, model: RGCNModel, full_graph: GraphBatch):
         if len(full_graph.node_ids) != model.n_entities:
             raise ValueError("evaluation graph must cover every entity")
-        self.model = model
         self.encoded = rgcn_forward(
             model.layers, full_graph, model.entity_emb[full_graph.node_ids].astype(np.float64)
         )
-        self._norms = np.sqrt((self.encoded * self.encoded).sum(axis=1))
-
-    def fast_candidates(
-        self, queries: np.ndarray, slot: int, cache: dict | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """DistMult decoding of every candidate as one GEMM, with its error bound.
-
-        ``cache`` is unused: the encoding is all the entity-side work.
-        """
-        queries = np.asarray(queries, dtype=np.int64)
-        fixed = queries[:, 0] if slot == TAIL else queries[:, 2]
-        q = self.encoded[fixed] * self.model.rel_emb.astype(np.float64)[queries[:, 1]]
-        return bilinear_candidates(q, self.encoded, self._norms, self.encoded.shape[1])
-
-    def score_triples(self, triples: np.ndarray) -> np.ndarray:
-        step = max(1, (1 << 20) // self.encoded.shape[1])
-        return np.concatenate(
-            [
-                rgcn_score(self.encoded, self.model.rel_emb, triples[lo : lo + step])
-                for lo in range(0, max(len(triples), 1), step)  # one call for no triples too
-            ]
-        )
-
-    def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:
-        """Exact [B, E] candidate matrix (the reference path, not used for ranking)."""
-        n_e = self.encoded.shape[0]
-        return self.score_triples(candidate_triples(queries, slot, n_e)).reshape(-1, n_e)
+        super().__init__(_decoder(self.encoded, model.rel_emb))

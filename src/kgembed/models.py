@@ -49,7 +49,7 @@ Candidate scoring (one slot swept over every entity) has two paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,7 +185,8 @@ def _check_ids(params: ModelParams, triples: np.ndarray) -> np.ndarray:
 
 
 def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return table[ids].astype(np.float64)
+    # the gather is already a copy; a float64 table (RGCN's encoded rows) needs no second one
+    return table[ids].astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,7 @@ def fast_candidates(
     return fn(params, fixed, queries[:, 1], slot, {} if cache is None else cache)
 
 
-def bilinear_candidates(
+def _bilinear_candidates(
     q: np.ndarray, ent: np.ndarray, ent_norms: np.ndarray, width: int, mag: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``q @ ent.T`` and its bound, for scores sum_k q_k e_k.
@@ -564,7 +565,7 @@ def _fast_rotate(params, x, r, slot, cache):
 
 def _fast_distmult(params, x, r, slot, cache):
     q = _rows(params.tables["ent"], x) * _rows(params.tables["rel"], r)
-    return bilinear_candidates(q, *_entities(params, cache), params.dim)
+    return _bilinear_candidates(q, *_entities(params, cache), params.dim)
 
 
 def _fast_complex(params, x, r, slot, cache):
@@ -577,7 +578,7 @@ def _fast_complex(params, x, r, slot, cache):
         q = [rre * xre + rim * xim, rre * xim - rim * xre]
     # forming q may cancel: bound by the magnitudes of its products
     mag = [np.abs(xre * rre) + np.abs(xim * rim), np.abs(xre * rim) + np.abs(xim * rre)]
-    return bilinear_candidates(
+    return _bilinear_candidates(
         np.concatenate(q, axis=1), *_entities(params, cache), 2 * d, mag=np.concatenate(mag, axis=1)
     )
 
@@ -596,7 +597,7 @@ def _fast_simple(params, x, r, slot, cache):
         return cand, _norms(cand)
 
     cand, cand_norms = _memo(cache, names, make)
-    return bilinear_candidates(0.5 * np.concatenate(q, axis=1), cand, cand_norms, 2 * params.dim)
+    return _bilinear_candidates(0.5 * np.concatenate(q, axis=1), cand, cand_norms, 2 * params.dim)
 
 
 _FAST = {

@@ -74,7 +74,11 @@ def optimizer_step(
     grads: dict[str, tuple[np.ndarray, np.ndarray]],
     lr: float,
 ) -> None:
-    """Apply one update in place; rows absent from ``grads`` stay untouched."""
+    """Apply one update in place; rows absent from ``grads`` stay untouched.
+
+    Every gradient is checked before any table or slot is written, so a
+    rejected step leaves the whole state as it was.
+    """
     for name, (ids, g) in grads.items():
         if name not in tables:
             raise KeyError(f"gradient for unknown table {name!r}")
@@ -83,6 +87,7 @@ def optimizer_step(
             raise NonFiniteGradientError(
                 f"non-finite gradient in table {name!r} at row {int(bad)}"
             )
+    for name, (ids, g) in grads.items():
         table = tables[name]
         g64 = np.asarray(g, dtype=np.float64)
         x = table[ids].astype(np.float64)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Grounding
-from .losses import bce_loss, bce_loss_grads
-from .models import GradAccumulator, ModelParams, SparseGrad, _GRAD, score
+from .losses import bce_loss, bce_loss_grads, sigmoid
+from .models import ModelParams, SparseGrad, score, score_grad
 from .sampling import LabeledBatch
 
 
@@ -47,8 +47,6 @@ def triple_truth(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     """sigmoid(score): soft truth in (0, 1) under the ComplEx base model."""
     if params.model != "complex":
         raise ValueError(f"rule injection uses a complex base model, got {params.model!r}")
-    from .losses import sigmoid
-
     return sigmoid(score(params, triples))
 
 
@@ -139,19 +137,16 @@ def ruge_grad(
 ) -> tuple[float, SparseGrad]:
     """Loss and sparse gradient of :func:`ruge_loss`, soft labels constant."""
     _check_fresh(params, soft)
-    acc = GradAccumulator()
-    loss = 0.0
+    loss, parts = 0.0, []
     for triples, labels in ((labeled.triples, labeled.labels), (soft.triples, soft.labels)):
-        if len(triples) == 0:
-            continue
-        s = score(params, triples)
-        loss += bce_loss(s, labels)
-        coeff = bce_loss_grads(s, labels)
-        keep = coeff != 0.0
-        if keep.any():
-            kept = triples[keep]
-            _GRAD[params.model](params, kept[:, 0], kept[:, 1], kept[:, 2], coeff[keep], acc)
-    return loss, acc.finalize()
+        if len(triples):
+            s = score(params, triples)
+            loss += bce_loss(s, labels)
+            parts.append((triples, bce_loss_grads(s, labels)))
+    if not parts:
+        return loss, {}
+    triples, coeff = zip(*parts)
+    return loss, score_grad(params, np.concatenate(triples), np.concatenate(coeff))
 
 
 def _check_fresh(params: ModelParams, soft: SoftLabelSet) -> None:

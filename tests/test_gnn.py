@@ -220,7 +220,7 @@ def fd_rgcn(model, graph, spec, table, row, coord, step=1e-5):
     return (f_plus - f_minus) / (2 * step)
 
 
-@pytest.mark.parametrize("loss_kind", ["bce", "margin"])
+@pytest.mark.parametrize("loss_kind", ["bce", "margin", "self_adversarial"])
 def test_encoder_decoder_gradient_matches_fd(loss_kind):
     rng = np.random.default_rng(10)
     _, kg = random_graph_kg(rng, n_entities=10, n_triples=30)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgembed.optim import ADAGRAD_EPS, init_optimizer, optimizer_step
+from kgembed.optim import ADAGRAD_EPS, NonFiniteGradientError, init_optimizer, optimizer_step
 
 
 def scalar_oracle_step(kind, x, g, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -85,6 +85,30 @@ def test_nonfinite_gradient_names_row():
     bad = np.array([[0.0, 1.0], [np.nan, 0.0]])
     with pytest.raises(ValueError, match="emb.*row 3"):
         optimizer_step(state, tables, {"emb": (np.array([1, 3]), bad)}, lr=0.1)
+
+
+@pytest.mark.parametrize("kind", ["adagrad", "adam"])
+@pytest.mark.parametrize(
+    "bad", [("b", np.nan, NonFiniteGradientError), ("nope", 1.0, KeyError)], ids=["nan", "unknown"]
+)
+def test_rejected_step_leaves_every_table_and_slot_unchanged(kind, bad):
+    name, value, error = bad
+    tables = {"a": np.ones((3, 2), dtype=np.float32), "b": np.ones((3, 2), dtype=np.float32)}
+    state = init_optimizer(kind, tables)
+    optimizer_step(state, tables, {"a": (np.array([0]), np.ones((1, 2)))}, lr=0.1)
+
+    def snapshot():
+        slots = {f"{t}.{k}": v for t, s in state.slots.items() for k, v in s.items()}
+        return {k: v.tobytes() for k, v in {**tables, **slots}.items()}
+
+    before = snapshot()
+    grads = {
+        "a": (np.array([0, 2]), np.ones((2, 2))),
+        name: (np.array([1]), np.full((1, 2), value)),
+    }
+    with pytest.raises(error):
+        optimizer_step(state, tables, grads, lr=0.1)
+    assert snapshot() == before
 
 
 def test_adam_lazy_bias_correction_per_row():
