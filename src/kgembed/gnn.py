@@ -17,7 +17,6 @@ ranking uses DistMult's candidate kernel, so only the encoder lives here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,31 +115,6 @@ def init_rgcn(
     )
 
 
-# elements per np.add.at call of scatter_add, which also sizes its flat index
-_SCATTER_CHUNK_ELEMS = 1 << 16
-
-
-def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(out, index, rows)`` for whole rows of a C-contiguous ``out``.
-
-    Rows are scattered element by element through a 1-D flat index, numpy's
-    fast path for ``ufunc.at``, a bounded chunk of rows per call. Every
-    element receives its additions in the same order as from the 2-D call,
-    so the sums are bit for bit the same.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("scatter_add needs a C-contiguous output")
-    index = np.asarray(index, dtype=np.int64)
-    width = math.prod(out.shape[1:])
-    flat = out.reshape(-1)
-    rows = np.asarray(rows).reshape(len(index), width)
-    cols = np.arange(width, dtype=np.int64)
-    step = max(1, _SCATTER_CHUNK_ELEMS // width)
-    for lo in range(0, len(index), step):
-        flat_index = (index[lo : lo + step, None] * width + cols).reshape(-1)
-        np.add.at(flat, flat_index, rows[lo : lo + step].reshape(-1))
-
-
 def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray):
     src, rel, dst = graph.edges[:, 0], graph.edges[:, 1], graph.edges[:, 2]
     basis = layer.basis.astype(np.float64)
@@ -152,7 +126,7 @@ def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray):
         mask = rel == r
         w_r = np.einsum("b,bio->io", coeff[r], basis)
         msg = (x[src[mask]] @ w_r) * graph.edge_norm[mask][:, None]
-        scatter_add(agg, dst[mask], msg)
+        models.scatter_add(agg, dst[mask], msg)
         rel_groups.append((int(r), mask, w_r))
     pre = agg + x @ w0
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
@@ -204,7 +178,7 @@ def rgcn_backward(
             g_wr = x[src[mask]].T @ d_msg
             g_coeff[r] = np.einsum("bio,io->b", basis, g_wr)
             g_basis += coeff[r][:, None, None] * g_wr
-            scatter_add(d_in, src[mask], d_msg @ w_r.T)
+            models.scatter_add(d_in, src[mask], d_msg @ w_r.T)
         layer_grads[li] = {"basis": g_basis, "coeff": g_coeff, "self": g_self}
         d_x = d_in
     return d_x, layer_grads

@@ -6,17 +6,29 @@ stored float32; all score/loss/gradient arithmetic upcasts to float64.
 
 Gradients are derived by hand per model and composed with the loss
 derivatives from :mod:`kgembed.losses`; correctness is pinned by the
-finite-difference test suite rather than an autodiff dependency. Each
-formula adds one row part per triple column to an accumulator, tagged
-with the column. For a :class:`NegBatch` the negatives run in chunks of
-positives, sized so the gathered float64 rows of a chunk hold about
-``_GRAD_CHUNK_ELEMS`` elements. Their accumulator sums the rows of the
-columns a corruption shares with its positive (the relation, and the
-entity the slot left alone) over the N negatives, and adds them once
-per positive; only the replaced entities' rows are scattered one by
-one (for TransE, B N + 6 B rows per step instead of 3 B (N + 1)).
-As in :func:`score_grad`, negatives whose coefficient is zero never
-reach the formulas.
+finite-difference test suite rather than an autodiff dependency. One
+score formula and one gradient formula per model read a triple's head,
+relation and tail rows through an accessor; the gradient formula hands
+each row's derivative, with the coefficient that scales it, back to the
+accessor. For explicit triples (``score``, :func:`score_grad`) the
+accessor gathers rows per triple and collects gradient rows in a
+:class:`GradAccumulator`.
+
+A :class:`NegBatch` runs in query form. Every corruption keeps its
+positive's relation and the entity its slot left alone (the anchor), so
+a chunk of positives and their N corruptions is a [b, N] batch of
+queries: the relation rows (TransR's projections too) are gathered once
+per positive and broadcast over its negatives, and the entity rows once
+per negative. The formulas see each negative's rows in ``score``'s order,
+so its score is ``score``'s bit for bit. After the loss coefficients are
+known, a second pass recomputes each chunk and scatters its gradient: a
+replaced entity gets coefficient * d(score)/d(row), and an anchor the sum
+of those over the negatives that use it, once per positive. Negatives
+with a zero coefficient reach no row. The positives run the same way, as
+a [B, 1] batch whose tail is its own. Chunks hold about
+``_GRAD_CHUNK_ELEMS`` float64 elements per table, and the rows go
+straight into a gradient sized by the touched ids, so the memory of a
+call does not grow with B.
 
 Candidate scoring (one slot swept over every entity) has two paths.
 
@@ -49,6 +61,7 @@ Candidate scoring (one slot swept over every entity) has two paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +78,9 @@ from .losses import (
 from .sampling import HEAD, TAIL, LabeledBatch, NegBatch, candidate_triples
 
 MODEL_KINDS = ("transe", "transh", "transr", "distmult", "complex", "rotate", "simple")
+
+# tables indexed by entity id; the others are indexed by relation id
+_ENTITY_TABLES = ("ent", "ent_h", "ent_t")
 
 # sparse gradient: table name -> (sorted unique row ids, per-row grads, float64)
 SparseGrad = dict[str, tuple[np.ndarray, np.ndarray]]
@@ -150,7 +166,7 @@ def init_params(model: str, n_entities: int, n_relations: int, dim: int, seed) -
 
 def renormalize_entities(params: ModelParams) -> None:
     """Project entity rows onto the unit L2 sphere (epoch-start constraint)."""
-    for name in ("ent", "ent_h", "ent_t"):
+    for name in _ENTITY_TABLES:
         if name in params.tables:
             t = params.tables[name]
             norms = np.linalg.norm(t.astype(np.float64), axis=1, keepdims=True)
@@ -193,18 +209,47 @@ def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 # scoring
 
 
+class _Triples:
+    """The rows of explicit triples, one gather per table and column.
+
+    The score and gradient formulas read a triple's head, relation and
+    tail rows through ``h``, ``r`` and ``t``, and hand their gradient rows
+    to ``add_h``, ``add_r`` and ``add_t``; :class:`_Query` serves the same
+    formulas from a chunk of corruptions.
+    """
+
+    def __init__(
+        self, params: ModelParams, triples: np.ndarray, acc: "GradAccumulator | None" = None
+    ):
+        self.tables, self.ids, self.acc = params.tables, triples, acc
+
+    def h(self, name: str) -> np.ndarray:
+        return _rows(self.tables[name], self.ids[:, 0])
+
+    def r(self, name: str) -> np.ndarray:
+        return _rows(self.tables[name], self.ids[:, 1])
+
+    def t(self, name: str) -> np.ndarray:
+        return _rows(self.tables[name], self.ids[:, 2])
+
+    def add_h(self, name: str, rows, coef: np.ndarray) -> None:
+        self.acc.add(name, self.ids[:, 0], _scaled(rows, coef))
+
+    def add_r(self, name: str, rows, coef: np.ndarray) -> None:
+        self.acc.add(name, self.ids[:, 1], _scaled(rows, coef))
+
+    def add_t(self, name: str, rows, coef: np.ndarray) -> None:
+        self.acc.add(name, self.ids[:, 2], _scaled(rows, coef))
+
+
 def score(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     """Score triples under ``params.model``; returns float64 [n]."""
     triples = _check_ids(params, triples)
-    h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
-    return _SCORE[params.model](params, h, r, t)
+    return _SCORE[params.model](params, _Triples(params, triples))
 
 
-def _score_transe(params, h, r, t):
-    d = (_rows(params.tables["ent"], h) + _rows(params.tables["rel"], r)) - _rows(
-        params.tables["ent"], t
-    )
-    return _neg_norm(d, params.transe_p)
+def _score_transe(params, x):
+    return _neg_norm((x.h("ent") + x.r("rel")) - x.t("ent"), params.transe_p)
 
 
 def _neg_norm(d, p):
@@ -217,61 +262,61 @@ def _transh_project(e, w):
     return e - (e * w).sum(axis=-1, keepdims=True) * w
 
 
-def _score_transh(params, h, r, t):
-    w = _rows(params.tables["norm"], r)
-    hp = _transh_project(_rows(params.tables["ent"], h), w)
-    tp = _transh_project(_rows(params.tables["ent"], t), w)
-    d = (hp + _rows(params.tables["rel"], r)) - tp
+def _score_transh(params, x):
+    w = x.r("norm")
+    hp = _transh_project(x.h("ent"), w)
+    tp = _transh_project(x.t("ent"), w)
+    d = (hp + x.r("rel")) - tp
     return -(d * d).sum(axis=-1)
 
 
-def _score_transr(params, h, r, t):
-    m = _rows(params.tables["proj"], r)  # [n, d, d]
-    mh = np.einsum("nij,nj->ni", m, _rows(params.tables["ent"], h))
-    mt = np.einsum("nij,nj->ni", m, _rows(params.tables["ent"], t))
-    d = (mh + _rows(params.tables["rel"], r)) - mt
+def _project(m, e):
+    """M e for each triple: ``m`` [..., d, d] broadcasts against ``e`` [..., d]."""
+    return np.einsum("...ij,...j->...i", m, e)
+
+
+def _score_transr(params, x):
+    m = x.r("proj")  # [..., d, d]
+    d = (_project(m, x.h("ent")) + x.r("rel")) - _project(m, x.t("ent"))
     return -(d * d).sum(axis=-1)
 
 
-def _score_distmult(params, h, r, t):
-    return (
-        (_rows(params.tables["ent"], h) * _rows(params.tables["rel"], r))
-        * _rows(params.tables["ent"], t)
-    ).sum(axis=-1)
+def _score_distmult(params, x):
+    return ((x.h("ent") * x.r("rel")) * x.t("ent")).sum(axis=-1)
 
 
 def _split(x, d):
     return x[..., :d], x[..., d:]
 
 
-def _score_complex(params, h, r, t):
+def _score_complex(params, x):
     d = params.dim
-    hre, him = _split(_rows(params.tables["ent"], h), d)
-    rre, rim = _split(_rows(params.tables["rel"], r), d)
-    tre, tim = _split(_rows(params.tables["ent"], t), d)
+    hre, him = _split(x.h("ent"), d)
+    rre, rim = _split(x.r("rel"), d)
+    tre, tim = _split(x.t("ent"), d)
     re = hre * rre - him * rim
     im = hre * rim + him * rre
     return (re * tre + im * tim).sum(axis=-1)
 
 
-def _score_rotate(params, h, r, t):
+def _score_rotate(params, x):
     d = params.dim
-    hre, him = _split(_rows(params.tables["ent"], h), d)
-    tre, tim = _split(_rows(params.tables["ent"], t), d)
-    theta = _rows(params.tables["rel"], r)
+    hre, him = _split(x.h("ent"), d)
+    tre, tim = _split(x.t("ent"), d)
+    theta = x.r("rel")
     cos, sin = np.cos(theta), np.sin(theta)
     ure = (hre * cos - him * sin) - tre
     uim = (hre * sin + him * cos) - tim
     return -np.sqrt((ure * ure + uim * uim).sum(axis=-1))
 
 
-def _score_simple(params, h, r, t):
-    eh_h = _rows(params.tables["ent_h"], h)
-    et_t = _rows(params.tables["ent_t"], t)
-    eh_t = _rows(params.tables["ent_h"], t)
-    et_h = _rows(params.tables["ent_t"], h)
-    rr = _rows(params.tables["rel"], r)
-    ri = _rows(params.tables["rel_inv"], r)
+def _score_simple(params, x):
+    eh_h = x.h("ent_h")
+    et_t = x.t("ent_t")
+    eh_t = x.t("ent_h")
+    et_h = x.h("ent_t")
+    rr = x.r("rel")
+    ri = x.r("rel_inv")
     s1 = ((eh_h * rr) * et_t).sum(axis=-1)
     s2 = ((eh_t * ri) * et_h).sum(axis=-1)
     return 0.5 * (s1 + s2)
@@ -615,28 +660,47 @@ _FAST = {
 # gradients
 
 
-# triple columns: the tag a gradient formula gives each row part it adds
-_H, _R, _T = 0, 1, 2
-
 # a chunk of negatives gathers about this many float64 elements per table:
 # positives per chunk * N * the widest table's row
-_GRAD_CHUNK_ELEMS = 1 << 20
+_GRAD_CHUNK_ELEMS = 1 << 17
+
+
+# elements per np.add.at call of scatter_add, which also sizes its flat index
+_SCATTER_CHUNK_ELEMS = 1 << 16
+
+
+def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(out, index, rows)`` for whole rows of a C-contiguous ``out``.
+
+    Rows are scattered element by element through a 1-D flat index, numpy's
+    fast path for ``ufunc.at``, a bounded chunk of rows per call. Every
+    element receives its additions in the same order as from the 2-D call,
+    so the sums are bit for bit the same.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous output")
+    index = np.asarray(index, dtype=np.int64)
+    width = math.prod(out.shape[1:])
+    flat = out.reshape(-1)
+    rows = np.asarray(rows).reshape(len(index), width)
+    cols = np.arange(width, dtype=np.int64)
+    step = max(1, _SCATTER_CHUNK_ELEMS // width)
+    for lo in range(0, len(index), step):
+        flat_index = (index[lo : lo + step, None] * width + cols).reshape(-1)
+        np.add.at(flat, flat_index, rows[lo : lo + step].reshape(-1))
+
 
 class GradAccumulator:
     """Collects per-row gradient contributions and merges them per table.
 
     Duplicate row ids sum; rows whose accumulated gradient would come from
-    no contribution at all are simply absent from the result. ``column``
-    (``_H``, ``_R`` or ``_T``) says which triple column ``ids`` came from;
-    only the negatives' accumulator :class:`_NegRows` reads it.
+    no contribution at all are simply absent from the result.
     """
 
     def __init__(self) -> None:
         self._parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def add(
-        self, table: str, ids: np.ndarray, rows: np.ndarray, column: int | None = None
-    ) -> None:
+    def add(self, table: str, ids: np.ndarray, rows: np.ndarray) -> None:
         if len(ids) == 0:
             return
         self._parts.setdefault(table, []).append((np.asarray(ids, dtype=np.int64), rows))
@@ -653,50 +717,6 @@ class GradAccumulator:
         return out
 
 
-class _NegRows:
-    """The accumulator the gradient formulas see for a chunk of negatives.
-
-    The formulas run only on the chunk's kept negatives (``kept``: nonzero
-    coefficient), taken from [B, N] in row-major order. In a corrupted
-    triple the relation and the entity the slot left alone are the
-    positive's, so those rows are summed per positive, in order, and added
-    once, under the positive's id. Only the replaced entities' rows are
-    added one by one. A positive's anchor row is added only if a kept
-    negative uses it. When every negative is kept (self-adversarial, bce)
-    the rows lie in [B, N] order and are summed over N; otherwise (margin)
-    ``np.bincount`` sums the kept rows, in time proportional to them.
-    """
-
-    def __init__(self, acc: GradAccumulator, positives: np.ndarray, slot: np.ndarray, kept):
-        self.acc = acc
-        self.positives = positives
-        self.all_kept = kept.all()
-        self.owner = kept.nonzero()[0]  # the positive of each kept negative
-        head = slot[kept] == HEAD
-        self.replaced = {_H: head, _T: ~head}
-        self.anchor = {_H: ~head, _R: np.ones_like(head), _T: head}
-        self.used = {
-            col: np.bincount(self.owner[a], minlength=len(positives)) > 0
-            for col, a in self.anchor.items()
-        }
-
-    def add(self, table: str, ids: np.ndarray, rows: np.ndarray, column: int) -> None:
-        anchor, used = self.anchor[column], self.used[column]
-        b, shape = len(self.positives), rows.shape[1:]
-        if self.all_kept:
-            where = anchor.reshape((b, -1) + (1,) * len(shape))
-            summed = rows.reshape((b, -1) + shape).sum(axis=1, where=where)[used]
-        else:
-            width = rows[0].size
-            index = (self.owner[anchor, None] * width + np.arange(width)).reshape(-1)
-            summed = np.bincount(index, weights=rows[anchor].reshape(-1), minlength=b * width)
-            summed = summed.reshape((b,) + shape)[used]
-        self.acc.add(table, self.positives[used, column], summed)
-        if column != _R:
-            replaced = self.replaced[column]
-            self.acc.add(table, ids[replaced], rows[replaced])
-
-
 def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> SparseGrad:
     """Accumulate coeff[i] * d(score_i)/d(params) over the batch, touched rows only.
 
@@ -711,116 +731,121 @@ def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> S
     triples, coeff = triples[keep], coeff[keep]
     acc = GradAccumulator()
     if len(triples):
-        _GRAD[params.model](params, triples[:, 0], triples[:, 1], triples[:, 2], coeff, acc)
+        _GRAD[params.model](params, _Triples(params, triples, acc), coeff)
     return acc.finalize()
 
 
-def _grad_transe(params, h, r, t, c, acc):
-    d = (_rows(params.tables["ent"], h) + _rows(params.tables["rel"], r)) - _rows(
-        params.tables["ent"], t
-    )
+# Each formula hands every row a triple reads, with d(score)/d(row) and
+# the coefficient that scales it, to ``x.add_h``, ``x.add_r`` or
+# ``x.add_t``; ``c`` has the shape of the scores ``x`` gives.
+
+
+def _scaled(rows, coef: np.ndarray) -> np.ndarray:
+    """coef * rows per triple; a pair (u, v) of rows stands for the outer product u v^T."""
+    if isinstance(rows, tuple):
+        u, v = rows
+        return (coef[..., None] * u)[..., :, None] * v[..., None, :]
+    return coef[..., None] * rows
+
+
+def _grad_transe(params, x, c):
+    d = (x.h("ent") + x.r("rel")) - x.t("ent")
     if params.transe_p == 1:
         u = np.sign(d)
     else:
         nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
         u = d / np.where(nrm > 0, nrm, 1.0)
-    g = -c[:, None] * u
-    acc.add("ent", h, g, _H)
-    acc.add("rel", r, g, _R)
-    acc.add("ent", t, -g, _T)
+    x.add_h("ent", u, -c)
+    x.add_r("rel", u, -c)
+    x.add_t("ent", u, c)
 
 
-def _grad_transh(params, h, r, t, c, acc):
-    w = _rows(params.tables["norm"], r)
-    he = _rows(params.tables["ent"], h)
-    te = _rows(params.tables["ent"], t)
+def _grad_transh(params, x, c):
+    w = x.r("norm")
+    he = x.h("ent")
+    te = x.t("ent")
     hp = _transh_project(he, w)
     tp = _transh_project(te, w)
-    d = (hp + _rows(params.tables["rel"], r)) - tp
+    d = (hp + x.r("rel")) - tp
     v = d - (d * w).sum(axis=-1, keepdims=True) * w
-    c2 = (2.0 * c)[:, None]
-    acc.add("ent", h, -c2 * v, _H)
-    acc.add("ent", t, c2 * v, _T)
-    acc.add("rel", r, -c2 * d, _R)
+    c2 = 2.0 * c
+    x.add_h("ent", v, -c2)
+    x.add_t("ent", v, c2)
+    x.add_r("rel", d, -c2)
     a = te - he
     dw = (d * w).sum(axis=-1, keepdims=True)
     aw = (a * w).sum(axis=-1, keepdims=True)
-    acc.add("norm", r, -c2 * (dw * a + aw * d), _R)
+    x.add_r("norm", dw * a + aw * d, -c2)
 
 
-def _grad_transr(params, h, r, t, c, acc):
-    m = _rows(params.tables["proj"], r)
-    he = _rows(params.tables["ent"], h)
-    te = _rows(params.tables["ent"], t)
-    mh = np.einsum("nij,nj->ni", m, he)
-    mt = np.einsum("nij,nj->ni", m, te)
-    d = (mh + _rows(params.tables["rel"], r)) - mt
-    c2 = (2.0 * c)[:, None]
-    mtd = np.einsum("nij,ni->nj", m, d)  # M^T d
-    acc.add("ent", h, -c2 * mtd, _H)
-    acc.add("ent", t, c2 * mtd, _T)
-    acc.add("rel", r, -c2 * d, _R)
+def _grad_transr(params, x, c):
+    m = x.r("proj")
+    he = x.h("ent")
+    te = x.t("ent")
+    d = (_project(m, he) + x.r("rel")) - _project(m, te)
+    c2 = 2.0 * c
+    mtd = np.einsum("...ij,...i->...j", m, d)  # M^T d
+    x.add_h("ent", mtd, -c2)
+    x.add_t("ent", mtd, c2)
+    x.add_r("rel", d, -c2)
     # dF/dM = -2c * outer(d, h - t)
-    acc.add("proj", r, -2.0 * c[:, None, None] * d[:, :, None] * (he - te)[:, None, :], _R)
+    x.add_r("proj", (d, he - te), -2.0 * c)
 
 
-def _grad_distmult(params, h, r, t, c, acc):
-    he = _rows(params.tables["ent"], h)
-    re = _rows(params.tables["rel"], r)
-    te = _rows(params.tables["ent"], t)
-    cc = c[:, None]
-    acc.add("ent", h, cc * (re * te), _H)
-    acc.add("rel", r, cc * (he * te), _R)
-    acc.add("ent", t, cc * (he * re), _T)
+def _grad_distmult(params, x, c):
+    he = x.h("ent")
+    re = x.r("rel")
+    te = x.t("ent")
+    x.add_h("ent", re * te, c)
+    x.add_r("rel", he * te, c)
+    x.add_t("ent", he * re, c)
 
 
-def _grad_complex(params, h, r, t, c, acc):
+def _grad_complex(params, x, c):
     d = params.dim
-    hre, him = _split(_rows(params.tables["ent"], h), d)
-    rre, rim = _split(_rows(params.tables["rel"], r), d)
-    tre, tim = _split(_rows(params.tables["ent"], t), d)
-    cc = c[:, None]
-    gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=1)
-    gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=1)
-    gt = np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=1)
-    acc.add("ent", h, cc * gh, _H)
-    acc.add("rel", r, cc * gr, _R)
-    acc.add("ent", t, cc * gt, _T)
+    hre, him = _split(x.h("ent"), d)
+    rre, rim = _split(x.r("rel"), d)
+    tre, tim = _split(x.t("ent"), d)
+    gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=-1)
+    gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=-1)
+    gt = np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=-1)
+    x.add_h("ent", gh, c)
+    x.add_r("rel", gr, c)
+    x.add_t("ent", gt, c)
 
 
-def _grad_rotate(params, h, r, t, c, acc):
+def _grad_rotate(params, x, c):
     d = params.dim
-    hre, him = _split(_rows(params.tables["ent"], h), d)
-    tre, tim = _split(_rows(params.tables["ent"], t), d)
-    theta = _rows(params.tables["rel"], r)
+    hre, him = _split(x.h("ent"), d)
+    tre, tim = _split(x.t("ent"), d)
+    theta = x.r("rel")
     cos, sin = np.cos(theta), np.sin(theta)
     hr_re = hre * cos - him * sin
     hr_im = hre * sin + him * cos
     ure = hr_re - tre
     uim = hr_im - tim
-    nrm = np.sqrt((ure * ure + uim * uim).sum(axis=-1, keepdims=True))
-    fac = c[:, None] / np.where(nrm > 0, nrm, 1.0)
-    ghre = -(ure * cos + uim * sin) * fac
-    ghim = -(-ure * sin + uim * cos) * fac
-    acc.add("ent", h, np.concatenate([ghre, ghim], axis=1), _H)
-    acc.add("ent", t, np.concatenate([ure * fac, uim * fac], axis=1), _T)
-    acc.add("rel", r, (ure * hr_im - uim * hr_re) * fac, _R)
+    nrm = np.sqrt((ure * ure + uim * uim).sum(axis=-1))
+    fac = c / np.where(nrm > 0, nrm, 1.0)
+    gh = np.concatenate([-(ure * cos + uim * sin), -(-ure * sin + uim * cos)], axis=-1)
+    x.add_h("ent", gh, fac)
+    x.add_t("ent", np.concatenate([ure, uim], axis=-1), fac)
+    x.add_r("rel", ure * hr_im - uim * hr_re, fac)
 
 
-def _grad_simple(params, h, r, t, c, acc):
-    eh_h = _rows(params.tables["ent_h"], h)
-    et_t = _rows(params.tables["ent_t"], t)
-    eh_t = _rows(params.tables["ent_h"], t)
-    et_h = _rows(params.tables["ent_t"], h)
-    rr = _rows(params.tables["rel"], r)
-    ri = _rows(params.tables["rel_inv"], r)
-    half = (0.5 * c)[:, None]
-    acc.add("ent_h", h, half * (rr * et_t), _H)
-    acc.add("rel", r, half * (eh_h * et_t), _R)
-    acc.add("ent_t", t, half * (eh_h * rr), _T)
-    acc.add("ent_h", t, half * (ri * et_h), _T)
-    acc.add("rel_inv", r, half * (eh_t * et_h), _R)
-    acc.add("ent_t", h, half * (eh_t * ri), _H)
+def _grad_simple(params, x, c):
+    eh_h = x.h("ent_h")
+    et_t = x.t("ent_t")
+    eh_t = x.t("ent_h")
+    et_h = x.h("ent_t")
+    rr = x.r("rel")
+    ri = x.r("rel_inv")
+    half = 0.5 * c
+    x.add_h("ent_h", rr * et_t, half)
+    x.add_r("rel", eh_h * et_t, half)
+    x.add_t("ent_t", eh_h * rr, half)
+    x.add_t("ent_h", ri * et_h, half)
+    x.add_r("rel_inv", eh_t * et_h, half)
+    x.add_h("ent_t", eh_t * ri, half)
 
 
 _GRAD = {
@@ -832,6 +857,127 @@ _GRAD = {
     "rotate": _grad_rotate,
     "simple": _grad_simple,
 }
+
+
+# ---------------------------------------------------------------------------
+# negative batches in query form
+
+
+class _Query:
+    """A chunk of corruptions as [b, n] queries on their b positives.
+
+    ``replaced`` holds each negative's new entity and ``head`` whether it
+    replaced the head. ``r`` gathers a relation row once per positive and
+    broadcasts it over the positive's negatives; ``h`` and ``t`` gather
+    each negative's entity row, the replaced one or the positive's.
+
+    With ``kept`` (the negatives whose coefficient is nonzero), ``add_*``
+    scatter into ``grads``: a replaced entity's row as it is, and an
+    anchor's rows summed over the kept negatives that use it.
+    """
+
+    def __init__(self, params, positives, replaced, head, kept=None, grads=None):
+        self.tables = params.tables
+        self.positives, self.replaced = positives, replaced
+        self._ids = (
+            np.where(head, replaced, positives[:, :1]),
+            np.where(head, positives[:, 2:], replaced),
+        )
+        if kept is not None:
+            # per column: the kept negatives that replaced it, and those anchored on it
+            self._uses = {
+                0: (kept & head, kept & ~head),
+                1: (None, kept),
+                2: (kept & ~head, kept & head),
+            }
+            self.grads = grads
+
+    def _gather(self, name, ids):
+        # ``take`` gathers rows faster than fancy indexing
+        return self.tables[name].take(ids, axis=0).astype(np.float64, copy=False)
+
+    def h(self, name):
+        return self._gather(name, self._ids[0])
+
+    def r(self, name):
+        return self._gather(name, self.positives[:, 1])[:, None]
+
+    def t(self, name):
+        return self._gather(name, self._ids[1])
+
+    def add_h(self, name, rows, coef):
+        self._add(name, rows, coef, 0)
+
+    def add_r(self, name, rows, coef):
+        self._add(name, rows, coef, 1)
+
+    def add_t(self, name, rows, coef):
+        self._add(name, rows, coef, 2)
+
+    def _add(self, name, rows, coef, col):
+        replacing, anchored = self._uses[col]
+        out, position = self.grads[name]
+        used = anchored.any(axis=1)
+        if used.any():
+            weights = coef * anchored
+            if isinstance(rows, tuple):
+                summed = np.einsum("bn,bni,bnj->bij", weights, *rows)
+            else:
+                summed = np.einsum("bn,bn...->b...", weights, rows)
+            scatter_add(out, position[self.positives[used, col]], summed[used])
+        if replacing is not None:
+            rows = _scaled(rows[replacing], coef[replacing])
+            scatter_add(out, position[self.replaced[replacing]], rows)
+
+
+def _chunks(params: ModelParams, b: int, n: int) -> list[slice]:
+    """Slices of positives whose [chunk, n] rows keep the temporaries bounded."""
+    widest = max(t[0].size for t in params.tables.values())
+    step = max(1, _GRAD_CHUNK_ELEMS // (n * widest))
+    return [slice(lo, lo + step) for lo in range(0, b, step)]
+
+
+def _query_scores(params, positives, replaced, head) -> np.ndarray:
+    out = np.empty(replaced.shape)
+    for sl in _chunks(params, *replaced.shape):
+        query = _Query(params, positives[sl], replaced[sl], head[sl])
+        out[sl] = _SCORE[params.model](params, query)
+    return out
+
+
+def _query_grad(params, groups, coeffs) -> SparseGrad:
+    """The gradient of sum(coeff * score) over query-form groups of corruptions.
+
+    Every row a nonzero coefficient reaches gets a zero row first, so the
+    chunks scatter into fixed outputs.
+    """
+    ent, rel = [], []
+    for (positives, replaced, head), c in zip(groups, coeffs):
+        kept = c != 0.0
+        ent += [
+            replaced[kept],
+            positives[(kept & ~head).any(axis=1), 0],
+            positives[(kept & head).any(axis=1), 2],
+        ]
+        rel.append(positives[kept.any(axis=1), 1])
+    ent, rel = np.unique(np.concatenate(ent)), np.unique(np.concatenate(rel))
+    out: SparseGrad = {}
+    grads = {}  # table -> (its gradient rows, the row of each id)
+    for name, table in params.tables.items():
+        ids, n = (ent, params.n_entities) if name in _ENTITY_TABLES else (rel, params.n_relations)
+        if len(ids):
+            out[name] = (ids, np.zeros((len(ids),) + table.shape[1:]))
+            position = np.empty(n, dtype=np.int64)
+            position[ids] = np.arange(len(ids))
+            grads[name] = (out[name][1], position)
+
+    for (positives, replaced, head), c in zip(groups, coeffs):
+        for sl in _chunks(params, *replaced.shape):
+            kept = c[sl] != 0.0
+            if kept.any():
+                q = _Query(params, positives[sl], replaced[sl], head[sl], kept, grads)
+                _GRAD[params.model](params, q, c[sl])
+    return out
 
 
 def _check_anchors(batch: NegBatch) -> None:
@@ -846,6 +992,30 @@ def _check_anchors(batch: NegBatch) -> None:
         raise ValueError(
             f"negative [{i}, {j}] does not share its positive's relation and uncorrupted entity"
         )
+
+
+def _negatives_loss(params, groups, loss_spec: LossSpec) -> tuple[float, np.ndarray, np.ndarray]:
+    """The loss of the positives' and negatives' scores, and its derivative by each score."""
+    pos_scores, neg_scores = (_query_scores(params, *g) for g in groups)
+    pos_scores = pos_scores[:, 0]
+    if loss_spec.kind == "margin":
+        loss = margin_loss(pos_scores, neg_scores, loss_spec.margin)
+        d_pos, d_neg = margin_loss_grads(pos_scores, neg_scores, loss_spec.margin)
+    elif loss_spec.kind == "self_adversarial":
+        loss = self_adversarial_loss(
+            pos_scores, neg_scores, loss_spec.margin, loss_spec.adv_temperature
+        )
+        d_pos, d_neg = self_adversarial_loss_grads(
+            pos_scores, neg_scores, loss_spec.margin, loss_spec.adv_temperature
+        )
+    else:  # bce
+        b, n = neg_scores.shape
+        scores = np.concatenate([pos_scores, neg_scores.reshape(-1)])
+        labels = np.concatenate([np.ones(b), np.zeros(b * n)])
+        loss = bce_loss(scores, labels, loss_spec.label_smoothing)
+        d = bce_loss_grads(scores, labels, loss_spec.label_smoothing)
+        d_pos, d_neg = d[:b], d[b:].reshape(b, n)
+    return loss, d_pos, d_neg
 
 
 def grad(
@@ -866,42 +1036,20 @@ def grad(
         return loss, score_grad(params, batch.triples, d_scores)
 
     b, n = batch.negatives.shape[:2]
+    if n == 0:
+        raise ValueError(
+            f"a negative batch needs at least one negative per positive, "
+            f"got negatives of shape {batch.negatives.shape}"
+        )
+    positives = _check_ids(params, batch.positives)
+    _check_ids(params, batch.negatives.reshape(-1, 3))
     _check_anchors(batch)
-    pos_scores = score(params, batch.positives)
-    neg_flat = batch.negatives.reshape(-1, 3)
-    neg_scores = score(params, neg_flat).reshape(b, n)
-
-    if loss_spec.kind == "margin":
-        loss = margin_loss(pos_scores, neg_scores, loss_spec.margin)
-        d_pos, d_neg = margin_loss_grads(pos_scores, neg_scores, loss_spec.margin)
-    elif loss_spec.kind == "self_adversarial":
-        loss = self_adversarial_loss(
-            pos_scores, neg_scores, loss_spec.margin, loss_spec.adv_temperature
-        )
-        d_pos, d_neg = self_adversarial_loss_grads(
-            pos_scores, neg_scores, loss_spec.margin, loss_spec.adv_temperature
-        )
-    else:  # bce
-        scores = np.concatenate([pos_scores, neg_scores.reshape(-1)])
-        labels = np.concatenate([np.ones(b), np.zeros(b * n)])
-        loss = bce_loss(scores, labels, loss_spec.label_smoothing)
-        d = bce_loss_grads(scores, labels, loss_spec.label_smoothing)
-        d_pos, d_neg = d[:b], d[b:].reshape(b, n)
-
-    acc = GradAccumulator()
-    formula = _GRAD[params.model]
-    keep = d_pos != 0.0
-    if keep.any():
-        kept = batch.positives[keep]
-        formula(params, kept[:, 0], kept[:, 1], kept[:, 2], d_pos[keep], acc)
-    # chunks of positives keep the negatives' [chunk * N, d] float64 temporaries bounded
-    widest = max(t[0].size for t in params.tables.values())
-    step = max(1, _GRAD_CHUNK_ELEMS // (n * widest))
-    for lo in range(0, b, step):
-        coeff = d_neg[lo : lo + step]
-        keep = coeff != 0.0
-        if keep.any():
-            negs = batch.negatives[lo : lo + step][keep]
-            rows = _NegRows(acc, batch.positives[lo : lo + step], batch.slot[lo : lo + step], keep)
-            formula(params, negs[:, 0], negs[:, 1], negs[:, 2], coeff[keep], rows)
-    return loss, acc.finalize()
+    head = batch.slot == HEAD
+    replaced = np.where(head, batch.negatives[..., 0], batch.negatives[..., 2])
+    # the positives run as one tail corruption each, by their own tail
+    groups = [
+        (positives, positives[:, 2:], np.zeros((b, 1), dtype=bool)),
+        (positives, replaced, head),
+    ]
+    loss, d_pos, d_neg = _negatives_loss(params, groups, loss_spec)
+    return loss, _query_grad(params, groups, (d_pos[:, None], d_neg))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgembed import gnn
+from kgembed import models
 from kgembed.gnn import (
     RGCNLayerParams,
     RGCNModel,
@@ -11,13 +11,13 @@ from kgembed.gnn import (
     rgcn_forward,
     rgcn_loss_and_grad,
     rgcn_score,
-    scatter_add,
 )
 from kgembed.losses import LossSpec
-from kgembed.models import init_params, score
+from kgembed.models import ModelParams, init_params, scatter_add, score
 from kgembed.sampling import GraphBatch, NegBatch, full_graph, sample_graph
 
 from conftest import make_kg, random_label_triples
+from fd_utils import batch_loss, fixed_adv_weights
 from test_evaluate import known_completions
 
 
@@ -199,6 +199,9 @@ def test_rgcn_score_endpoint_out_of_range():
 
 
 def fd_rgcn(model, graph, spec, table, row, coord, step=1e-5):
+    """Central difference of the loss of the encoded graph's scores, as in fd_utils:
+    the self-adversarial weights stay at their unperturbed values."""
+
     def set_f64(m):
         m.entity_emb = m.entity_emb.astype(np.float64)
         m.rel_emb = m.rel_emb.astype(np.float64)
@@ -208,14 +211,19 @@ def fd_rgcn(model, graph, spec, table, row, coord, step=1e-5):
             l.self_weight = l.self_weight.astype(np.float64)
         return m
 
+    def decoder(m):
+        reps = rgcn_forward(m.layers, graph, m.entity_emb[graph.node_ids])
+        return ModelParams("distmult", m.rel_emb.shape[1], {"ent": reps, "rel": m.rel_emb})
+
     m = set_f64(model.copy())
+    weights = fixed_adv_weights(decoder(m), graph.negatives, spec)
     t = m.tables()[table]
     idx = (row,) + tuple(coord)
     base = t[idx]
     t[idx] = base + step
-    f_plus, _ = rgcn_loss_and_grad(m, graph, None, spec)
+    f_plus = batch_loss(decoder(m), graph.negatives, spec, fixed_weights=weights)
     t[idx] = base - step
-    f_minus, _ = rgcn_loss_and_grad(m, graph, None, spec)
+    f_minus = batch_loss(decoder(m), graph.negatives, spec, fixed_weights=weights)
     t[idx] = base
     return (f_plus - f_minus) / (2 * step)
 
@@ -226,6 +234,14 @@ def test_encoder_decoder_gradient_matches_fd(loss_kind):
     _, kg = random_graph_kg(rng, n_entities=10, n_triples=30)
     g = sample_graph(kg, 15, 2, seed=11)
     model = init_rgcn(kg.n_entities, kg.n_relations, dim=4, n_bases=2, seed=12)
+    # scores within +-5 keep the sigmoids and adversarial weights from saturating,
+    # so the loss derivatives are checked too
+    model.entity_emb *= 0.1
+    model.rel_emb *= 0.05
+    reps = rgcn_forward(model.layers, g, model.entity_emb[g.node_ids].astype(np.float64))
+    triples = np.concatenate([g.negatives.positives, g.negatives.negatives.reshape(-1, 3)])
+    scores = rgcn_score(reps, model.rel_emb, triples)
+    assert np.abs(scores).max() <= 5.0, np.abs(scores).max()
     spec = LossSpec(loss_kind, margin=1.0)
     _, grads = rgcn_loss_and_grad(model, g, None, spec)
     checked = 0
@@ -304,7 +320,7 @@ def test_scorer_ranks_match_per_triple_oracle(seed):
 
 @pytest.mark.parametrize("shape", [(9,), (9, 4), (9, 3, 3)])
 def test_scatter_add_bitwise_equals_add_at(monkeypatch, shape):
-    monkeypatch.setattr(gnn, "_SCATTER_CHUNK_ELEMS", 7)  # chunks smaller than some rows
+    monkeypatch.setattr(models, "_SCATTER_CHUNK_ELEMS", 7)  # chunks smaller than some rows
     rng = np.random.default_rng(36)
     index = rng.integers(0, shape[0], 40)
     rows = rng.normal(size=(40,) + shape[1:]) * 10.0 ** rng.integers(-8, 8, (40,) + shape[1:])

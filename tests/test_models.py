@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -351,12 +353,26 @@ def chunk_positives(monkeypatch, params, n, positives):
     monkeypatch.setattr(models, "_GRAD_CHUNK_ELEMS", positives * n * widest)
 
 
-@pytest.mark.parametrize("n", [1, 4])
+def rescale_tables(params, tables):
+    """The tables as float64 (RGCN's decoder view), or every row scaled by 1e6 or 1e-6."""
+    for name, table in params.tables.items():
+        if tables == "float64":
+            params.tables[name] = table.astype(np.float64)
+        elif tables != "float32":
+            params.tables[name] = (table * float(tables)).astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "n,tables",
+    [(1, "float32"), (4, "float32"), (4, "float64"), (4, "1e6"), (4, "1e-6")],
+    ids=["1", "4", "4-float64", "4-1e6", "4-1e-6"],
+)
 @pytest.mark.parametrize("loss", NEG_LOSSES)
 @pytest.mark.parametrize("model,p", GRAD_MODELS)
-def test_negatives_grad_matches_flat_reference(monkeypatch, model, p, loss, n):
+def test_negatives_grad_matches_flat_reference(monkeypatch, model, p, loss, n, tables):
     """Duplicate positives, replacements equal to the anchor, 7 positives in chunks of 3."""
     params = grad_params(model, p)
+    rescale_tables(params, tables)
     rng = np.random.default_rng(32)
     b = 7
     pos = np.stack([rng.integers(0, 10, b), rng.integers(0, 4, b), rng.integers(0, 10, b)], axis=1)
@@ -401,6 +417,42 @@ def test_negatives_must_share_their_positive_anchor():
     nb = NegBatch(pos, neg, np.array([[HEAD]], dtype=np.uint8), np.zeros((1, 1), bool))
     with pytest.raises(ValueError, match=r"negative \[0, 0\]"):
         grad(params, nb, LossSpec("bce"))
+
+
+@pytest.mark.parametrize("loss", NEG_LOSSES)
+def test_negatives_grad_rejects_zero_negatives(loss):
+    params = init_params("transe", 6, 2, 4, seed=36)
+    nb = NegBatch(
+        np.array([[0, 0, 1], [2, 1, 3]]),
+        np.zeros((2, 0, 3), dtype=np.int64),
+        np.zeros((2, 0), dtype=np.uint8),
+        np.zeros((2, 0), dtype=bool),
+    )
+    with pytest.raises(ValueError, match=r"negatives of shape \(2, 0, 3\)"):
+        grad(params, nb, LossSpec(loss))
+
+
+@pytest.mark.parametrize("loss", NEG_LOSSES)
+def test_negatives_grad_peak_memory_does_not_grow_with_batch(monkeypatch, loss):
+    """Chunks of 16 positives: a batch four times larger may not raise the peak by 25%."""
+    params = init_params("transe", 100, 4, 128, seed=37)
+    n = 16
+    chunk_positives(monkeypatch, params, n, 16)
+    rng = np.random.default_rng(38)
+    spec = LossSpec(loss)
+    grad(params, random_batch(params, rng, b=16, n=n), spec)  # numpy's one-time allocations
+
+    def peak(b):
+        batch = random_batch(params, rng, b=b, n=n)
+        tracemalloc.start()
+        try:
+            grad(params, batch, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(256), peak(1024)
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_grad_labeled_batch_requires_bce():
