@@ -200,11 +200,7 @@ class CKGEScorer:
         return models.fast_candidates(self.params, queries, slot, cache)
 
     def score_triples(self, triples: np.ndarray) -> np.ndarray:
-        # few enough rows that score()'s gathered float64 rows stay ~8 MiB
-        widest = max(t[0].size for t in self.params.tables.values())
-        step = max(1, (1 << 20) // widest)
-        parts = range(0, max(len(triples), 1), step)  # one call for no triples too
-        return np.concatenate([models.score(self.params, triples[lo : lo + step]) for lo in parts])
+        return models.score(self.params, triples)
 
     def score_candidates(self, queries: np.ndarray, slot: int) -> np.ndarray:
         """Exact [B, E] candidate matrix (the reference path, not used for ranking)."""

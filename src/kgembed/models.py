@@ -10,25 +10,30 @@ finite-difference test suite rather than an autodiff dependency. One
 score formula and one gradient formula per model read a triple's head,
 relation and tail rows through an accessor; the gradient formula hands
 each row's derivative, with the coefficient that scales it, back to the
-accessor. For explicit triples (``score``, :func:`score_grad`) the
-accessor gathers rows per triple and collects gradient rows in a
-:class:`GradAccumulator`.
+accessor.
 
-A :class:`NegBatch` runs in query form. Every corruption keeps its
-positive's relation and the entity its slot left alone (the anchor), so
-a chunk of positives and their N corruptions is a [b, N] batch of
-queries: the relation rows (TransR's projections too) are gathered once
-per positive and broadcast over its negatives, and the entity rows once
-per negative. The formulas see each negative's rows in ``score``'s order,
-so its score is ``score``'s bit for bit. After the loss coefficients are
-known, a second pass recomputes each chunk and scatters its gradient: a
-replaced entity gets coefficient * d(score)/d(row), and an anchor the sum
-of those over the negatives that use it, once per positive. Negatives
-with a zero coefficient reach no row. The positives run the same way, as
-a [B, 1] batch whose tail is its own. Chunks hold about
-``_GRAD_CHUNK_ELEMS`` float64 elements per table, and the rows go
-straight into a gradient sized by the touched ids, so the memory of a
-call does not grow with B.
+There is one accessor, :class:`_Query`, and every score and gradient runs
+in its query form. Every corruption keeps its positive's relation and the
+entity its slot left alone (the anchor), so a chunk of positives and
+their N corruptions is a [b, N] batch of queries: the relation rows
+(TransR's projections too) are gathered once per positive and broadcast
+over its corruptions, and the entity rows once per corruption. Explicit
+triples (``score``, :func:`score_grad`, a :class:`NegBatch`'s positives)
+are [n, 1] queries, each triple its own tail corruption; a candidate
+sweep (``score_candidates``) is a [B, n_entities] batch over every
+entity. The formulas see each corruption's rows in the order of its own
+triple, so every score is the same bit for bit whichever batch it comes
+in.
+
+A gradient is known once the loss coefficients are: a second pass
+recomputes each chunk and writes it through one :class:`GradAccumulator`,
+which holds a zero row for every id the coefficients can reach and
+scatters into it in place. A replaced entity gets coefficient *
+d(score)/d(row), and an anchor the sum of those over the corruptions that
+use it, once per positive. Corruptions with a zero coefficient reach no
+row. Chunks hold about ``_GRAD_CHUNK_ELEMS`` float64 elements per table,
+so a call's memory grows by a few ids and scores per triple, not by its
+gathered rows.
 
 Candidate scoring (one slot swept over every entity) has two paths.
 
@@ -53,10 +58,10 @@ Candidate scoring (one slot swept over every entity) has two paths.
   float32 parameters, whose products neither overflow nor underflow in
   float64; a non-finite score or bound voids it (ranking then scores
   that query exactly).
-- ``score_candidates`` is ``score`` itself over the explicit candidate
-  triples, so it equals per-triple scores bit for bit by construction.
-  It is the exact reference the candidate tests compare against;
-  ranking calls ``fast_candidates`` instead.
+- ``score_candidates`` is the query-form sweep above, so it equals
+  per-triple scores bit for bit by construction. It is the exact
+  reference the candidate tests compare against and the path for scorers
+  without ``fast_candidates``; ranking calls ``fast_candidates`` instead.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from .losses import (
     self_adversarial_loss,
     self_adversarial_loss_grads,
 )
-from .sampling import HEAD, TAIL, LabeledBatch, NegBatch, candidate_triples
+from .sampling import HEAD, TAIL, LabeledBatch, NegBatch
 
 MODEL_KINDS = ("transe", "transh", "transr", "distmult", "complex", "rotate", "simple")
 
@@ -200,52 +205,25 @@ def _check_ids(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     return triples
 
 
+def _check_slot(slot: int) -> None:
+    if slot not in (HEAD, TAIL):
+        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
+
+
 def _rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    # the gather is already a copy; a float64 table (RGCN's encoded rows) needs no second one
-    return table[ids].astype(np.float64, copy=False)
+    # ``take`` gathers rows faster than fancy indexing; the gather is already a
+    # copy, so a float64 table (RGCN's encoded rows) needs no second one
+    return table.take(ids, axis=0).astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # scoring
 
 
-class _Triples:
-    """The rows of explicit triples, one gather per table and column.
-
-    The score and gradient formulas read a triple's head, relation and
-    tail rows through ``h``, ``r`` and ``t``, and hand their gradient rows
-    to ``add_h``, ``add_r`` and ``add_t``; :class:`_Query` serves the same
-    formulas from a chunk of corruptions.
-    """
-
-    def __init__(
-        self, params: ModelParams, triples: np.ndarray, acc: "GradAccumulator | None" = None
-    ):
-        self.tables, self.ids, self.acc = params.tables, triples, acc
-
-    def h(self, name: str) -> np.ndarray:
-        return _rows(self.tables[name], self.ids[:, 0])
-
-    def r(self, name: str) -> np.ndarray:
-        return _rows(self.tables[name], self.ids[:, 1])
-
-    def t(self, name: str) -> np.ndarray:
-        return _rows(self.tables[name], self.ids[:, 2])
-
-    def add_h(self, name: str, rows, coef: np.ndarray) -> None:
-        self.acc.add(name, self.ids[:, 0], _scaled(rows, coef))
-
-    def add_r(self, name: str, rows, coef: np.ndarray) -> None:
-        self.acc.add(name, self.ids[:, 1], _scaled(rows, coef))
-
-    def add_t(self, name: str, rows, coef: np.ndarray) -> None:
-        self.acc.add(name, self.ids[:, 2], _scaled(rows, coef))
-
-
 def score(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     """Score triples under ``params.model``; returns float64 [n]."""
     triples = _check_ids(params, triples)
-    return _SCORE[params.model](params, _Triples(params, triples))
+    return _query_scores(params, *_as_queries(triples))[:, 0]
 
 
 def _score_transe(params, x):
@@ -337,25 +315,18 @@ _SCORE = {
 # candidate scoring (one slot swept over all entities)
 
 
-def score_candidates(
-    params: ModelParams, queries: np.ndarray, slot: int, chunk_elems: int = 1 << 24
-) -> np.ndarray:
+def score_candidates(params: ModelParams, queries: np.ndarray, slot: int) -> np.ndarray:
     """Score every entity in ``slot`` of each query; returns float64 [B, n_entities].
 
     Row i column e is ``score`` of query i with entity e substituted into
-    the head (slot=0) or tail (slot=1) position, bit for bit: each chunk of
-    queries is scored as explicit triples, whose gathered rows hold about
-    ``chunk_elems`` elements per table (one query per chunk at least).
+    the head (slot=0) or tail (slot=1) position, bit for bit: the queries
+    run as a [B, n_entities] batch of corruptions.
     """
+    _check_slot(slot)
     queries = _check_ids(params, queries)
-    n_e = params.n_entities
-    per_triple = max(t[0].size for t in params.tables.values())
-    rows_per_chunk = max(1, chunk_elems // (n_e * per_triple))
-    out = np.empty((len(queries), n_e), dtype=np.float64)
-    for lo in range(0, len(queries), rows_per_chunk):
-        q = queries[lo : lo + rows_per_chunk]
-        out[lo : lo + len(q)] = score(params, candidate_triples(q, slot, n_e)).reshape(-1, n_e)
-    return out
+    shape = (len(queries), params.n_entities)
+    replaced = np.broadcast_to(np.arange(shape[1]), shape)
+    return _query_scores(params, queries, replaced, np.broadcast_to(slot == HEAD, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +384,8 @@ def fast_candidates(
     (float64 tables, norms, TransR's projected entity norms) between
     calls; it is valid only while the parameters are unchanged.
     """
+    _check_slot(slot)
     queries = _check_ids(params, queries)
-    if slot not in (HEAD, TAIL):
-        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
     fixed = queries[:, 0] if slot == TAIL else queries[:, 2]
     fn = _FAST[params.model]
     return fn(params, fixed, queries[:, 1], slot, {} if cache is None else cache)
@@ -660,8 +630,8 @@ _FAST = {
 # gradients
 
 
-# a chunk of negatives gathers about this many float64 elements per table:
-# positives per chunk * N * the widest table's row
+# a chunk of queries gathers about this many float64 elements per table:
+# queries per chunk * corruptions per query * the widest table's row
 _GRAD_CHUNK_ELEMS = 1 << 17
 
 
@@ -691,30 +661,31 @@ def scatter_add(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
 
 
 class GradAccumulator:
-    """Collects per-row gradient contributions and merges them per table.
+    """The sparse gradient of one call, summed in place.
 
-    Duplicate row ids sum; rows whose accumulated gradient would come from
-    no contribution at all are simply absent from the result.
+    ``ent`` and ``rel`` are the sorted distinct entity and relation ids
+    the contributions may reach. Every entity table gets a zero row per
+    ``ent`` id, every other table one per ``rel`` id. ``add`` scatters
+    rows into them at once, duplicate ids summing in call order, and
+    ``finalize`` returns them.
     """
 
-    def __init__(self) -> None:
-        self._parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    def __init__(self, params: ModelParams, ent: np.ndarray, rel: np.ndarray) -> None:
+        self._grads: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for name, table in params.tables.items():
+            entity = name in _ENTITY_TABLES
+            ids, n = (ent, params.n_entities) if entity else (rel, params.n_relations)
+            if len(ids):
+                position = np.empty(n, dtype=np.int64)  # the gradient row of each id
+                position[ids] = np.arange(len(ids))
+                self._grads[name] = (ids, np.zeros((len(ids),) + table.shape[1:]), position)
 
     def add(self, table: str, ids: np.ndarray, rows: np.ndarray) -> None:
-        if len(ids) == 0:
-            return
-        self._parts.setdefault(table, []).append((np.asarray(ids, dtype=np.int64), rows))
+        _, out, position = self._grads[table]
+        scatter_add(out, position[ids], rows)
 
     def finalize(self) -> SparseGrad:
-        out: SparseGrad = {}
-        for table, parts in self._parts.items():
-            ids = np.concatenate([p[0] for p in parts])
-            rows = np.concatenate([p[1] for p in parts], axis=0)
-            uniq, inverse = np.unique(ids, return_inverse=True)
-            buf = np.zeros((len(uniq),) + rows.shape[1:], dtype=np.float64)
-            np.add.at(buf, inverse, rows)
-            out[table] = (uniq, buf)
-        return out
+        return {name: (ids, rows) for name, (ids, rows, _) in self._grads.items()}
 
 
 def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> SparseGrad:
@@ -727,12 +698,7 @@ def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> S
     coeff = np.asarray(coeff, dtype=np.float64).reshape(-1)
     if len(coeff) != len(triples):
         raise ValueError("coeff length must match triples")
-    keep = coeff != 0.0
-    triples, coeff = triples[keep], coeff[keep]
-    acc = GradAccumulator()
-    if len(triples):
-        _GRAD[params.model](params, _Triples(params, triples, acc), coeff)
-    return acc.finalize()
+    return _query_grad(params, [_as_queries(triples)], [coeff[:, None]])
 
 
 # Each formula hands every row a triple reads, with d(score)/d(row) and
@@ -866,17 +832,19 @@ _GRAD = {
 class _Query:
     """A chunk of corruptions as [b, n] queries on their b positives.
 
-    ``replaced`` holds each negative's new entity and ``head`` whether it
-    replaced the head. ``r`` gathers a relation row once per positive and
-    broadcasts it over the positive's negatives; ``h`` and ``t`` gather
-    each negative's entity row, the replaced one or the positive's.
+    ``replaced`` holds each corruption's new entity and ``head`` whether
+    it replaced the head. ``r`` gathers a relation row once per positive
+    and broadcasts it over the positive's corruptions; ``h`` and ``t``
+    gather each corruption's entity row, the replaced one or the
+    positive's.
 
-    With ``kept`` (the negatives whose coefficient is nonzero), ``add_*``
-    scatter into ``grads``: a replaced entity's row as it is, and an
-    anchor's rows summed over the kept negatives that use it.
+    With ``kept`` (the corruptions whose coefficient is nonzero), ``add_*``
+    write through ``acc``: a replaced entity's row as it is, and an
+    anchor's rows summed over the kept corruptions that use it, once per
+    positive.
     """
 
-    def __init__(self, params, positives, replaced, head, kept=None, grads=None):
+    def __init__(self, params, positives, replaced, head, kept=None, acc=None):
         self.tables = params.tables
         self.positives, self.replaced = positives, replaced
         self._ids = (
@@ -884,17 +852,16 @@ class _Query:
             np.where(head, positives[:, 2:], replaced),
         )
         if kept is not None:
-            # per column: the kept negatives that replaced it, and those anchored on it
+            # per column: the kept corruptions that replaced it, and those anchored on it
             self._uses = {
                 0: (kept & head, kept & ~head),
                 1: (None, kept),
                 2: (kept & ~head, kept & head),
             }
-            self.grads = grads
+            self.acc = acc
 
     def _gather(self, name, ids):
-        # ``take`` gathers rows faster than fancy indexing
-        return self.tables[name].take(ids, axis=0).astype(np.float64, copy=False)
+        return _rows(self.tables[name], ids)
 
     def h(self, name):
         return self._gather(name, self._ids[0])
@@ -916,7 +883,6 @@ class _Query:
 
     def _add(self, name, rows, coef, col):
         replacing, anchored = self._uses[col]
-        out, position = self.grads[name]
         used = anchored.any(axis=1)
         if used.any():
             weights = coef * anchored
@@ -924,10 +890,15 @@ class _Query:
                 summed = np.einsum("bn,bni,bnj->bij", weights, *rows)
             else:
                 summed = np.einsum("bn,bn...->b...", weights, rows)
-            scatter_add(out, position[self.positives[used, col]], summed[used])
+            self.acc.add(name, self.positives[used, col], summed[used])
         if replacing is not None:
             rows = _scaled(rows[replacing], coef[replacing])
-            scatter_add(out, position[self.replaced[replacing]], rows)
+            self.acc.add(name, self.replaced[replacing], rows)
+
+
+def _as_queries(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit triples as [n, 1] queries, each triple its own tail corruption."""
+    return triples, triples[:, 2:], np.zeros((len(triples), 1), dtype=bool)
 
 
 def _chunks(params: ModelParams, b: int, n: int) -> list[slice]:
@@ -946,11 +917,7 @@ def _query_scores(params, positives, replaced, head) -> np.ndarray:
 
 
 def _query_grad(params, groups, coeffs) -> SparseGrad:
-    """The gradient of sum(coeff * score) over query-form groups of corruptions.
-
-    Every row a nonzero coefficient reaches gets a zero row first, so the
-    chunks scatter into fixed outputs.
-    """
+    """The gradient of sum(coeff * score) over query-form groups of corruptions."""
     ent, rel = [], []
     for (positives, replaced, head), c in zip(groups, coeffs):
         kept = c != 0.0
@@ -960,24 +927,14 @@ def _query_grad(params, groups, coeffs) -> SparseGrad:
             positives[(kept & head).any(axis=1), 2],
         ]
         rel.append(positives[kept.any(axis=1), 1])
-    ent, rel = np.unique(np.concatenate(ent)), np.unique(np.concatenate(rel))
-    out: SparseGrad = {}
-    grads = {}  # table -> (its gradient rows, the row of each id)
-    for name, table in params.tables.items():
-        ids, n = (ent, params.n_entities) if name in _ENTITY_TABLES else (rel, params.n_relations)
-        if len(ids):
-            out[name] = (ids, np.zeros((len(ids),) + table.shape[1:]))
-            position = np.empty(n, dtype=np.int64)
-            position[ids] = np.arange(len(ids))
-            grads[name] = (out[name][1], position)
-
+    acc = GradAccumulator(params, np.unique(np.concatenate(ent)), np.unique(np.concatenate(rel)))
     for (positives, replaced, head), c in zip(groups, coeffs):
         for sl in _chunks(params, *replaced.shape):
             kept = c[sl] != 0.0
             if kept.any():
-                q = _Query(params, positives[sl], replaced[sl], head[sl], kept, grads)
+                q = _Query(params, positives[sl], replaced[sl], head[sl], kept, acc)
                 _GRAD[params.model](params, q, c[sl])
-    return out
+    return acc.finalize()
 
 
 def _check_anchors(batch: NegBatch) -> None:
@@ -1046,10 +1003,6 @@ def grad(
     _check_anchors(batch)
     head = batch.slot == HEAD
     replaced = np.where(head, batch.negatives[..., 0], batch.negatives[..., 2])
-    # the positives run as one tail corruption each, by their own tail
-    groups = [
-        (positives, positives[:, 2:], np.zeros((b, 1), dtype=bool)),
-        (positives, replaced, head),
-    ]
+    groups = [_as_queries(positives), (positives, replaced, head)]
     loss, d_pos, d_neg = _negatives_loss(params, groups, loss_spec)
     return loss, _query_grad(params, groups, (d_pos[:, None], d_neg))

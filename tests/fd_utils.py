@@ -6,11 +6,16 @@ numerics are dominated by the O(h^2) truncation term. For the
 self-adversarial loss the probed objective pins the softmax weights at
 their unperturbed values: that fixed-weight function is the one whose
 gradient the training code computes (weights are detached by design).
+
+The flat oracle (``flat_scores``, ``flat_score_grad``) runs each model's
+score and gradient formula over explicit triples without the query form:
+rows gathered by fancy indexing, every gradient part kept, and one
+``np.add.at`` per table at the end.
 """
 
 import numpy as np
 
-from kgembed import losses
+from kgembed import losses, models
 from kgembed.models import score
 from kgembed.sampling import LabeledBatch, NegBatch
 
@@ -62,3 +67,61 @@ def fd_gradient(params, batch, spec, table, row, coord, step=1e-4):
 
 def relative_error(analytic, numeric, floor=1e-6):
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+
+
+class FlatTriples:
+    """The formulas' row accessor over explicit triples, one fancy-index gather per call."""
+
+    def __init__(self, params, triples):
+        self.tables, self.ids, self.parts = params.tables, triples, {}
+
+    def _rows(self, name, col):
+        return self.tables[name][self.ids[:, col]].astype(np.float64)
+
+    def h(self, name):
+        return self._rows(name, 0)
+
+    def r(self, name):
+        return self._rows(name, 1)
+
+    def t(self, name):
+        return self._rows(name, 2)
+
+    def _add(self, name, col, rows, coef):
+        if isinstance(rows, tuple):  # the outer product u v^T
+            u, v = rows
+            rows = (coef[:, None] * u)[:, :, None] * v[:, None, :]
+        else:
+            rows = coef[:, None] * rows
+        self.parts.setdefault(name, []).append((self.ids[:, col], rows))
+
+    def add_h(self, name, rows, coef):
+        self._add(name, 0, rows, coef)
+
+    def add_r(self, name, rows, coef):
+        self._add(name, 1, rows, coef)
+
+    def add_t(self, name, rows, coef):
+        self._add(name, 2, rows, coef)
+
+
+def flat_scores(params, triples):
+    return models._SCORE[params.model](params, FlatTriples(params, np.asarray(triples)))
+
+
+def flat_score_grad(params, triples, coeff):
+    """sum_i coeff[i] * d(score_i)/d(params); zero-coefficient triples touch no row."""
+    triples, coeff = np.asarray(triples), np.asarray(coeff, dtype=np.float64)
+    keep = coeff != 0.0
+    x = FlatTriples(params, triples[keep])
+    if keep.any():
+        models._GRAD[params.model](params, x, coeff[keep])
+    out = {}
+    for name, parts in x.parts.items():
+        ids = np.concatenate([p[0] for p in parts])
+        rows = np.concatenate([p[1] for p in parts])
+        uniq, inverse = np.unique(ids, return_inverse=True)
+        buf = np.zeros((len(uniq),) + rows.shape[1:])
+        np.add.at(buf, inverse, rows)
+        out[name] = (uniq, buf)
+    return out

@@ -6,13 +6,16 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "kgembed")
 
 
+def modules():
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                yield fname, ast.parse(fh.read(), filename=fname)
+
+
 def test_no_private_name_imported_from_a_sibling_module():
     found = []
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=fname)
+    for fname, tree in modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [
@@ -21,3 +24,20 @@ def test_no_private_name_imported_from_a_sibling_module():
                     if alias.name.startswith("_")
                 ]
     assert not found, found
+
+
+def add_at_calls(fname, node, where="<module>"):
+    """``file:function`` of every ``np.add.at`` call under ``node``."""
+    if isinstance(node, ast.FunctionDef):
+        where = node.name
+    is_add_at = isinstance(node, ast.Call) and ast.unparse(node.func) == "np.add.at"
+    found = [f"{fname}:{where}"] if is_add_at else []
+    for child in ast.iter_child_nodes(node):
+        found += add_at_calls(fname, child, where)
+    return found
+
+
+def test_the_only_add_at_is_the_one_in_scatter_add():
+    """Every row scatter goes through ``models.scatter_add``."""
+    found = [call for fname, tree in modules() for call in add_at_calls(fname, tree)]
+    assert found == ["models.py:scatter_add"], found

@@ -16,6 +16,7 @@ from kgembed.losses import (
 from kgembed.models import (
     MODEL_KINDS,
     ModelParams,
+    fast_candidates,
     grad,
     init_params,
     renormalize_entities,
@@ -26,7 +27,7 @@ from kgembed.models import (
 )
 from kgembed.sampling import HEAD, TAIL, LabeledBatch, NegBatch
 
-from fd_utils import fd_gradient, relative_error
+from fd_utils import fd_gradient, flat_score_grad, flat_scores, relative_error
 
 def make_params(model, tables, dim, p=1):
     return ModelParams(
@@ -222,12 +223,20 @@ def test_candidates_match_per_triple_scores(model, slot):
         assert np.array_equal(matrix, explicit), p
 
 
-def test_candidates_chunking_consistent():
+def test_candidates_chunking_consistent(monkeypatch):
     params = init_params("complex", 30, 3, 4, seed=14)
     queries = np.stack([np.arange(20) % 30, np.arange(20) % 3, (np.arange(20) * 7) % 30], 1)
     full = score_candidates(params, queries, TAIL)
-    small = score_candidates(params, queries, TAIL, chunk_elems=64)
+    monkeypatch.setattr(models, "_GRAD_CHUNK_ELEMS", 64)
+    small = score_candidates(params, queries, TAIL)
     assert np.array_equal(full, small)
+
+
+@pytest.mark.parametrize("candidates", [score_candidates, fast_candidates])
+def test_candidates_reject_a_slot_other_than_head_or_tail(candidates):
+    params = init_params("transe", 6, 2, 4, seed=21)
+    with pytest.raises(ValueError, match=r"slot must be HEAD \(0\) or TAIL \(1\), got 2"):
+        candidates(params, np.array([[0, 0, 1]]), 2)
 
 
 # --- errors ----------------------------------------------------------------
@@ -316,10 +325,10 @@ def neg_batch(positives, slot, replacement):
 
 
 def flat_reference(params, batch, spec):
-    """The loss, and score_grad over positives then negatives with the loss's coefficients."""
+    """The loss, and the flat oracle's gradient over positives then negatives."""
     b, n = batch.negatives.shape[:2]
-    pos = score(params, batch.positives)
-    neg = score(params, batch.negatives.reshape(-1, 3)).reshape(b, n)
+    pos = flat_scores(params, batch.positives)
+    neg = flat_scores(params, batch.negatives.reshape(-1, 3)).reshape(b, n)
     if spec.kind == "margin":
         loss = margin_loss(pos, neg, spec.margin)
         d_pos, d_neg = margin_loss_grads(pos, neg, spec.margin)
@@ -333,18 +342,22 @@ def flat_reference(params, batch, spec):
         d = bce_loss_grads(scores, labels, spec.label_smoothing)
         d_pos, d_neg = d[:b], d[b:]
     triples = np.concatenate([batch.positives, batch.negatives.reshape(-1, 3)])
-    return loss, score_grad(params, triples, np.concatenate([d_pos, d_neg.reshape(-1)]))
+    return loss, flat_score_grad(params, triples, np.concatenate([d_pos, d_neg.reshape(-1)]))
+
+
+def assert_grads_match(grads, ref):
+    assert grads.keys() == ref.keys()
+    for table, (ref_ids, ref_rows) in ref.items():
+        ids, rows = grads[table]
+        assert np.array_equal(ids, ref_ids), table
+        assert np.allclose(rows, ref_rows, rtol=1e-12, atol=1e-15), table
 
 
 def assert_matches_flat(params, batch, spec):
     loss, grads = grad(params, batch, spec)
     ref_loss, ref = flat_reference(params, batch, spec)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-    assert grads.keys() == ref.keys()
-    for table, (ref_ids, ref_rows) in ref.items():
-        ids, rows = grads[table]
-        assert np.array_equal(ids, ref_ids), table
-        assert np.allclose(rows, ref_rows, rtol=1e-12, atol=1e-15), table
+    assert_grads_match(grads, ref)
 
 
 def chunk_positives(monkeypatch, params, n, positives):
@@ -410,6 +423,21 @@ def test_negatives_grad_inactive_margin_negatives(monkeypatch, model, p):
     assert_matches_flat(params, batch, LossSpec("margin", margin=0.0))
 
 
+@pytest.mark.parametrize("tables", ["float32", "float64", "1e6", "1e-6"])
+@pytest.mark.parametrize("model,p", GRAD_MODELS)
+def test_score_grad_matches_flat_reference(monkeypatch, model, p, tables):
+    """Repeated triples and zero coefficients, 11 triples in chunks of 3."""
+    params = grad_params(model, p)
+    rescale_tables(params, tables)
+    rng = np.random.default_rng(33)
+    triples = np.stack([rng.integers(0, 10, 11), rng.integers(0, 4, 11), rng.integers(0, 10, 11)], 1)
+    triples[5], triples[9] = triples[0], triples[2]
+    coeff = rng.normal(size=11)
+    coeff[[3, 7]] = 0.0
+    chunk_positives(monkeypatch, params, 1, 3)
+    assert_grads_match(score_grad(params, triples, coeff), flat_score_grad(params, triples, coeff))
+
+
 def test_negatives_must_share_their_positive_anchor():
     params = init_params("distmult", 6, 2, 4, seed=35)
     pos = np.array([[0, 0, 1]])
@@ -453,6 +481,34 @@ def test_negatives_grad_peak_memory_does_not_grow_with_batch(monkeypatch, loss):
 
     small, large = peak(256), peak(1024)
     assert large <= 1.25 * small, (small, large)
+
+
+def test_labeled_grad_peak_memory_grows_per_triple_not_per_row(monkeypatch):
+    """bce on 17 triples per positive, chunks of 272: the peak may grow by 16 float64 per triple."""
+    params = init_params("transe", 100, 4, 128, seed=39)
+    chunk_positives(monkeypatch, params, 1, 16 * 17)
+    rng = np.random.default_rng(40)
+    spec = LossSpec("bce")
+
+    def labeled(b):
+        nb = random_batch(params, rng, b=b, n=16)
+        triples = np.concatenate([nb.positives[:, None], nb.negatives], axis=1).reshape(-1, 3)
+        labels = np.tile(np.r_[1.0, np.zeros(16)], b)
+        return LabeledBatch(triples, labels)
+
+    grad(params, labeled(16), spec)  # numpy's one-time allocations
+
+    def peak(b):
+        batch = labeled(b)
+        tracemalloc.start()
+        try:
+            grad(params, batch, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(256), peak(1024)
+    assert large - small < 16 * 8 * 17 * (1024 - 256), (small, large)
 
 
 def test_grad_labeled_batch_requires_bce():
