@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, TrainConfig, config_hash, parse_field, serialize_value
-from .gnn import RGCNLayerParams, RGCNModel
+from .gnn import RGCNLayerParams, RGCNModel, param_tables
 from .models import ModelParams
 from .optim import OptimizerState, init_optimizer
 
@@ -74,10 +74,6 @@ def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
     return data.reshape(shape).astype(np.float32)
 
 
-def _param_tables(params: ModelParams | RGCNModel) -> dict[str, np.ndarray]:
-    return params.tables if isinstance(params, ModelParams) else params.tables()
-
-
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     """Write the checkpoint; the directory is created if needed.
 
@@ -91,7 +87,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
         f"epoch: {ckpt.epoch}",
         f"best_metric: {serialize_value(float(ckpt.best_metric))}",
         f"config_hash: {ckpt.config_hash}",
-        f"params_version: {_version(params)}",
+        f"params_version: {params.version}",
         f"history: {';'.join(f'{e},{serialize_value(float(m))}' for e, m in ckpt.history)}",
         f"vocab.n_entities: {params.n_entities}",
         f"vocab.n_relations: {params.n_relations}",
@@ -104,7 +100,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
 
     written: list[str] = []
     try:
-        for name, arr in _param_tables(params).items():
+        for name, arr in param_tables(params).items():
             path = os.path.join(directory, f"param__{name}.bin")
             written.append(path)
             sha = _write_table(path, arr)
@@ -210,7 +206,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
 
     opt = init_optimizer(
         meta["optimizer"],
-        _param_tables(params),
+        param_tables(params),
         beta1=config.adam_beta1,
         beta2=config.adam_beta2,
         eps=config.adam_eps,
@@ -244,10 +240,6 @@ def load_checkpoint(directory: str) -> Checkpoint:
         config=config,
         history=history,
     )
-
-
-def _version(params) -> int:
-    return params.version
 
 
 def _shape_str(shape: tuple[int, ...]) -> str:

@@ -98,6 +98,8 @@ class TrainConfig:
             raise ConfigError("rule injection requires model: complex")
         if self.rule_file and self.loss != "bce":
             raise ConfigError("rule injection requires loss: bce")
+        if self.rule_file and self.label_smoothing != 0:
+            raise ConfigError("rule injection requires label_smoothing: 0")
         if self.sampler == "all" and self.loss != "bce":
             raise ConfigError("the all sampler requires loss: bce")
 

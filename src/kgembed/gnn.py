@@ -85,6 +85,11 @@ class RGCNModel:
         )
 
 
+def param_tables(params: models.ModelParams | RGCNModel) -> dict[str, np.ndarray]:
+    """The named parameter tables of a conventional model or an RGCN."""
+    return params.tables() if isinstance(params, RGCNModel) else params.tables
+
+
 def init_rgcn(
     n_entities: int, n_relations: int, dim: int, n_bases: int, n_layers: int = 2, seed=0
 ) -> RGCNModel:

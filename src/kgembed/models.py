@@ -631,7 +631,7 @@ _FAST = {
 
 
 # a chunk of queries gathers about this many float64 elements per table:
-# queries per chunk * corruptions per query * the widest table's row
+# queries per chunk * the most one query gathers from one table
 _GRAD_CHUNK_ELEMS = 1 << 17
 
 
@@ -686,6 +686,22 @@ class GradAccumulator:
 
     def finalize(self) -> SparseGrad:
         return {name: (ids, rows) for name, (ids, rows, _) in self._grads.items()}
+
+
+def add_grads(a: SparseGrad, b: SparseGrad) -> SparseGrad:
+    """The sum of two sparse gradients; a table only one side has passes through as it is."""
+    out = dict(a)
+    for name, part in b.items():
+        if name not in out:
+            out[name] = part
+            continue
+        (ids_a, rows_a), (ids_b, rows_b) = out[name], part
+        ids = np.union1d(ids_a, ids_b)
+        rows = np.zeros((len(ids),) + rows_a.shape[1:])
+        rows[np.searchsorted(ids, ids_a)] = rows_a
+        rows[np.searchsorted(ids, ids_b)] += rows_b
+        out[name] = (ids, rows)
+    return out
 
 
 def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> SparseGrad:
@@ -902,9 +918,15 @@ def _as_queries(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _chunks(params: ModelParams, b: int, n: int) -> list[slice]:
-    """Slices of positives whose [chunk, n] rows keep the temporaries bounded."""
-    widest = max(t[0].size for t in params.tables.values())
-    step = max(1, _GRAD_CHUNK_ELEMS // (n * widest))
+    """Slices of positives whose [chunk, n] rows keep the temporaries bounded.
+
+    A positive gathers n rows of each entity table and one row of each
+    relation table (TransR's [d, d] projection), and is sized by the widest.
+    """
+    tables = params.tables.items()
+    ent = max(t[0].size for name, t in tables if name in _ENTITY_TABLES)
+    rel = max(t[0].size for name, t in tables if name not in _ENTITY_TABLES)
+    step = max(1, _GRAD_CHUNK_ELEMS // max(n * ent, rel))
     return [slice(lo, lo + step) for lo in range(0, b, step)]
 
 

@@ -9,7 +9,8 @@ bodies, the closed-form label for an unlabeled conclusion u is
 summing over groundings g whose conclusion is u. Training alternates:
 predict soft labels for the current parameters, then take one gradient
 step on cross-entropy toward them (labels held constant). The base
-model is ComplEx.
+model is ComplEx. Both cross-entropy terms are :func:`models.grad` under
+bce, one over the sampled batch and one over the soft-labeled triples.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Grounding
-from .losses import bce_loss, bce_loss_grads, sigmoid
-from .models import ModelParams, SparseGrad, score, score_grad
-from .sampling import LabeledBatch
+from .losses import LossSpec, sigmoid
+from .models import ModelParams, SparseGrad, add_grads, grad, score
+from .sampling import LabeledBatch, NegBatch
 
 
 class StaleSoftLabelsError(ValueError):
@@ -119,34 +120,27 @@ def predict_soft_labels(
     )
 
 
-def ruge_loss(params: ModelParams, labeled: LabeledBatch, soft: SoftLabelSet) -> float:
-    """bce(labeled) + bce(soft-labeled unlabeled), each mean-reduced.
+def ruge_loss(params: ModelParams, batch: NegBatch | LabeledBatch, soft: SoftLabelSet) -> float:
+    """bce(batch) + bce(soft-labeled unlabeled), each mean-reduced.
 
-    Raises :class:`StaleSoftLabelsError` if the soft labels were predicted
-    for a different parameter version.
+    ``batch`` is anything :func:`models.grad` takes under bce. Raises
+    :class:`StaleSoftLabelsError` if the soft labels were predicted for a
+    different parameter version.
     """
-    _check_fresh(params, soft)
-    loss = bce_loss(score(params, labeled.triples), labeled.labels)
-    if len(soft.triples):
-        loss += bce_loss(score(params, soft.triples), soft.labels)
-    return loss
+    return ruge_grad(params, batch, soft)[0]
 
 
 def ruge_grad(
-    params: ModelParams, labeled: LabeledBatch, soft: SoftLabelSet
+    params: ModelParams, batch: NegBatch | LabeledBatch, soft: SoftLabelSet
 ) -> tuple[float, SparseGrad]:
     """Loss and sparse gradient of :func:`ruge_loss`, soft labels constant."""
     _check_fresh(params, soft)
-    loss, parts = 0.0, []
-    for triples, labels in ((labeled.triples, labeled.labels), (soft.triples, soft.labels)):
-        if len(triples):
-            s = score(params, triples)
-            loss += bce_loss(s, labels)
-            parts.append((triples, bce_loss_grads(s, labels)))
-    if not parts:
-        return loss, {}
-    triples, coeff = zip(*parts)
-    return loss, score_grad(params, np.concatenate(triples), np.concatenate(coeff))
+    bce = LossSpec("bce")
+    loss, grads = grad(params, batch, bce)
+    if len(soft.triples):
+        soft_loss, soft_grads = grad(params, LabeledBatch(soft.triples, soft.labels), bce)
+        loss, grads = loss + soft_loss, add_grads(grads, soft_grads)
+    return loss, grads
 
 
 def _check_fresh(params: ModelParams, soft: SoftLabelSet) -> None:

@@ -68,7 +68,6 @@ class GraphBatch:
     node_ids: np.ndarray  # [M] int64, global entity ids, sorted
     edges: np.ndarray  # [E, 3] int64, local indices
     edge_norm: np.ndarray  # [E] float64, 1 / |edges sharing (dst, rel)|
-    node_norm: np.ndarray  # [M] float64, 1 / in-degree (isolated-in -> 1)
     negatives: NegBatch  # local-index training triples + corruptions
 
 
@@ -194,8 +193,7 @@ def all_negatives(triple, slot: int, kg: IndexedKG) -> np.ndarray:
 def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:
     """Sample train edges without replacement and build a local graph batch.
 
-    edge_norm is 1 over the number of batch edges sharing (dst, rel);
-    node_norm is 1 over in-batch in-degree (1 for nodes with none).
+    edge_norm is 1 over the number of batch edges sharing (dst, rel).
     Uniform negatives are drawn over the batch's node set.
     """
     if n_edges > len(kg.train):
@@ -210,14 +208,11 @@ def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:
     dst = np.searchsorted(node_ids, picked[:, 2])
     edges = np.stack([src, picked[:, 1], dst], axis=1).astype(np.int64)
 
-    edge_norm, node_norm = _graph_norms(edges, len(node_ids))
-
     negatives = _corrupt(kg, edges, n_neg, 0.5, rng, node_ids)
     return GraphBatch(
         node_ids=node_ids,
         edges=edges,
-        edge_norm=edge_norm,
-        node_norm=node_norm,
+        edge_norm=_edge_norm(edges),
         negatives=negatives,
     )
 
@@ -235,12 +230,10 @@ def mask_edges(batch: GraphBatch, drop_rate: float, seed) -> GraphBatch:
     if not keep.any():  # degenerate tiny batch: keep everything
         keep[:] = True
     edges = batch.edges[keep]
-    edge_norm, node_norm = _graph_norms(edges, len(batch.node_ids))
     return GraphBatch(
         node_ids=batch.node_ids,
         edges=edges,
-        edge_norm=edge_norm,
-        node_norm=node_norm,
+        edge_norm=_edge_norm(edges),
         negatives=batch.negatives,
     )
 
@@ -257,24 +250,19 @@ def full_graph(kg: IndexedKG, n_neg: int = 1, seed=0) -> GraphBatch:
     picked = kg.train[order]
     node_ids = np.arange(kg.n_entities, dtype=np.int64)
     edges = picked.astype(np.int64)
-    edge_norm, node_norm = _graph_norms(edges, kg.n_entities)
     rng = np.random.default_rng(seed)
     negatives = _corrupt(kg, edges, n_neg, 0.5, rng, node_ids)
     return GraphBatch(
         node_ids=node_ids,
         edges=edges,
-        edge_norm=edge_norm,
-        node_norm=node_norm,
+        edge_norm=_edge_norm(edges),
         negatives=negatives,
     )
 
 
-def _graph_norms(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _edge_norm(edges: np.ndarray) -> np.ndarray:
     if len(edges) == 0:
-        return np.zeros(0), np.ones(n_nodes)
+        return np.zeros(0)
     group = edges[:, 2] * (edges[:, 1].max() + 1) + edges[:, 1]
     _, inverse, counts = np.unique(group, return_inverse=True, return_counts=True)
-    edge_norm = 1.0 / counts[inverse]
-    indeg = np.bincount(edges[:, 2], minlength=n_nodes)
-    node_norm = np.where(indeg > 0, 1.0 / np.maximum(indeg, 1), 1.0)
-    return edge_norm, node_norm
+    return 1.0 / counts[inverse]

@@ -18,7 +18,7 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, config_hash
 from .data import TAIL, Grounding, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
-from .gnn import RGCNModel, RGCNScorer, init_rgcn, rgcn_loss_and_grad
+from .gnn import RGCNModel, RGCNScorer, init_rgcn, param_tables, rgcn_loss_and_grad
 from .losses import LossSpec
 from .optim import NonFiniteGradientError, init_optimizer, optimizer_step
 from .sampling import (
@@ -143,7 +143,7 @@ def train(
                 params.transe_p = config.transe_p
         opt = init_optimizer(
             config.optimizer,
-            _tables(params),
+            param_tables(params),
             beta1=config.adam_beta1,
             beta2=config.adam_beta2,
             eps=config.adam_eps,
@@ -221,10 +221,6 @@ def train(
     return TrainResult(best=best_ckpt, last=last_ckpt, log=log, history=history)
 
 
-def _tables(params) -> dict[str, np.ndarray]:
-    return params.tables if isinstance(params, models.ModelParams) else params.tables()
-
-
 def _step(config, opt, tables, grads, epoch: int, batch: int) -> None:
     """One optimizer update; a non-finite gradient also names the epoch, batch and model."""
     try:
@@ -246,19 +242,10 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
         seed = _stream(config, epoch, bi, _SAMPLER)
         if config.sampler == "all":
             batch = _all_sampler_batch(kg, positives)
-        else:
-            if config.sampler == "bern":
-                nb = bern_negatives(kg, positives, config.n_neg, bern, seed)
-            else:  # uniform and adv share uniform candidate generation
-                nb = uniform_negatives(kg, positives, config.n_neg, seed)
-            if config.loss == "bce":
-                b, n = nb.negatives.shape[:2]
-                batch = LabeledBatch(
-                    triples=np.concatenate([nb.positives, nb.negatives.reshape(-1, 3)]),
-                    labels=np.concatenate([np.ones(b), np.zeros(b * n)]),
-                )
-            else:
-                batch = nb
+        elif config.sampler == "bern":
+            batch = bern_negatives(kg, positives, config.n_neg, bern, seed)
+        else:  # uniform and adv share uniform candidate generation
+            batch = uniform_negatives(kg, positives, config.n_neg, seed)
 
         if rule_mode:
             rule_rng = np.random.default_rng(_stream(config, epoch, bi, _RULE))

@@ -120,3 +120,12 @@ def test_renorm_default_by_model():
     assert not TrainConfig(model="distmult").renorm_enabled()
     assert not TrainConfig(model="transe", entity_renorm=False).renorm_enabled()
     assert TrainConfig(model="rotate", entity_renorm=True).renorm_enabled()
+
+
+def test_rule_injection_rejects_label_smoothing():
+    # the rule-injected loss is plain bce, so a smoothing would be silently dropped
+    rule = TrainConfig(model="complex", loss="bce", rule_file="rules.tsv")
+    rule.validate()
+    TrainConfig(model="complex", loss="bce", label_smoothing=0.3).validate()
+    with pytest.raises(ConfigError, match="rule injection requires label_smoothing: 0"):
+        rule.with_overrides(label_smoothing=0.3).validate()

@@ -50,7 +50,6 @@ def empty_graph(n_nodes):
         node_ids=np.arange(n_nodes, dtype=np.int64),
         edges=np.zeros((0, 3), dtype=np.int64),
         edge_norm=np.zeros(0),
-        node_norm=np.ones(n_nodes),
         negatives=None,
     )
 
@@ -118,7 +117,6 @@ def test_permutation_invariance():
         node_ids=g.node_ids,
         edges=edges,
         edge_norm=g.edge_norm.copy(),
-        node_norm=g.node_norm[inv],
         negatives=None,
     )
     out = rgcn_forward(model.layers, permuted, x0[inv])
@@ -137,7 +135,6 @@ def test_double_edge_half_norm_invariance():
         node_ids=g.node_ids,
         edges=np.concatenate([g.edges, g.edges]),
         edge_norm=np.concatenate([g.edge_norm, g.edge_norm]) * 0.5,
-        node_norm=g.node_norm,
         negatives=None,
     )
     assert np.allclose(rgcn_forward(model.layers, doubled, x0), base, atol=1e-9)

@@ -41,3 +41,22 @@ def test_the_only_add_at_is_the_one_in_scatter_add():
     """Every row scatter goes through ``models.scatter_add``."""
     found = [call for fname, tree in modules() for call in add_at_calls(fname, tree)]
     assert found == ["models.py:scatter_add"], found
+
+
+def test_only_models_imports_a_loss_function():
+    """One loss core: the ``*_loss`` and ``*_loss_grads`` functions have one caller, ``models``.
+
+    ``__init__.py`` only re-exports the public API.
+    """
+    found = []
+    for fname, tree in modules():
+        if fname == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("losses", "kgembed.losses"):
+                found += [
+                    f"{fname}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.endswith(("_loss", "_loss_grads"))
+                ]
+    assert found and all(f.startswith("models.py:") for f in found), found

@@ -16,6 +16,7 @@ from kgembed.losses import (
 from kgembed.models import (
     MODEL_KINDS,
     ModelParams,
+    add_grads,
     fast_candidates,
     grad,
     init_params,
@@ -516,6 +517,51 @@ def test_grad_labeled_batch_requires_bce():
     lb = LabeledBatch(np.array([[0, 0, 1]]), np.array([1.0]))
     with pytest.raises(ValueError, match="bce"):
         grad(params, lb, LossSpec("margin"))
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_chunks_size_a_positive_by_what_it_gathers(model):
+    # a positive gathers n rows of each entity table and one of each relation table
+    params = init_params(model, 5, 3, 64, seed=0)
+    widest = max(t[0].size for t in params.tables.values())
+    for n in (1, 64, 14541):  # [n, 1] triples, a NegBatch, a [B, E] candidate sweep
+        step = models._chunks(params, 100_000, n)[0].stop
+        if model == "transr" and n == 64:
+            # 64 entity rows of 64 take as much as one 64 x 64 projection
+            assert step == models._GRAD_CHUNK_ELEMS // (64 * 64)
+        else:  # as when the widest row of any table was counted n times
+            assert step == max(1, models._GRAD_CHUNK_ELEMS // (n * widest)), n
+
+
+def sparse(ids, rows):
+    return np.array(ids), np.array(rows, dtype=np.float64)
+
+
+def test_add_grads_passes_disjoint_tables_through():
+    a = {"ent": sparse([1, 4], [[1.0, 2.0], [3.0, 4.0]])}
+    b = {"proj": sparse([0], [[[5.0, 6.0], [7.0, 8.0]]])}
+    out = add_grads(a, b)
+    assert list(out) == ["ent", "proj"]
+    assert out["ent"] is a["ent"] and out["proj"] is b["proj"]
+
+
+def test_add_grads_sums_overlapping_ids():
+    a = {"ent": sparse([1, 4], [[1.0, 2.0], [3.0, 4.0]]), "rel": sparse([2], [[0.5, 0.25]])}
+    b = {"ent": sparse([0, 4, 7], [[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])}
+    out = add_grads(a, b)
+    ids, rows = out["ent"]
+    assert ids.tolist() == [0, 1, 4, 7]
+    assert rows.tolist() == [[10.0, 20.0], [1.0, 2.0], [33.0, 44.0], [50.0, 60.0]]
+    assert out["rel"] is a["rel"]
+    assert a["ent"][1].tolist() == [[1.0, 2.0], [3.0, 4.0]]  # the inputs are left alone
+
+
+def test_add_grads_with_an_empty_side_is_the_other_side():
+    a = {"ent": sparse([1, 4], [[1.0, 2.0], [3.0, 4.0]]), "rel": sparse([2], [[0.5, 0.25]])}
+    for out in (add_grads(a, {}), add_grads({}, a)):
+        assert list(out) == list(a)
+        assert all(out[name] is a[name] for name in a)
+    assert add_grads({}, {}) == {}
 
 
 # --- renormalization -------------------------------------------------------

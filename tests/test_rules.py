@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kgembed.data import Grounding
-from kgembed.losses import bce_loss, sigmoid
-from kgembed.models import init_params, score
+from kgembed.losses import LossSpec, bce_loss, bce_loss_grads, sigmoid
+from kgembed.models import grad, init_params, score, score_grad
 from kgembed.rules import (
     SoftLabelSet,
     StaleSoftLabelsError,
@@ -13,7 +13,7 @@ from kgembed.rules import (
     triple_truth,
     unlabeled_conclusions,
 )
-from kgembed.sampling import LabeledBatch
+from kgembed.sampling import HEAD, LabeledBatch, NegBatch
 
 
 @pytest.fixture
@@ -209,3 +209,56 @@ def test_ruge_grad_zero_weight_matches_labeled_only(cparams):
         ids_b, rows_b = grads_rule[table]
         assert np.array_equal(ids_a, ids_b)
         assert rows_a.tobytes() == rows_b.tobytes()
+
+
+def neg_batch(rng, n_e, n_r, b, n):
+    pos = np.stack([rng.integers(0, n_e, b), rng.integers(0, n_r, b), rng.integers(0, n_e, b)], 1)
+    slot = (rng.random((b, n)) < 0.5).astype(np.uint8)
+    neg = np.repeat(pos[:, None, :], n, axis=1)
+    repl = rng.integers(0, n_e, (b, n))
+    neg[..., 0] = np.where(slot == HEAD, repl, neg[..., 0])
+    neg[..., 2] = np.where(slot == HEAD, neg[..., 2], repl)
+    return NegBatch(pos, neg, slot, np.zeros((b, n), dtype=bool))
+
+
+def shared_row_groundings(batch):
+    """Groundings whose conclusions reuse the batch's entities and relations."""
+    gs = []
+    for (h, r, t), negs in zip(batch.positives.tolist(), batch.negatives.tolist()):
+        gs.append(g((h, (r + 1) % 4, t), [(h, r, t)], conf=0.9))
+        gs.append(g((negs[0][0], r, negs[0][2]), [(h, r, t)], conf=0.6))
+    return gs
+
+
+def test_ruge_grad_on_a_neg_batch_is_flat_bce_plus_soft_bce(cparams):
+    batch = neg_batch(np.random.default_rng(11), 10, 4, 7, 5)
+    soft = predict_soft_labels(cparams, shared_row_groundings(batch), rule_weight=0.5)
+    b, n = batch.negatives.shape[:2]
+    flat = np.concatenate([batch.positives, batch.negatives.reshape(-1, 3)])
+    labels = np.concatenate([np.ones(b), np.zeros(b * n)])
+    flat_scores, soft_scores = score(cparams, flat), score(cparams, soft.triples)
+
+    loss, grads = ruge_grad(cparams, batch, soft)
+    assert loss == bce_loss(flat_scores, labels) + bce_loss(soft_scores, soft.labels)
+    assert ruge_loss(cparams, batch, soft) == loss
+
+    coeff = np.concatenate(
+        [bce_loss_grads(flat_scores, labels), bce_loss_grads(soft_scores, soft.labels)]
+    )
+    expected = score_grad(cparams, np.concatenate([flat, soft.triples]), coeff)
+    assert set(grads) == set(expected)
+    for table, (ids, rows) in expected.items():
+        assert np.array_equal(grads[table][0], ids), table
+        assert np.allclose(grads[table][1], rows, rtol=1e-12, atol=1e-15), table
+
+
+def test_ruge_grad_on_a_neg_batch_at_zero_weight_is_plain_grad(cparams):
+    batch = neg_batch(np.random.default_rng(12), 10, 4, 7, 5)
+    soft = predict_soft_labels(cparams, shared_row_groundings(batch), rule_weight=0.0)
+    loss_rule, grads_rule = ruge_grad(cparams, batch, soft)
+    loss_plain, grads_plain = grad(cparams, batch, LossSpec("bce"))
+    assert loss_rule == loss_plain + bce_loss(score(cparams, soft.triples), soft.labels)
+    assert list(grads_rule) == list(grads_plain)
+    for table, (ids, rows) in grads_plain.items():
+        assert grads_rule[table][0].tobytes() == ids.tobytes(), table
+        assert grads_rule[table][1].tobytes() == rows.tobytes(), table

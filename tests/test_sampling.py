@@ -229,8 +229,6 @@ def test_sample_graph_single_edge(toy_kg):
     g = sample_graph(kg, 1, 1, seed=0)
     assert len(g.edges) == 1
     assert g.edge_norm[0] == 1.0
-    dst = g.edges[0, 2]
-    assert g.node_norm[dst] == 1.0
 
 
 def test_sample_graph_shared_dst_rel_norm():
@@ -262,9 +260,6 @@ def test_sample_graph_norms_match_recount(toy_kg):
     for e, (s, r, d) in enumerate(g.edges):
         same = sum(1 for (s2, r2, d2) in g.edges if r2 == r and d2 == d)
         assert g.edge_norm[e] == pytest.approx(1.0 / same)
-    for v in range(len(g.node_ids)):
-        indeg = sum(1 for (_, _, d) in g.edges if d == v)
-        assert g.node_norm[v] == pytest.approx(1.0 / indeg if indeg else 1.0)
 
 
 def test_sample_graph_group_norms_sum_to_one(toy_kg):
@@ -322,5 +317,4 @@ def test_full_graph_without_negatives(toy_kg):
     plain, bare = full_graph(kg), full_graph(kg, n_neg=0)
     assert np.array_equal(bare.edges, plain.edges)
     assert np.array_equal(bare.edge_norm, plain.edge_norm)
-    assert np.array_equal(bare.node_norm, plain.node_norm)
     assert bare.negatives.negatives.shape == (len(kg.train), 0, 3)
