@@ -170,6 +170,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise CheckpointError("checkpoint has no parameter tables")
 
     params: ModelParams | RGCNModel
+    version = _meta_number("params_version", meta.get("params_version", "0"), int)
     if config.model == "rgcn":
         acts = meta.get("rgcn.activations", "").split(",")
         layers = []
@@ -189,7 +190,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
             entity_emb=tables["entity_emb"],
             layers=layers,
             rel_emb=tables["rel_emb"],
-            version=int(meta.get("params_version", 0)),
+            version=version,
         )
     else:
         params = ModelParams(
@@ -197,11 +198,11 @@ def load_checkpoint(directory: str) -> Checkpoint:
             dim=config.dim,
             tables=tables,
             transe_p=config.transe_p,
-            version=int(meta.get("params_version", 0)),
+            version=version,
         )
 
     for key, have in (("vocab.n_entities", params.n_entities), ("vocab.n_relations", params.n_relations)):
-        if key in meta and int(meta[key]) != have:
+        if key in meta and _meta_number(key, meta[key], int) != have:
             raise CheckpointError(f"{key} is {meta[key]} but tables imply {have}")
 
     opt = init_optimizer(
@@ -231,15 +232,23 @@ def load_checkpoint(directory: str) -> Checkpoint:
     for item in meta.get("history", "").split(";"):
         if item:
             e, _, m = item.partition(",")
-            history.append((int(e), float(m)))
+            history.append((_meta_number("history", e, int), _meta_number("history", m, float)))
     return Checkpoint(
         params=params,
         opt_state=opt,
-        epoch=int(meta["epoch"]),
-        best_metric=float(meta["best_metric"]),
+        epoch=_meta_number("epoch", meta["epoch"], int),
+        best_metric=_meta_number("best_metric", meta["best_metric"], float),
         config=config,
         history=history,
     )
+
+
+def _meta_number(key: str, text: str, kind):
+    """``kind(text)`` for a number read from meta ``key``; a bad value names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise CheckpointError(f"meta {key}: {text!r} is not a valid {kind.__name__}") from None
 
 
 def _shape_str(shape: tuple[int, ...]) -> str:

@@ -120,19 +120,29 @@ def init_rgcn(
     )
 
 
-def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray):
-    src, rel, dst = graph.edges[:, 0], graph.edges[:, 1], graph.edges[:, 2]
+def _rel_groups(rel: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each relation present, ascending, with the positions of its edges.
+
+    The sort is stable, so each relation's edges keep the batch's order,
+    and its messages are computed and scattered in that order.
+    """
+    order = np.argsort(rel, kind="stable")
+    rels, starts = np.unique(rel[order], return_index=True)
+    return list(zip(rels.tolist(), np.split(order, starts[1:])))
+
+
+def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray, groups):
+    src, dst = graph.edges[:, 0], graph.edges[:, 2]
     basis = layer.basis.astype(np.float64)
     coeff = layer.coeff.astype(np.float64)
     w0 = layer.self_weight.astype(np.float64)
     agg = np.zeros((x.shape[0], basis.shape[2]), dtype=np.float64)
     rel_groups = []
-    for r in np.unique(rel):
-        mask = rel == r
+    for r, idx in groups:
         w_r = np.einsum("b,bio->io", coeff[r], basis)
-        msg = (x[src[mask]] @ w_r) * graph.edge_norm[mask][:, None]
-        models.scatter_add(agg, dst[mask], msg)
-        rel_groups.append((int(r), mask, w_r))
+        msg = (x[src[idx]] @ w_r) * graph.edge_norm[idx][:, None]
+        models.scatter_add(agg, dst[idx], msg)
+        rel_groups.append((r, idx, w_r))
     pre = agg + x @ w0
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
     return out, {"x": x, "pre": pre, "rel_groups": rel_groups}
@@ -147,14 +157,16 @@ def rgcn_forward(
         raise ValueError(
             f"input_emb has {x.shape[0]} rows for {len(graph.node_ids)} graph nodes"
         )
+    groups = _rel_groups(graph.edges[:, 1])
     caches = []
     for layer in layers:
         if x.shape[1] != layer.basis.shape[1]:
             raise ValueError(
                 f"layer expects width {layer.basis.shape[1]}, input has {x.shape[1]}"
             )
-        x, cache = _layer_forward(layer, graph, x)
-        caches.append(cache)
+        x, cache = _layer_forward(layer, graph, x, groups)
+        if return_cache:
+            caches.append(cache)
     return (x, caches) if return_cache else x
 
 
@@ -178,12 +190,12 @@ def rgcn_backward(
         g_coeff = np.zeros_like(coeff)
         g_self = x.T @ d_pre
         d_in = d_pre @ layer.self_weight.astype(np.float64).T
-        for r, mask, w_r in cache["rel_groups"]:
-            d_msg = d_pre[dst[mask]] * graph.edge_norm[mask][:, None]
-            g_wr = x[src[mask]].T @ d_msg
+        for r, idx, w_r in cache["rel_groups"]:
+            d_msg = d_pre[dst[idx]] * graph.edge_norm[idx][:, None]
+            g_wr = x[src[idx]].T @ d_msg
             g_coeff[r] = np.einsum("bio,io->b", basis, g_wr)
             g_basis += coeff[r][:, None, None] * g_wr
-            models.scatter_add(d_in, src[mask], d_msg @ w_r.T)
+            models.scatter_add(d_in, src[idx], d_msg @ w_r.T)
         layer_grads[li] = {"basis": g_basis, "coeff": g_coeff, "self": g_self}
         d_x = d_in
     return d_x, layer_grads

@@ -6,11 +6,12 @@ stored float32; all score/loss/gradient arithmetic upcasts to float64.
 
 Gradients are derived by hand per model and composed with the loss
 derivatives from :mod:`kgembed.losses`; correctness is pinned by the
-finite-difference test suite rather than an autodiff dependency. One
-score formula and one gradient formula per model read a triple's head,
-relation and tail rows through an accessor; the gradient formula hands
-each row's derivative, with the coefficient that scales it, back to the
-accessor.
+finite-difference test suite rather than an autodiff dependency. Each
+model is one formula, which reads a triple's head, relation and tail rows
+through an accessor and builds the forward once. Without coefficients it
+returns the scores; with them it hands each row's derivative, with the
+coefficient that scales it, back to the accessor instead of reducing to a
+score.
 
 There is one accessor, :class:`_Query`, and every score and gradient runs
 in its query form. Every corruption keeps its positive's relation and the
@@ -226,26 +227,49 @@ def score(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     return _query_scores(params, *_as_queries(triples))[:, 0]
 
 
-def _score_transe(params, x):
-    return _neg_norm((x.h("ent") + x.r("rel")) - x.t("ent"), params.transe_p)
+# Each formula reads a triple's rows through the accessor ``x`` and builds
+# the forward once. Without ``c`` it returns the scores. With ``c`` (the
+# shape of those scores) it skips the final reduction and hands every row
+# it read, with d(score)/d(row) and the coefficient that scales it, to
+# ``x.add_h``, ``x.add_r`` or ``x.add_t``.
 
 
-def _neg_norm(d, p):
-    if p == 1:
-        return -np.abs(d).sum(axis=-1)
-    return -np.sqrt((d * d).sum(axis=-1))
+def _transe(params, x, c=None):
+    d = (x.h("ent") + x.r("rel")) - x.t("ent")
+    if params.transe_p == 1:
+        if c is None:
+            return -np.abs(d).sum(axis=-1)
+        u = np.sign(d)
+    else:
+        nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+        if c is None:
+            return -nrm[..., 0]
+        u = d / np.where(nrm > 0, nrm, 1.0)
+    x.add_h("ent", u, -c)
+    x.add_r("rel", u, -c)
+    x.add_t("ent", u, c)
 
 
 def _transh_project(e, w):
     return e - (e * w).sum(axis=-1, keepdims=True) * w
 
 
-def _score_transh(params, x):
+def _transh(params, x, c=None):
     w = x.r("norm")
-    hp = _transh_project(x.h("ent"), w)
-    tp = _transh_project(x.t("ent"), w)
-    d = (hp + x.r("rel")) - tp
-    return -(d * d).sum(axis=-1)
+    he = x.h("ent")
+    te = x.t("ent")
+    d = (_transh_project(he, w) + x.r("rel")) - _transh_project(te, w)
+    if c is None:
+        return -(d * d).sum(axis=-1)
+    dw = (d * w).sum(axis=-1, keepdims=True)
+    v = d - dw * w
+    c2 = 2.0 * c
+    x.add_h("ent", v, -c2)
+    x.add_t("ent", v, c2)
+    x.add_r("rel", d, -c2)
+    a = te - he
+    aw = (a * w).sum(axis=-1, keepdims=True)
+    x.add_r("norm", dw * a + aw * d, -c2)
 
 
 def _project(m, e):
@@ -253,61 +277,102 @@ def _project(m, e):
     return np.einsum("...ij,...j->...i", m, e)
 
 
-def _score_transr(params, x):
+def _transr(params, x, c=None):
     m = x.r("proj")  # [..., d, d]
-    d = (_project(m, x.h("ent")) + x.r("rel")) - _project(m, x.t("ent"))
-    return -(d * d).sum(axis=-1)
+    he = x.h("ent")
+    te = x.t("ent")
+    d = (_project(m, he) + x.r("rel")) - _project(m, te)
+    if c is None:
+        return -(d * d).sum(axis=-1)
+    c2 = 2.0 * c
+    mtd = np.einsum("...ij,...i->...j", m, d)  # M^T d
+    x.add_h("ent", mtd, -c2)
+    x.add_t("ent", mtd, c2)
+    x.add_r("rel", d, -c2)
+    # dF/dM = -2c * outer(d, h - t)
+    x.add_r("proj", (d, he - te), -2.0 * c)
 
 
-def _score_distmult(params, x):
-    return ((x.h("ent") * x.r("rel")) * x.t("ent")).sum(axis=-1)
+def _distmult(params, x, c=None):
+    he = x.h("ent")
+    re = x.r("rel")
+    te = x.t("ent")
+    hr = he * re
+    if c is None:
+        return (hr * te).sum(axis=-1)
+    x.add_h("ent", re * te, c)
+    x.add_r("rel", he * te, c)
+    x.add_t("ent", hr, c)
 
 
 def _split(x, d):
     return x[..., :d], x[..., d:]
 
 
-def _score_complex(params, x):
+def _complex(params, x, c=None):
     d = params.dim
     hre, him = _split(x.h("ent"), d)
     rre, rim = _split(x.r("rel"), d)
     tre, tim = _split(x.t("ent"), d)
     re = hre * rre - him * rim
     im = hre * rim + him * rre
-    return (re * tre + im * tim).sum(axis=-1)
+    if c is None:
+        return (re * tre + im * tim).sum(axis=-1)
+    gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=-1)
+    gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=-1)
+    x.add_h("ent", gh, c)
+    x.add_r("rel", gr, c)
+    x.add_t("ent", np.concatenate([re, im], axis=-1), c)
 
 
-def _score_rotate(params, x):
+def _rotate(params, x, c=None):
     d = params.dim
     hre, him = _split(x.h("ent"), d)
     tre, tim = _split(x.t("ent"), d)
     theta = x.r("rel")
     cos, sin = np.cos(theta), np.sin(theta)
-    ure = (hre * cos - him * sin) - tre
-    uim = (hre * sin + him * cos) - tim
-    return -np.sqrt((ure * ure + uim * uim).sum(axis=-1))
+    hr_re = hre * cos - him * sin
+    hr_im = hre * sin + him * cos
+    ure = hr_re - tre
+    uim = hr_im - tim
+    nrm = np.sqrt((ure * ure + uim * uim).sum(axis=-1))
+    if c is None:
+        return -nrm
+    fac = c / np.where(nrm > 0, nrm, 1.0)
+    gh = np.concatenate([-(ure * cos + uim * sin), -(-ure * sin + uim * cos)], axis=-1)
+    x.add_h("ent", gh, fac)
+    x.add_t("ent", np.concatenate([ure, uim], axis=-1), fac)
+    x.add_r("rel", ure * hr_im - uim * hr_re, fac)
 
 
-def _score_simple(params, x):
+def _simple(params, x, c=None):
     eh_h = x.h("ent_h")
     et_t = x.t("ent_t")
     eh_t = x.t("ent_h")
     et_h = x.h("ent_t")
     rr = x.r("rel")
     ri = x.r("rel_inv")
-    s1 = ((eh_h * rr) * et_t).sum(axis=-1)
-    s2 = ((eh_t * ri) * et_h).sum(axis=-1)
-    return 0.5 * (s1 + s2)
+    hr = eh_h * rr
+    tri = eh_t * ri
+    if c is None:
+        return 0.5 * ((hr * et_t).sum(axis=-1) + (tri * et_h).sum(axis=-1))
+    half = 0.5 * c
+    x.add_h("ent_h", rr * et_t, half)
+    x.add_r("rel", eh_h * et_t, half)
+    x.add_t("ent_t", hr, half)
+    x.add_t("ent_h", ri * et_h, half)
+    x.add_r("rel_inv", eh_t * et_h, half)
+    x.add_h("ent_t", tri, half)
 
 
-_SCORE = {
-    "transe": _score_transe,
-    "transh": _score_transh,
-    "transr": _score_transr,
-    "distmult": _score_distmult,
-    "complex": _score_complex,
-    "rotate": _score_rotate,
-    "simple": _score_simple,
+_FORMULA = {
+    "transe": _transe,
+    "transh": _transh,
+    "transr": _transr,
+    "distmult": _distmult,
+    "complex": _complex,
+    "rotate": _rotate,
+    "simple": _simple,
 }
 
 
@@ -717,128 +782,12 @@ def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> S
     return _query_grad(params, [_as_queries(triples)], [coeff[:, None]])
 
 
-# Each formula hands every row a triple reads, with d(score)/d(row) and
-# the coefficient that scales it, to ``x.add_h``, ``x.add_r`` or
-# ``x.add_t``; ``c`` has the shape of the scores ``x`` gives.
-
-
 def _scaled(rows, coef: np.ndarray) -> np.ndarray:
     """coef * rows per triple; a pair (u, v) of rows stands for the outer product u v^T."""
     if isinstance(rows, tuple):
         u, v = rows
         return (coef[..., None] * u)[..., :, None] * v[..., None, :]
     return coef[..., None] * rows
-
-
-def _grad_transe(params, x, c):
-    d = (x.h("ent") + x.r("rel")) - x.t("ent")
-    if params.transe_p == 1:
-        u = np.sign(d)
-    else:
-        nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
-        u = d / np.where(nrm > 0, nrm, 1.0)
-    x.add_h("ent", u, -c)
-    x.add_r("rel", u, -c)
-    x.add_t("ent", u, c)
-
-
-def _grad_transh(params, x, c):
-    w = x.r("norm")
-    he = x.h("ent")
-    te = x.t("ent")
-    hp = _transh_project(he, w)
-    tp = _transh_project(te, w)
-    d = (hp + x.r("rel")) - tp
-    v = d - (d * w).sum(axis=-1, keepdims=True) * w
-    c2 = 2.0 * c
-    x.add_h("ent", v, -c2)
-    x.add_t("ent", v, c2)
-    x.add_r("rel", d, -c2)
-    a = te - he
-    dw = (d * w).sum(axis=-1, keepdims=True)
-    aw = (a * w).sum(axis=-1, keepdims=True)
-    x.add_r("norm", dw * a + aw * d, -c2)
-
-
-def _grad_transr(params, x, c):
-    m = x.r("proj")
-    he = x.h("ent")
-    te = x.t("ent")
-    d = (_project(m, he) + x.r("rel")) - _project(m, te)
-    c2 = 2.0 * c
-    mtd = np.einsum("...ij,...i->...j", m, d)  # M^T d
-    x.add_h("ent", mtd, -c2)
-    x.add_t("ent", mtd, c2)
-    x.add_r("rel", d, -c2)
-    # dF/dM = -2c * outer(d, h - t)
-    x.add_r("proj", (d, he - te), -2.0 * c)
-
-
-def _grad_distmult(params, x, c):
-    he = x.h("ent")
-    re = x.r("rel")
-    te = x.t("ent")
-    x.add_h("ent", re * te, c)
-    x.add_r("rel", he * te, c)
-    x.add_t("ent", he * re, c)
-
-
-def _grad_complex(params, x, c):
-    d = params.dim
-    hre, him = _split(x.h("ent"), d)
-    rre, rim = _split(x.r("rel"), d)
-    tre, tim = _split(x.t("ent"), d)
-    gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=-1)
-    gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=-1)
-    gt = np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=-1)
-    x.add_h("ent", gh, c)
-    x.add_r("rel", gr, c)
-    x.add_t("ent", gt, c)
-
-
-def _grad_rotate(params, x, c):
-    d = params.dim
-    hre, him = _split(x.h("ent"), d)
-    tre, tim = _split(x.t("ent"), d)
-    theta = x.r("rel")
-    cos, sin = np.cos(theta), np.sin(theta)
-    hr_re = hre * cos - him * sin
-    hr_im = hre * sin + him * cos
-    ure = hr_re - tre
-    uim = hr_im - tim
-    nrm = np.sqrt((ure * ure + uim * uim).sum(axis=-1))
-    fac = c / np.where(nrm > 0, nrm, 1.0)
-    gh = np.concatenate([-(ure * cos + uim * sin), -(-ure * sin + uim * cos)], axis=-1)
-    x.add_h("ent", gh, fac)
-    x.add_t("ent", np.concatenate([ure, uim], axis=-1), fac)
-    x.add_r("rel", ure * hr_im - uim * hr_re, fac)
-
-
-def _grad_simple(params, x, c):
-    eh_h = x.h("ent_h")
-    et_t = x.t("ent_t")
-    eh_t = x.t("ent_h")
-    et_h = x.h("ent_t")
-    rr = x.r("rel")
-    ri = x.r("rel_inv")
-    half = 0.5 * c
-    x.add_h("ent_h", rr * et_t, half)
-    x.add_r("rel", eh_h * et_t, half)
-    x.add_t("ent_t", eh_h * rr, half)
-    x.add_t("ent_h", ri * et_h, half)
-    x.add_r("rel_inv", eh_t * et_h, half)
-    x.add_h("ent_t", eh_t * ri, half)
-
-
-_GRAD = {
-    "transe": _grad_transe,
-    "transh": _grad_transh,
-    "transr": _grad_transr,
-    "distmult": _grad_distmult,
-    "complex": _grad_complex,
-    "rotate": _grad_rotate,
-    "simple": _grad_simple,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +883,7 @@ def _query_scores(params, positives, replaced, head) -> np.ndarray:
     out = np.empty(replaced.shape)
     for sl in _chunks(params, *replaced.shape):
         query = _Query(params, positives[sl], replaced[sl], head[sl])
-        out[sl] = _SCORE[params.model](params, query)
+        out[sl] = _FORMULA[params.model](params, query)
     return out
 
 
@@ -955,7 +904,7 @@ def _query_grad(params, groups, coeffs) -> SparseGrad:
             kept = c[sl] != 0.0
             if kept.any():
                 q = _Query(params, positives[sl], replaced[sl], head[sl], kept, acc)
-                _GRAD[params.model](params, q, c[sl])
+                _FORMULA[params.model](params, q, c[sl])
     return acc.finalize()
 
 

@@ -93,7 +93,9 @@ def train(
     ``run_dir`` (optional) receives ``last/`` and ``best/`` checkpoint
     directories at every evaluation point plus a ``train.log`` file.
     ``resume=True`` loads ``run_dir/last`` and continues its epoch count;
-    the stored config hash must match ``config``.
+    the stored config hash must match ``config``. ``train.log`` drops the
+    lines of epochs after the checkpoint's, which the resumed run writes
+    again.
     """
     config.validate()
     spec = LossSpec(
@@ -125,6 +127,7 @@ def train(
             best_metric = best_ckpt.best_metric
         elif history:
             best_metric = max(m for _, m in history)
+        _drop_log_after(os.path.join(run_dir, "train.log"), start_epoch)
     else:
         if config.model == "rgcn":
             params = init_rgcn(
@@ -219,6 +222,19 @@ def train(
         save_checkpoint(last_ckpt, os.path.join(run_dir, "last"))
         save_checkpoint(best_ckpt, os.path.join(run_dir, "best"))
     return TrainResult(best=best_ckpt, last=last_ckpt, log=log, history=history)
+
+
+def _drop_log_after(path: str, epoch: int) -> None:
+    """Cut the log back to its whole lines of epochs up to ``epoch``; a resume rewrites the rest."""
+    if not os.path.exists(path):
+        return
+    keep = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n") or int(line.split(b"\t", 1)[0]) > epoch:
+                break
+            keep += len(line)
+    os.truncate(path, keep)
 
 
 def _step(config, opt, tables, grads, epoch: int, batch: int) -> None:

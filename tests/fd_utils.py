@@ -8,9 +8,9 @@ their unperturbed values: that fixed-weight function is the one whose
 gradient the training code computes (weights are detached by design).
 
 The flat oracle (``flat_scores``, ``flat_score_grad``) runs each model's
-score and gradient formula over explicit triples without the query form:
-rows gathered by fancy indexing, every gradient part kept, and one
-``np.add.at`` per table at the end.
+formula over explicit triples without the query form: rows gathered by
+fancy indexing, every gradient part kept, and one ``np.add.at`` per table
+at the end.
 """
 
 import numpy as np
@@ -106,7 +106,7 @@ class FlatTriples:
 
 
 def flat_scores(params, triples):
-    return models._SCORE[params.model](params, FlatTriples(params, np.asarray(triples)))
+    return models._FORMULA[params.model](params, FlatTriples(params, np.asarray(triples)))
 
 
 def flat_score_grad(params, triples, coeff):
@@ -115,7 +115,7 @@ def flat_score_grad(params, triples, coeff):
     keep = coeff != 0.0
     x = FlatTriples(params, triples[keep])
     if keep.any():
-        models._GRAD[params.model](params, x, coeff[keep])
+        models._FORMULA[params.model](params, x, coeff[keep])
     out = {}
     for name, parts in x.parts.items():
         ids = np.concatenate([p[0] for p in parts])

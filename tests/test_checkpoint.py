@@ -161,6 +161,36 @@ def test_vocab_reference_mismatch_rejected(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("epoch", "x"),
+        ("best_metric", "x"),
+        ("params_version", "1.5"),
+        ("vocab.n_entities", "five"),
+        ("vocab.n_relations", "2.0"),
+        ("history", "1,abc"),
+    ],
+)
+def test_bad_meta_number_names_its_key(tmp_path, key, bad):
+    params = init_params("distmult", 5, 2, 3, seed=0)
+    ckpt = Checkpoint(
+        params=params,
+        opt_state=init_optimizer("sgd", params.tables),
+        epoch=1,
+        best_metric=0.5,
+        config=TrainConfig(model="distmult", dim=3, optimizer="sgd"),
+        history=[(1, 0.5)],
+    )
+    save_checkpoint(ckpt, str(tmp_path))
+    meta = tmp_path / "meta"
+    lines = meta.read_text().splitlines()
+    lines = [f"{key}: {bad}" if l.startswith(f"{key}: ") else l for l in lines]
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=f"^meta {key}: '"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_missing_optimizer_slots_rejected(tmp_path):
     params = init_params("distmult", 5, 2, 3, seed=0)
     state = init_optimizer("adam", params.tables)

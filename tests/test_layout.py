@@ -60,3 +60,17 @@ def test_only_models_imports_a_loss_function():
                     if alias.name.endswith(("_loss", "_loss_grads"))
                 ]
     assert found and all(f.startswith("models.py:") for f in found), found
+
+
+def test_one_formula_per_model():
+    """Each model kind is one function for its score and its gradient."""
+    from kgembed import models
+
+    assert tuple(models._FORMULA) == models.MODEL_KINDS
+    tree = dict(modules())["models.py"]
+    split = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(("_score_", "_grad_"))
+    ]
+    assert not split, split

@@ -191,6 +191,29 @@ def test_early_stop_fires_in_training(matching_kg):
         assert result.last.epoch < 100
 
 
+def test_resume_after_a_crash_writes_the_uninterrupted_log(monkeypatch, toy_kg, tmp_path):
+    """A crash in epoch 4 leaves epoch 3's loss after the epoch-2 checkpoint."""
+    _, kg = toy_kg
+    cfg = tiny_config(check_per_epoch=2, max_epochs=4)
+    train(cfg, kg, run_dir=str(tmp_path / "whole"))
+
+    epoch_fn = train_module._ckge_epoch
+
+    def crash_in_epoch_4(config, kg, params, opt, spec, epoch, *rest):
+        if epoch == 4:
+            raise RuntimeError("crash")
+        return epoch_fn(config, kg, params, opt, spec, epoch, *rest)
+
+    monkeypatch.setattr(train_module, "_ckge_epoch", crash_in_epoch_4)
+    with pytest.raises(RuntimeError, match="crash"):
+        train(cfg, kg, run_dir=str(tmp_path / "crashed"))
+    monkeypatch.setattr(train_module, "_ckge_epoch", epoch_fn)
+    train(cfg, kg, run_dir=str(tmp_path / "crashed"), resume=True)
+
+    whole = (tmp_path / "whole" / "train.log").read_bytes()
+    assert (tmp_path / "crashed" / "train.log").read_bytes() == whole
+
+
 # --- rgcn ------------------------------------------------------------------
 
 
