@@ -19,8 +19,10 @@ entity its slot left alone (the anchor), so a chunk of positives and
 their N corruptions is a [b, N] batch of queries: the relation rows
 (TransR's projections too) are gathered once per positive and broadcast
 over its corruptions, and the entity rows once per corruption. Explicit
-triples (``score``, :func:`score_grad`, a :class:`NegBatch`'s positives)
-are [n, 1] queries, each triple its own tail corruption; a candidate
+triples (``score``, :func:`score_grad`, and in :func:`grad` a
+:class:`NegBatch`'s positives or a :class:`LabeledBatch`'s triples, with
+any soft-labeled triples after them) are [n, 1] queries, each triple its
+own tail corruption; a candidate
 sweep (``score_candidates``) is a [B, n_entities] batch over every
 entity. The formulas see each corruption's rows in the order of its own
 triple, so every score is the same bit for bit whichever batch it comes
@@ -753,22 +755,6 @@ class GradAccumulator:
         return {name: (ids, rows) for name, (ids, rows, _) in self._grads.items()}
 
 
-def add_grads(a: SparseGrad, b: SparseGrad) -> SparseGrad:
-    """The sum of two sparse gradients; a table only one side has passes through as it is."""
-    out = dict(a)
-    for name, part in b.items():
-        if name not in out:
-            out[name] = part
-            continue
-        (ids_a, rows_a), (ids_b, rows_b) = out[name], part
-        ids = np.union1d(ids_a, ids_b)
-        rows = np.zeros((len(ids),) + rows_a.shape[1:])
-        rows[np.searchsorted(ids, ids_a)] = rows_a
-        rows[np.searchsorted(ids, ids_b)] += rows_b
-        out[name] = (ids, rows)
-    return out
-
-
 def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> SparseGrad:
     """Accumulate coeff[i] * d(score_i)/d(params) over the batch, touched rows only.
 
@@ -922,10 +908,11 @@ def _check_anchors(batch: NegBatch) -> None:
         )
 
 
-def _negatives_loss(params, groups, loss_spec: LossSpec) -> tuple[float, np.ndarray, np.ndarray]:
-    """The loss of the positives' and negatives' scores, and its derivative by each score."""
-    pos_scores, neg_scores = (_query_scores(params, *g) for g in groups)
-    pos_scores = pos_scores[:, 0]
+def _negatives_loss(
+    params, pos_scores, negatives, loss_spec: LossSpec
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The loss of the positives' scores and the negatives', and its derivative by each score."""
+    neg_scores = _query_scores(params, *negatives)
     if loss_spec.kind == "margin":
         loss = margin_loss(pos_scores, neg_scores, loss_spec.margin)
         d_pos, d_neg = margin_loss_grads(pos_scores, neg_scores, loss_spec.margin)
@@ -947,33 +934,55 @@ def _negatives_loss(params, groups, loss_spec: LossSpec) -> tuple[float, np.ndar
 
 
 def grad(
-    params: ModelParams, batch: NegBatch | LabeledBatch, loss_spec: LossSpec
+    params: ModelParams,
+    batch: NegBatch | LabeledBatch,
+    loss_spec: LossSpec,
+    soft: LabeledBatch | None = None,
 ) -> tuple[float, SparseGrad]:
     """Batch loss and its sparse gradient over every touched table row.
 
     A :class:`NegBatch` pairs with margin / self_adversarial / bce (labels
     1 for positives, 0 for negatives); a :class:`LabeledBatch` requires bce.
+    ``soft`` (bce only) is a second :class:`LabeledBatch`, such as rule
+    soft labels, whose mean bce is added to the loss. Its triples join the
+    batch's explicit triples in one [n, 1] query group, so the call scores
+    them in one pass and writes one :class:`GradAccumulator`.
     """
     loss_spec.validate()
-    if isinstance(batch, LabeledBatch):
-        if loss_spec.kind != "bce":
-            raise ValueError(f"labeled batches require the bce loss, got {loss_spec.kind!r}")
-        scores = score(params, batch.triples)
-        loss = bce_loss(scores, batch.labels, loss_spec.label_smoothing)
-        d_scores = bce_loss_grads(scores, batch.labels, loss_spec.label_smoothing)
-        return loss, score_grad(params, batch.triples, d_scores)
+    labeled = isinstance(batch, LabeledBatch)
+    if labeled and loss_spec.kind != "bce":
+        raise ValueError(f"labeled batches require the bce loss, got {loss_spec.kind!r}")
+    if soft is not None and loss_spec.kind != "bce":
+        raise ValueError(f"soft labels require the bce loss, got {loss_spec.kind!r}")
+    triples = _check_ids(params, batch.triples if labeled else batch.positives)
+    groups = []
+    if not labeled:
+        if batch.negatives.shape[1] == 0:
+            raise ValueError(
+                f"a negative batch needs at least one negative per positive, "
+                f"got negatives of shape {batch.negatives.shape}"
+            )
+        _check_ids(params, batch.negatives.reshape(-1, 3))
+        _check_anchors(batch)
+        head = batch.slot == HEAD
+        replaced = np.where(head, batch.negatives[..., 0], batch.negatives[..., 2])
+        groups.append((triples, replaced, head))
+    explicit = triples
+    if soft is not None:
+        explicit = np.concatenate([triples, _check_ids(params, soft.triples)])
+    groups.insert(0, _as_queries(explicit))
+    scores = _query_scores(params, *groups[0])[:, 0]
+    batch_scores, soft_scores = scores[: len(triples)], scores[len(triples) :]
 
-    b, n = batch.negatives.shape[:2]
-    if n == 0:
-        raise ValueError(
-            f"a negative batch needs at least one negative per positive, "
-            f"got negatives of shape {batch.negatives.shape}"
-        )
-    positives = _check_ids(params, batch.positives)
-    _check_ids(params, batch.negatives.reshape(-1, 3))
-    _check_anchors(batch)
-    head = batch.slot == HEAD
-    replaced = np.where(head, batch.negatives[..., 0], batch.negatives[..., 2])
-    groups = [_as_queries(positives), (positives, replaced, head)]
-    loss, d_pos, d_neg = _negatives_loss(params, groups, loss_spec)
-    return loss, _query_grad(params, groups, (d_pos[:, None], d_neg))
+    smoothing = loss_spec.label_smoothing
+    if labeled:
+        loss = bce_loss(batch_scores, batch.labels, smoothing)
+        coeffs = [bce_loss_grads(batch_scores, batch.labels, smoothing)]
+    else:
+        loss, d_pos, d_neg = _negatives_loss(params, batch_scores, groups[1], loss_spec)
+        coeffs = [d_pos, d_neg]
+    if len(soft_scores):
+        loss += bce_loss(soft_scores, soft.labels, smoothing)
+        coeffs[0] = np.concatenate([coeffs[0], bce_loss_grads(soft_scores, soft.labels, smoothing)])
+    coeffs[0] = coeffs[0][:, None]
+    return loss, _query_grad(params, groups, coeffs)

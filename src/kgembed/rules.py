@@ -9,20 +9,26 @@ bodies, the closed-form label for an unlabeled conclusion u is
 summing over groundings g whose conclusion is u. Training alternates:
 predict soft labels for the current parameters, then take one gradient
 step on cross-entropy toward them (labels held constant). The base
-model is ComplEx. Both cross-entropy terms are :func:`models.grad` under
-bce, one over the sampled batch and one over the soft-labeled triples.
+model is ComplEx. The step is one :func:`models.grad` call under bce:
+the soft-labeled triples are its ``soft`` input, scored and
+differentiated with the sampled batch's explicit triples.
+
+Soft labels are computed in array form: the pool and every body atom of
+its groundings are scored in one call, the product t-norm is t0 * t1
+over the [G, 2] body truths (a one-atom body's second truth is 1), and
+the push is one weighted ``np.bincount`` over the groundings in list
+order.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Grounding
 from .losses import LossSpec, sigmoid
-from .models import ModelParams, SparseGrad, add_grads, grad, score
+from .models import ModelParams, SparseGrad, grad, score
 from .sampling import LabeledBatch, NegBatch
 
 
@@ -53,13 +59,8 @@ def triple_truth(params: ModelParams, triples: np.ndarray) -> np.ndarray:
 
 def unlabeled_conclusions(groundings: list[Grounding]) -> np.ndarray:
     """Deduplicated conclusions not present in train, in first-seen order."""
-    seen: dict[tuple[int, int, int], None] = {}
-    for g in groundings:
-        if not g.in_train:
-            seen.setdefault(g.conclusion, None)
-    if not seen:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.array(list(seen), dtype=np.int64)
+    seen = dict.fromkeys(g.conclusion for g in groundings if not g.in_train)
+    return np.array(list(seen), dtype=np.int64).reshape(-1, 3)
 
 
 def predict_soft_labels(
@@ -78,39 +79,19 @@ def predict_soft_labels(
     if pool is None:
         pool = unlabeled_conclusions(groundings)
     pool = np.asarray(pool, dtype=np.int64).reshape(-1, 3)
-    if len(pool) == 0:
-        return SoftLabelSet(
-            triples=pool,
-            labels=np.zeros(0),
-            rule_weight=rule_weight,
-            params_version=params.version,
-        )
-
-    labels = triple_truth(params, pool)
-
-    index = {tuple(t): i for i, t in enumerate(pool.tolist())}
-    by_conclusion: dict[int, list[Grounding]] = defaultdict(list)
-    for g in groundings:
-        i = index.get(g.conclusion)
-        if i is not None:
-            by_conclusion[i].append(g)
-
-    if by_conclusion and rule_weight != 0.0:
-        push = np.zeros(len(pool))
-        body_triples = []
-        body_slices = []
-        conf = []
-        owner = []
-        for i, gs in by_conclusion.items():
-            for g in gs:
-                start = len(body_triples)
-                body_triples.extend(g.body_triples)
-                body_slices.append((start, len(body_triples)))
-                conf.append(g.confidence)
-                owner.append(i)
-        truths = triple_truth(params, np.array(body_triples, dtype=np.int64))
-        for (start, end), lam, i in zip(body_slices, conf, owner):
-            push[i] += lam * float(np.prod(truths[start:end]))
+    index = {t: i for i, t in enumerate(map(tuple, pool.tolist()))}
+    hits = [g for g in groundings if g.conclusion in index] if rule_weight != 0.0 else []
+    atoms = np.array([a for g in hits for a in g.body_triples], dtype=np.int64).reshape(-1, 3)
+    truths = triple_truth(params, np.concatenate([pool, atoms]))
+    labels = truths[: len(pool)]
+    if hits:
+        body = np.ones((len(hits), 2))
+        present = np.ones((len(hits), 2), dtype=bool)
+        present[:, 1] = [len(g.body_triples) == 2 for g in hits]
+        body[present] = truths[len(pool) :]
+        owner = np.array([index[g.conclusion] for g in hits])
+        conf = np.array([g.confidence for g in hits])
+        push = np.bincount(owner, weights=conf * (body[:, 0] * body[:, 1]), minlength=len(pool))
         labels = labels + rule_weight * push
     return SoftLabelSet(
         triples=pool,
@@ -133,14 +114,13 @@ def ruge_loss(params: ModelParams, batch: NegBatch | LabeledBatch, soft: SoftLab
 def ruge_grad(
     params: ModelParams, batch: NegBatch | LabeledBatch, soft: SoftLabelSet
 ) -> tuple[float, SparseGrad]:
-    """Loss and sparse gradient of :func:`ruge_loss`, soft labels constant."""
+    """Loss and sparse gradient of :func:`ruge_loss`, soft labels constant.
+
+    One :func:`models.grad` call under bce with the soft-labeled triples as
+    its ``soft`` input, so the whole step writes one gradient accumulator.
+    """
     _check_fresh(params, soft)
-    bce = LossSpec("bce")
-    loss, grads = grad(params, batch, bce)
-    if len(soft.triples):
-        soft_loss, soft_grads = grad(params, LabeledBatch(soft.triples, soft.labels), bce)
-        loss, grads = loss + soft_loss, add_grads(grads, soft_grads)
-    return loss, grads
+    return grad(params, batch, LossSpec("bce"), soft=LabeledBatch(soft.triples, soft.labels))
 
 
 def _check_fresh(params: ModelParams, soft: SoftLabelSet) -> None:

@@ -121,7 +121,7 @@ def _corrupt(
         bi, bj = bad.nonzero()
         redraw = rng.integers(0, m, size=len(bi), dtype=np.int64)
         negatives[bi, bj, cols[bi, bj]] = redraw
-        bad = in_train(negatives)
+        bad[bi, bj] = in_train(negatives[bi, bj])  # the others were accepted already
     return NegBatch(positives=positives, negatives=negatives, slot=slot, fallback=bad)
 
 

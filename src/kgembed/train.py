@@ -95,7 +95,8 @@ def train(
     ``resume=True`` loads ``run_dir/last`` and continues its epoch count;
     the stored config hash must match ``config``. ``train.log`` drops the
     lines of epochs after the checkpoint's, which the resumed run writes
-    again.
+    again. A run that had stopped early is returned as loaded, with
+    nothing trained or written.
     """
     config.validate()
     spec = LossSpec(
@@ -123,6 +124,8 @@ def train(
         history = list(last.history)
         best_path = os.path.join(run_dir, "best")
         best_ckpt = load_checkpoint(best_path) if os.path.exists(best_path) else None
+        if early_stop(history, config.patience):  # the run had finished: leave it as it is
+            return TrainResult(best=best_ckpt or last, last=last, log=[], history=history)
         if best_ckpt is not None and math.isfinite(best_ckpt.best_metric):
             best_metric = best_ckpt.best_metric
         elif history:

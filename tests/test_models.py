@@ -16,7 +16,6 @@ from kgembed.losses import (
 from kgembed.models import (
     MODEL_KINDS,
     ModelParams,
-    add_grads,
     fast_candidates,
     grad,
     init_params,
@@ -519,6 +518,55 @@ def test_grad_labeled_batch_requires_bce():
         grad(params, lb, LossSpec("margin"))
 
 
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+@pytest.mark.parametrize("model,p", GRAD_MODELS)
+def test_labeled_grad_with_soft_matches_flat_reference(monkeypatch, model, p, smoothing):
+    """Soft triples share rows with the batch's, and chunks of 3 straddle the two."""
+    params = grad_params(model, p)
+    rng = np.random.default_rng(43)
+    triples = np.stack([rng.integers(0, 10, 7), rng.integers(0, 4, 7), rng.integers(0, 10, 7)], 1)
+    soft_triples = np.stack([rng.integers(0, 10, 5), rng.integers(0, 4, 5), rng.integers(0, 10, 5)], 1)
+    soft_triples[0] = triples[2]
+    labels, soft_labels = rng.random(7), rng.random(5)
+    chunk_positives(monkeypatch, params, 1, 3)
+    spec = LossSpec("bce", label_smoothing=smoothing)
+    loss, grads = grad(
+        params, LabeledBatch(triples, labels), spec, soft=LabeledBatch(soft_triples, soft_labels)
+    )
+    s, s_soft = flat_scores(params, triples), flat_scores(params, soft_triples)
+    ref_loss = bce_loss(s, labels, smoothing) + bce_loss(s_soft, soft_labels, smoothing)
+    coeff = np.concatenate(
+        [bce_loss_grads(s, labels, smoothing), bce_loss_grads(s_soft, soft_labels, smoothing)]
+    )
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert_grads_match(grads, flat_score_grad(params, np.concatenate([triples, soft_triples]), coeff))
+
+
+def test_grad_soft_requires_bce():
+    params = init_params("distmult", 6, 2, 4, seed=19)
+    soft = LabeledBatch(np.array([[2, 1, 3]]), np.array([0.5]))
+    batch = neg_batch(np.array([[0, 0, 1]]), np.array([[TAIL]]), np.array([[4]]))
+    for spec in (LossSpec("margin"), LossSpec("self_adversarial")):
+        with pytest.raises(ValueError, match=f"soft labels require the bce loss, got '{spec.kind}'"):
+            grad(params, batch, spec, soft=soft)
+
+
+@pytest.mark.parametrize(
+    "triple,message",
+    [([0, 0, 6], r"entity id 6 out of range \(6 entities\)"),
+     ([0, 2, 1], r"relation id 2 out of range \(2 relations\)")],
+    ids=["entity", "relation"],
+)
+def test_grad_soft_rejects_an_out_of_range_id(triple, message):
+    params = init_params("distmult", 6, 2, 4, seed=20)
+    soft = LabeledBatch(np.array([[1, 1, 2], triple]), np.array([0.5, 0.5]))
+    labeled = LabeledBatch(np.array([[0, 0, 1]]), np.array([1.0]))
+    batch = neg_batch(np.array([[0, 0, 1]]), np.array([[TAIL]]), np.array([[4]]))
+    for b in (labeled, batch):
+        with pytest.raises(ValueError, match=message):
+            grad(params, b, LossSpec("bce"), soft=soft)
+
+
 @pytest.mark.parametrize("model", MODEL_KINDS)
 def test_chunks_size_a_positive_by_what_it_gathers(model):
     # a positive gathers n rows of each entity table and one of each relation table
@@ -531,37 +579,6 @@ def test_chunks_size_a_positive_by_what_it_gathers(model):
             assert step == models._GRAD_CHUNK_ELEMS // (64 * 64)
         else:  # as when the widest row of any table was counted n times
             assert step == max(1, models._GRAD_CHUNK_ELEMS // (n * widest)), n
-
-
-def sparse(ids, rows):
-    return np.array(ids), np.array(rows, dtype=np.float64)
-
-
-def test_add_grads_passes_disjoint_tables_through():
-    a = {"ent": sparse([1, 4], [[1.0, 2.0], [3.0, 4.0]])}
-    b = {"proj": sparse([0], [[[5.0, 6.0], [7.0, 8.0]]])}
-    out = add_grads(a, b)
-    assert list(out) == ["ent", "proj"]
-    assert out["ent"] is a["ent"] and out["proj"] is b["proj"]
-
-
-def test_add_grads_sums_overlapping_ids():
-    a = {"ent": sparse([1, 4], [[1.0, 2.0], [3.0, 4.0]]), "rel": sparse([2], [[0.5, 0.25]])}
-    b = {"ent": sparse([0, 4, 7], [[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])}
-    out = add_grads(a, b)
-    ids, rows = out["ent"]
-    assert ids.tolist() == [0, 1, 4, 7]
-    assert rows.tolist() == [[10.0, 20.0], [1.0, 2.0], [33.0, 44.0], [50.0, 60.0]]
-    assert out["rel"] is a["rel"]
-    assert a["ent"][1].tolist() == [[1.0, 2.0], [3.0, 4.0]]  # the inputs are left alone
-
-
-def test_add_grads_with_an_empty_side_is_the_other_side():
-    a = {"ent": sparse([1, 4], [[1.0, 2.0], [3.0, 4.0]]), "rel": sparse([2], [[0.5, 0.25]])}
-    for out in (add_grads(a, {}), add_grads({}, a)):
-        assert list(out) == list(a)
-        assert all(out[name] is a[name] for name in a)
-    assert add_grads({}, {}) == {}
 
 
 # --- renormalization -------------------------------------------------------

@@ -1,6 +1,9 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from kgembed import models, rules
 from kgembed.data import Grounding
 from kgembed.losses import LossSpec, bce_loss, bce_loss_grads, sigmoid
 from kgembed.models import grad, init_params, score, score_grad
@@ -109,6 +112,56 @@ def test_soft_label_clipped_to_one():
     gs = [g((0, 1, 2), [(0, 0, 2)], conf=1.0)]
     soft = predict_soft_labels(params, gs, rule_weight=1000.0)
     assert soft.labels[0] == 1.0
+
+
+def loop_soft_labels(params, groundings, rule_weight, pool):
+    """Soft labels by a dict over the pool and one ``np.prod`` per grounding."""
+    labels = triple_truth(params, pool)
+    index = {tuple(t): i for i, t in enumerate(pool.tolist())}
+    by_conclusion = defaultdict(list)
+    for gr in groundings:
+        i = index.get(gr.conclusion)
+        if i is not None:
+            by_conclusion[i].append(gr)
+    if by_conclusion and rule_weight != 0.0:
+        push = np.zeros(len(pool))
+        body_triples, body_slices, conf, owner = [], [], [], []
+        for i, gs in by_conclusion.items():
+            for gr in gs:
+                start = len(body_triples)
+                body_triples.extend(gr.body_triples)
+                body_slices.append((start, len(body_triples)))
+                conf.append(gr.confidence)
+                owner.append(i)
+        truths = triple_truth(params, np.array(body_triples, dtype=np.int64))
+        for (start, end), lam, i in zip(body_slices, conf, owner):
+            push[i] += lam * float(np.prod(truths[start:end]))
+        labels = labels + rule_weight * push
+    return np.clip(labels, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.02, 0.1, 3.0])
+def test_soft_labels_equal_the_grounding_loop_bitwise(weight):
+    """1- and 2-atom bodies, 3 to 13 groundings per conclusion, interleaved in the list."""
+    params = init_params("complex", 12, 4, 6, seed=8)
+    params.tables["ent"] *= 0.2  # truths in 0.2-0.7; at weight 3 every label clips
+    rng = np.random.default_rng(9)
+    conclusions = [(int(h), 3, int(t)) for h, t in rng.integers(0, 12, (6, 2))]
+    gs = []
+    for _ in range(40):
+        h, _, t = conclusions[rng.integers(len(conclusions))]
+        y = int(rng.integers(12))
+        bodies = [(h, 0, t)] if rng.random() < 0.4 else [(h, 1, y), (y, 2, t)]
+        gs.append(g((h, 3, t), bodies, conf=float(rng.uniform(0.1, 1.0))))
+    unlabeled = unlabeled_conclusions(gs)
+    # a subset in another order, with one conclusion no grounding reaches
+    pool = np.concatenate([unlabeled[::-2], [[11, 0, 11]]])
+    for p in (unlabeled, pool):
+        got = predict_soft_labels(params, gs, weight, pool=p)
+        assert got.labels.tobytes() == loop_soft_labels(params, gs, weight, p).tobytes()
+    assert predict_soft_labels(params, gs, weight).labels.tobytes() == (
+        loop_soft_labels(params, gs, weight, unlabeled).tobytes()
+    )
 
 
 def test_soft_labels_monotone_in_weight():
@@ -250,6 +303,28 @@ def test_ruge_grad_on_a_neg_batch_is_flat_bce_plus_soft_bce(cparams):
     for table, (ids, rows) in expected.items():
         assert np.array_equal(grads[table][0], ids), table
         assert np.allclose(grads[table][1], rows, rtol=1e-12, atol=1e-15), table
+
+
+def test_a_ruge_step_is_one_grad_call_with_one_accumulator(monkeypatch, cparams):
+    calls = {"grad": 0, "accumulators": 0}
+    plain_grad = rules.grad
+
+    def counted_grad(*args, **kwargs):
+        calls["grad"] += 1
+        return plain_grad(*args, **kwargs)
+
+    class CountedAccumulator(models.GradAccumulator):
+        def __init__(self, *args):
+            calls["accumulators"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(rules, "grad", counted_grad)
+    monkeypatch.setattr(models, "GradAccumulator", CountedAccumulator)
+    batch = neg_batch(np.random.default_rng(13), 10, 4, 7, 5)
+    soft = predict_soft_labels(cparams, shared_row_groundings(batch), rule_weight=0.5)
+    assert len(soft.triples)
+    ruge_grad(cparams, batch, soft)
+    assert calls == {"grad": 1, "accumulators": 1}
 
 
 def test_ruge_grad_on_a_neg_batch_at_zero_weight_is_plain_grad(cparams):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kgembed import sampling
 from kgembed.sampling import (
     HEAD,
+    RETRY_CAP,
     TAIL,
     all_negatives,
     bern_negatives,
@@ -108,6 +110,66 @@ def test_uniform_rejects_zero_negatives(toy_kg):
     _, kg = toy_kg
     with pytest.raises(ValueError, match="n_neg"):
         uniform_negatives(kg, kg.train, 0, seed=0)
+
+
+def corrupt_rechecking_everything(kg, positives, n_neg, head_prob, rng, node_ids=None):
+    """The corruption loop as it was when every round re-checked all B x N negatives.
+
+    Returns the batch and the number of redraw rounds that ran.
+    """
+    b = positives.shape[0]
+    m = kg.n_entities if node_ids is None else len(node_ids)
+    slot = np.where(rng.random((b, n_neg)) < head_prob, HEAD, TAIL).astype(np.uint8)
+    negatives = np.repeat(positives[:, None, :], n_neg, axis=1)
+    cols = np.where(slot == HEAD, 0, 2)
+    rows = np.arange(b)[:, None]
+    negs = np.arange(n_neg)[None, :]
+
+    def in_train(tr):
+        if node_ids is not None:
+            tr = tr.copy()
+            tr[..., 0] = node_ids[tr[..., 0]]
+            tr[..., 2] = node_ids[tr[..., 2]]
+        return kg.in_train(tr)
+
+    negatives[rows, negs, cols] = rng.integers(0, m, size=(b, n_neg), dtype=np.int64)
+    bad = in_train(negatives)
+    rounds = 0
+    for _ in range(RETRY_CAP):
+        if not bad.any():
+            break
+        bi, bj = bad.nonzero()
+        redraw = rng.integers(0, m, size=len(bi), dtype=np.int64)
+        negatives[bi, bj, cols[bi, bj]] = redraw
+        bad = in_train(negatives)
+        rounds += 1
+    return (negatives, slot, bad), rounds
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["plain", "node_ids"])
+def test_corrupt_rechecking_redraws_only_equals_rechecking_everything(local):
+    """On a dense KG, where negatives collide for 6 to 10 rounds, the draws are the same."""
+    rng = np.random.default_rng(41)
+    _, kg = make_kg(random_label_triples(rng, 20, 2, 300))
+    node_ids = np.arange(2, kg.n_entities) if local else None
+    positives = kg.train[:60]
+    if local:  # positives as indices into node_ids
+        positives = positives[(positives[:, [0, 2]] >= 2).all(axis=1)].copy()
+        positives[:, [0, 2]] -= 2
+    head_prob = np.linspace(0.1, 0.9, len(positives))[:, None]
+    rounds_run = []
+    for seed in range(5):
+        got = sampling._corrupt(
+            kg, positives, 16, head_prob, np.random.default_rng(seed), node_ids
+        )
+        (negatives, slot, bad), rounds = corrupt_rechecking_everything(
+            kg, positives, 16, head_prob, np.random.default_rng(seed), node_ids
+        )
+        rounds_run.append(rounds)
+        assert got.negatives.tobytes() == negatives.tobytes()
+        assert got.slot.tobytes() == slot.tobytes()
+        assert got.fallback.tobytes() == bad.tobytes()
+    assert min(rounds_run) >= 3 and min(rounds_run) < RETRY_CAP  # some runs end before the cap
 
 
 # --- Bernoulli -------------------------------------------------------------

@@ -214,6 +214,27 @@ def test_resume_after_a_crash_writes_the_uninterrupted_log(monkeypatch, toy_kg, 
     assert (tmp_path / "crashed" / "train.log").read_bytes() == whole
 
 
+def test_resume_after_an_early_stop_trains_nothing(matching_kg, tmp_path):
+    """The run stops at epoch 4; resuming it leaves the epoch, the log and ``last/`` alone."""
+    _, kg = matching_kg
+    cfg = tiny_config(
+        model="transe", lr=0.5, max_epochs=100, check_per_epoch=1, patience=2, seed=3
+    )
+    run_dir = tmp_path / "run"
+    first = train(cfg, kg, run_dir=str(run_dir))
+    assert first.log[-1].startswith("4\tvalid\tearly_stop")
+
+    def files(d):
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+    log, last = (run_dir / "train.log").read_bytes(), files(run_dir / "last")
+    resumed = train(cfg, kg, run_dir=str(run_dir), resume=True)
+    assert resumed.last.epoch == first.last.epoch == 4
+    assert resumed.history == first.history
+    assert (run_dir / "train.log").read_bytes() == log
+    assert files(run_dir / "last") == last
+
+
 # --- rgcn ------------------------------------------------------------------
 
 
