@@ -13,18 +13,17 @@ cross-entropy against those labels alongside the observed triples.
 import os
 
 from kgembed import TrainConfig, ground_rules, load_kg, load_rules, predict_soft_labels
+from kgembed.rules import unlabeled_conclusions
 from kgembed.train import final_report, train
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "countries")
 vocab, kg = load_kg(DATA)
 rules = load_rules(os.path.join(DATA, "rules.txt"), vocab)
-groundings = ground_rules(rules, kg)
+groundings = ground_rules(rules, kg)  # one table of arrays, one row per grounding
 
 print(f"{len(groundings)} groundings; conclusions not yet in train:")
-for g in groundings:
-    if not g.in_train:
-        h, r, t = g.conclusion
-        print(f"  ({vocab.id_to_entity[h]}, {vocab.id_to_relation[r]}, {vocab.id_to_entity[t]})")
+for h, r, t in unlabeled_conclusions(groundings).tolist():
+    print(f"  ({vocab.id_to_entity[h]}, {vocab.id_to_relation[r]}, {vocab.id_to_entity[t]})")
 
 
 def run(rule_weight):

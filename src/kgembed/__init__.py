@@ -8,7 +8,7 @@ search, all on numpy.
 __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
-    Grounding,
+    Groundings,
     IndexedKG,
     Rule,
     Vocab,

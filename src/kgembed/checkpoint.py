@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,12 @@ def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     """Write the checkpoint; the directory is created if needed.
 
-    On any write failure the files written so far are removed before the
-    error propagates, so a directory never holds a partial checkpoint.
+    The files go into the sibling ``<directory>.tmp``, which takes the
+    directory's place once all are written. On a failure only that
+    temporary directory is removed, so the previous checkpoint stays.
     """
-    os.makedirs(directory, exist_ok=True)
+    directory = os.path.normpath(directory)
+    tmp, old = directory + ".tmp", directory + ".old"
     params = ckpt.params
     lines = [
         f"format: {FORMAT_VERSION}",
@@ -98,31 +101,29 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     if isinstance(params, RGCNModel):
         lines.append(f"rgcn.activations: {','.join(l.activation for l in params.layers)}")
 
-    written: list[str] = []
+    os.makedirs(directory, exist_ok=True)
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
     try:
         for name, arr in param_tables(params).items():
-            path = os.path.join(directory, f"param__{name}.bin")
-            written.append(path)
-            sha = _write_table(path, arr)
+            sha = _write_table(os.path.join(tmp, f"param__{name}.bin"), arr)
             lines.append(f"table.{name}: {_shape_str(arr.shape)} {sha}")
         lines.append(f"optimizer: {ckpt.opt_state.kind}")
         for tname, slots in ckpt.opt_state.slots.items():
             for sname, arr in slots.items():
-                path = os.path.join(directory, f"opt__{tname}__{sname}.bin")
-                written.append(path)
-                sha = _write_table(path, arr)
+                sha = _write_table(os.path.join(tmp, f"opt__{tname}__{sname}.bin"), arr)
                 lines.append(f"opt.{tname}.{sname}: {_shape_str(arr.shape)} {sha}")
-        meta = os.path.join(directory, "meta")
-        written.append(meta)
-        with open(meta, "w", encoding="utf-8") as fh:
+        with open(os.path.join(tmp, "meta"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    except Exception:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        shutil.rmtree(old, ignore_errors=True)
+        os.replace(directory, old)
+        os.replace(tmp, directory)
+    except BaseException:
+        if not os.path.exists(directory):
+            os.replace(old, directory)
+        shutil.rmtree(tmp, ignore_errors=True)
         raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(directory: str) -> Checkpoint:

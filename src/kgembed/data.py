@@ -7,8 +7,8 @@ layout of the public FB15K-237 / WN18RR distributions).
 One structure answers "which triples are known": :class:`TripleIndex`,
 the distinct triples of an id array as two sorted int64 key arrays,
 (h*R + r)*E + t and (r*E + t)*E + h. It serves train membership, the
-Bernoulli statistics, the 1-vs-all labels, rule grounding, and (over all
-three splits) evaluation filtering.
+Bernoulli statistics, the 1-vs-all labels, rule grounding and the lookup
+of grounded conclusions, and (over all three splits) evaluation filtering.
 """
 
 from __future__ import annotations
@@ -86,13 +86,22 @@ class TripleIndex:
             key = key * n + ids
         return key
 
-    def contains(self, triples) -> np.ndarray:
-        """Whether each [..., 3] id row is an indexed triple."""
+    def _lookup(self, triples) -> tuple[np.ndarray, np.ndarray]:
+        """Each [..., 3] id row's insertion point in ``hrt``, and whether it is there."""
         keys = self._keys(triples, (0, 1, 2))
         if not len(self.hrt):
-            return np.zeros(keys.shape, dtype=bool)
+            return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
         pos = np.minimum(np.searchsorted(self.hrt, keys), len(self.hrt) - 1)
-        return self.hrt[pos] == keys
+        return pos, self.hrt[pos] == keys
+
+    def contains(self, triples) -> np.ndarray:
+        """Whether each [..., 3] id row is an indexed triple."""
+        return self._lookup(triples)[1]
+
+    def find(self, triples) -> np.ndarray:
+        """Each [..., 3] id row's position in ``hrt``, or -1 where it is not indexed."""
+        pos, found = self._lookup(triples)
+        return np.where(found, pos, -1)
 
     def completions(self, queries, slot: int) -> tuple[np.ndarray, np.ndarray]:
         """Indexed completions of each [n, 3] query's open slot, as CSR pairs.
@@ -165,14 +174,32 @@ class Rule:
             raise DataFormatError(f"rule confidence must be in (0, 1], got {self.confidence}")
 
 
-@dataclass(frozen=True)
-class Grounding:
-    """A rule instance with all variables bound to concrete entities."""
+@dataclass(frozen=True, eq=False)
+class Groundings:
+    """Rule groundings as one table of arrays, in grounding order.
 
-    body_triples: tuple[tuple[int, int, int], ...]
-    conclusion: tuple[int, int, int]
-    confidence: float
-    in_train: bool = False
+    Row g concludes ``conclusions[g]`` from ``bodies[g]`` (a one-atom body's
+    second atom is all -1) with ``confidence[g]``; ``in_train[g]`` marks one in train.
+    """
+
+    conclusions: np.ndarray  # [G, 3] int64
+    bodies: np.ndarray  # [G, 2, 3] int64
+    confidence: np.ndarray  # [G] float64
+    in_train: np.ndarray  # [G] bool
+    n_entities: int
+    n_relations: int
+    # built on construction: an index over the distinct conclusions, and
+    # each row's position in its ``hrt``
+    index: TripleIndex = field(init=False, repr=False)
+    slot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        index = TripleIndex(self.conclusions, self.n_entities, self.n_relations)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "slot", index.find(self.conclusions))
+
+    def __len__(self) -> int:
+        return len(self.conclusions)
 
 
 def load_triples(path: str) -> list[Triple]:
@@ -315,52 +342,50 @@ def load_rules(path: str, vocab: Vocab) -> list[Rule]:
     return rules
 
 
-def ground_rules(rules: list[Rule], kg: IndexedKG) -> list[Grounding]:
-    """Instantiate every rule against the train split.
+def ground_rules(rules: list[Rule], kg: IndexedKG) -> Groundings:
+    """Instantiate every rule against the train split, in rule order.
 
     One-atom rules yield one grounding per train triple of the body
     relation; chain rules yield one grounding per joinable triple pair.
     Conclusions already present in train are kept, flagged ``in_train``.
     """
-    parts = []
+    parts = [(np.zeros((0, 3), np.int64), np.zeros((0, 2, 3), np.int64), np.zeros(0))]
     for rule in rules:
         first = kg.train[kg.train[:, 1] == rule.body_relations[0]]  # train order, duplicates kept
         if len(rule.body_relations) == 1:
-            body = first[:, None]
+            last, body = first, np.stack([first, np.full_like(first, -1)], axis=1)
         else:  # join r1(x, y) with every train r2(y, z), z ascending
             probe = first[:, [2, 1, 0]]
             probe[:, 1] = rule.body_relations[1]
             rows, z = kg.train_index.completions(probe, TAIL)
-            second = np.stack([first[rows, 2], probe[rows, 1], z], axis=1)
-            body = np.stack([first[rows], second], axis=1)
-        concl = np.stack([body[:, 0, 0], np.full(len(body), rule.head_relation), body[:, -1, 2]], 1)
-        parts.append((rule.confidence, body.tolist(), concl))
-    concls = np.concatenate([c for _, _, c in parts]) if parts else np.zeros((0, 3), np.int64)
-    flags = iter(kg.in_train(concls).tolist())
-    return [
-        Grounding(tuple(map(tuple, b)), tuple(c), conf, next(flags))
-        for conf, bodies, concl in parts
-        for b, c in zip(bodies, concl.tolist())
-    ]
+            last = np.stack([first[rows, 2], probe[rows, 1], z], axis=1)
+            body = np.stack([first[rows], last], axis=1)
+        concl = np.stack([body[:, 0, 0], np.full(len(body), rule.head_relation), last[:, 2]], 1)
+        parts.append((concl, body, np.full(len(body), rule.confidence)))
+    conclusions, bodies, confidence = (np.concatenate(column) for column in zip(*parts))
+    flags = kg.in_train(conclusions)
+    return Groundings(conclusions, bodies, confidence, flags, kg.n_entities, kg.n_relations)
 
 
-def write_groundings(groundings: list[Grounding], path: str) -> None:
+def write_groundings(groundings: Groundings, path: str) -> None:
     """Write groundings, one per line: ``conf<TAB>h,r,t<TAB>body1[<TAB>body2]`` (id triples)."""
+    g = groundings
+    rows = zip(g.confidence.tolist(), g.conclusions.tolist(), g.bodies.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for g in groundings:
-            parts = [f"{g.confidence:g}", ",".join(map(str, g.conclusion))]
-            parts += [",".join(map(str, b)) for b in g.body_triples]
-            fh.write("\t".join(parts) + "\n")
+        for conf, concl, body in rows:
+            atoms = [concl] + [atom for atom in body if atom[0] >= 0]
+            fh.write("\t".join([f"{conf:g}"] + [",".join(map(str, t)) for t in atoms]) + "\n")
 
 
-def read_groundings(path: str, kg: IndexedKG) -> list[Grounding]:
+def read_groundings(path: str, kg: IndexedKG) -> Groundings:
     """Read a groundings file written by :func:`write_groundings`.
 
-    The ``in_train`` flag is recomputed against ``kg`` rather than stored.
+    The ``in_train`` flag is recomputed against ``kg`` rather than stored; a
+    confidence outside (0, 1] or an id outside ``kg`` raises :class:`DataFormatError`.
     """
     if not os.path.exists(path):
         raise DataFormatError(f"groundings file not found: {path}")
-    parsed: list[tuple[float, list]] = []
+    confidence, atoms, two = [], [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -371,23 +396,23 @@ def read_groundings(path: str, kg: IndexedKG) -> list[Grounding]:
                 raise DataFormatError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
             try:
                 conf = float(fields[0])
-                triples = [tuple(int(x) for x in f.split(",")) for f in fields[1:]]
+                triples = [[int(x) for x in f.split(",")] for f in fields[1:]]
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: malformed grounding line") from None
             if any(len(t) != 3 for t in triples):
                 raise DataFormatError(f"{path}:{lineno}: triples must be h,r,t")
-            parsed.append((conf, triples))
-    conclusions = [t[0] for _, t in parsed]
-    bodies = [b for _, t in parsed for b in t[1:]]
+            if not 0.0 < conf <= 1.0:
+                raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
+            confidence.append(conf)
+            atoms.append(triples + [[-1, -1, -1]] * (4 - len(fields)))
+            two.append(len(fields) == 4)
+    atoms = np.array(atoms, dtype=np.int64).reshape(-1, 3, 3)
     try:  # one lookup range-checks every triple; only the conclusions' flags are kept
-        every = np.array(conclusions + bodies, dtype=np.int64).reshape(-1, 3)
-        flags = kg.in_train(every)[: len(parsed)]
+        flags = kg.in_train(np.concatenate([atoms[:, 0], atoms[:, 1], atoms[two, 2]]))[: len(atoms)]
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
-    return [
-        Grounding(body_triples=tuple(t[1:]), conclusion=t[0], confidence=conf, in_train=flag)
-        for (conf, t), flag in zip(parsed, flags.tolist())
-    ]
+    confidence = np.array(confidence, dtype=np.float64)
+    return Groundings(atoms[:, 0], atoms[:, 1:], confidence, flags, kg.n_entities, kg.n_relations)
 
 
 def write_vocab(vocab: Vocab, directory: str) -> None:

@@ -19,10 +19,9 @@ entity its slot left alone (the anchor), so a chunk of positives and
 their N corruptions is a [b, N] batch of queries: the relation rows
 (TransR's projections too) are gathered once per positive and broadcast
 over its corruptions, and the entity rows once per corruption. Explicit
-triples (``score``, :func:`score_grad`, and in :func:`grad` a
-:class:`NegBatch`'s positives or a :class:`LabeledBatch`'s triples, with
-any soft-labeled triples after them) are [n, 1] queries, each triple its
-own tail corruption; a candidate
+triples (``score``, and in :func:`grad` a :class:`NegBatch`'s positives
+or a :class:`LabeledBatch`'s triples, with any soft-labeled triples after
+them) are [n, 1] queries, each triple its own tail corruption; a candidate
 sweep (``score_candidates``) is a [B, n_entities] batch over every
 entity. The formulas see each corruption's rows in the order of its own
 triple, so every score is the same bit for bit whichever batch it comes
@@ -753,19 +752,6 @@ class GradAccumulator:
 
     def finalize(self) -> SparseGrad:
         return {name: (ids, rows) for name, (ids, rows, _) in self._grads.items()}
-
-
-def score_grad(params: ModelParams, triples: np.ndarray, coeff: np.ndarray) -> SparseGrad:
-    """Accumulate coeff[i] * d(score_i)/d(params) over the batch, touched rows only.
-
-    Triples whose coefficient is exactly zero contribute nothing and do
-    not mark rows as touched.
-    """
-    triples = _check_ids(params, triples)
-    coeff = np.asarray(coeff, dtype=np.float64).reshape(-1)
-    if len(coeff) != len(triples):
-        raise ValueError("coeff length must match triples")
-    return _query_grad(params, [_as_queries(triples)], [coeff[:, None]])
 
 
 def _scaled(rows, coef: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ model is ComplEx. The step is one :func:`models.grad` call under bce:
 the soft-labeled triples are its ``soft`` input, scored and
 differentiated with the sampled batch's explicit triples.
 
-Soft labels are computed in array form: the pool and every body atom of
-its groundings are scored in one call, the product t-norm is t0 * t1
-over the [G, 2] body truths (a one-atom body's second truth is 1), and
-the push is one weighted ``np.bincount`` over the groundings in list
-order.
+Soft labels are computed on the :class:`~kgembed.data.Groundings` table
+with no Python loop over groundings: one ``find`` locates the pool among
+the conclusions and a gather gives each grounding its pool row. The pool
+and the body atoms of the groundings that reach it are scored in one call,
+the t-norm is t0 * t1 over [G, 2] body truths (a one-atom body's second
+truth is 1), and the push is one ``np.bincount`` in grounding order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Grounding
+from .data import Groundings
 from .losses import LossSpec, sigmoid
 from .models import ModelParams, SparseGrad, grad, score
 from .sampling import LabeledBatch, NegBatch
@@ -57,17 +58,15 @@ def triple_truth(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     return sigmoid(score(params, triples))
 
 
-def unlabeled_conclusions(groundings: list[Grounding]) -> np.ndarray:
+def unlabeled_conclusions(groundings: Groundings) -> np.ndarray:
     """Deduplicated conclusions not present in train, in first-seen order."""
-    seen = dict.fromkeys(g.conclusion for g in groundings if not g.in_train)
-    return np.array(list(seen), dtype=np.int64).reshape(-1, 3)
+    unlabeled = np.flatnonzero(~groundings.in_train)
+    _, first = np.unique(groundings.slot[unlabeled], return_index=True)
+    return groundings.conclusions[unlabeled[np.sort(first)]]
 
 
 def predict_soft_labels(
-    params: ModelParams,
-    groundings: list[Grounding],
-    rule_weight: float,
-    pool: np.ndarray | None = None,
+    params: ModelParams, groundings: Groundings, rule_weight: float, pool: np.ndarray | None = None
 ) -> SoftLabelSet:
     """Closed-form soft labels for the unlabeled conclusion pool.
 
@@ -79,26 +78,21 @@ def predict_soft_labels(
     if pool is None:
         pool = unlabeled_conclusions(groundings)
     pool = np.asarray(pool, dtype=np.int64).reshape(-1, 3)
-    index = {t: i for i, t in enumerate(map(tuple, pool.tolist()))}
-    hits = [g for g in groundings if g.conclusion in index] if rule_weight != 0.0 else []
-    atoms = np.array([a for g in hits for a in g.body_triples], dtype=np.int64).reshape(-1, 3)
-    truths = triple_truth(params, np.concatenate([pool, atoms]))
-    labels = truths[: len(pool)]
-    if hits:
-        body = np.ones((len(hits), 2))
-        present = np.ones((len(hits), 2), dtype=bool)
-        present[:, 1] = [len(g.body_triples) == 2 for g in hits]
-        body[present] = truths[len(pool) :]
-        owner = np.array([index[g.conclusion] for g in hits])
-        conf = np.array([g.confidence for g in hits])
-        push = np.bincount(owner, weights=conf * (body[:, 0] * body[:, 1]), minlength=len(pool))
-        labels = labels + rule_weight * push
-    return SoftLabelSet(
-        triples=pool,
-        labels=np.clip(labels, 0.0, 1.0),
-        rule_weight=rule_weight,
-        params_version=params.version,
-    )
+    # the pool row of each distinct conclusion; the extra last entry takes
+    # the pool rows that no grounding concludes
+    owner = np.full(len(groundings.index.hrt) + 1, -1)
+    owner[groundings.index.find(pool)] = np.arange(len(pool))
+    owner = owner[groundings.slot]
+    hits = np.flatnonzero(owner >= 0) if rule_weight != 0.0 else np.zeros(0, dtype=np.int64)
+    bodies = groundings.bodies[hits]
+    present = bodies[:, :, 0] >= 0
+    truths = triple_truth(params, np.concatenate([pool, bodies[present]]))
+    body = np.ones(present.shape)
+    body[present] = truths[len(pool) :]
+    weights = groundings.confidence[hits] * (body[:, 0] * body[:, 1])
+    push = np.bincount(owner[hits], weights=weights, minlength=len(pool))
+    labels = np.clip(truths[: len(pool)] + rule_weight * push, 0.0, 1.0)
+    return SoftLabelSet(pool, labels, rule_weight, params.version)
 
 
 def ruge_loss(params: ModelParams, batch: NegBatch | LabeledBatch, soft: SoftLabelSet) -> float:

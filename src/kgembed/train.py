@@ -16,7 +16,7 @@ import numpy as np
 from . import models, rules
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, config_hash
-from .data import TAIL, Grounding, IndexedKG, read_groundings
+from .data import TAIL, Groundings, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
 from .gnn import RGCNModel, RGCNScorer, init_rgcn, param_tables, rgcn_loss_and_grad
 from .losses import LossSpec
@@ -84,7 +84,7 @@ def _all_sampler_batch(kg: IndexedKG, positives: np.ndarray) -> LabeledBatch:
 def train(
     config: TrainConfig,
     kg: IndexedKG,
-    groundings: list[Grounding] | None = None,
+    groundings: Groundings | None = None,
     run_dir: str | None = None,
     resume: bool = False,
 ) -> TrainResult:

@@ -347,19 +347,23 @@ def test_criterion_3b_rule_injection_improves_mrr():
 
 
 def test_criterion_3c_soft_label_unit_cases():
-    from kgembed.data import Grounding
+    from kgembed.data import Groundings
     from kgembed.rules import predict_soft_labels, triple_truth
 
     params = init_params("complex", 8, 3, 4, seed=9)
 
+    def one_grounding(body, conclusion, confidence):
+        arrays = np.array([conclusion]), np.array([[body, (-1, -1, -1)]])
+        return Groundings(*arrays, np.array([confidence]), np.array([False]), 8, 3)
+
     # C = 0: labels equal current truths exactly
-    gs = [Grounding(body_triples=((0, 0, 1),), conclusion=(0, 1, 1), confidence=1.0)]
+    gs = one_grounding(body=(0, 0, 1), conclusion=(0, 1, 1), confidence=1.0)
     soft = predict_soft_labels(params, gs, rule_weight=0.0)
     assert np.array_equal(soft.labels, triple_truth(params, soft.triples))
 
     # additive push: pi(u) + C * lambda * pi(body), then clipped
     c, lam = 0.5, 0.7
-    gs = [Grounding(body_triples=((2, 0, 3),), conclusion=(2, 2, 3), confidence=lam)]
+    gs = one_grounding(body=(2, 0, 3), conclusion=(2, 2, 3), confidence=lam)
     soft = predict_soft_labels(params, gs, rule_weight=c)
     pi_u = triple_truth(params, np.array([[2, 2, 3]]))[0]
     pi_b = triple_truth(params, np.array([[2, 0, 3]]))[0]

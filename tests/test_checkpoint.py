@@ -144,6 +144,78 @@ def test_write_failure_cleans_partial_state(tmp_path, monkeypatch):
     assert os.listdir(target) == []  # nothing left behind
 
 
+def numbered_checkpoint(epoch):
+    """A ComplEx + Adam checkpoint whose every table depends on ``epoch``."""
+    params = init_params("complex", 5, 2, 3, seed=epoch)
+    state = init_optimizer("adam", params.tables)
+    rng = np.random.default_rng(epoch)
+    for slots in state.slots.values():
+        for arr in slots.values():
+            arr[...] = rng.random(arr.shape).astype(np.float32)
+    config = TrainConfig(model="complex", dim=3)
+    return Checkpoint(params, state, epoch, 0.5, config, [(epoch, 0.5)])
+
+
+def file_bytes(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+# every write of a save: two parameter tables, four Adam slots, meta, and the
+# two renames that swap the new directory in
+WRITE_POINTS = [("table", k) for k in range(1, 7)] + [("meta", 1), ("replace", 1), ("replace", 2)]
+
+
+@pytest.mark.parametrize("point", WRITE_POINTS, ids=[f"{kind}{k}" for kind, k in WRITE_POINTS])
+def test_a_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, point):
+    import kgembed.checkpoint as cp
+
+    target = tmp_path / "last"
+    save_checkpoint(numbered_checkpoint(1), str(target))
+    before = file_bytes(target)
+
+    kind, fail_at = point
+    calls = {"n": 0}
+
+    def fail_on_call(real, applies=lambda *a: True):
+        def wrapper(*args, **kwargs):
+            if applies(*args):
+                calls["n"] += 1
+                if calls["n"] == fail_at:
+                    raise OSError(f"injected failure at {kind} {fail_at}")
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    if kind == "table":
+        monkeypatch.setattr(cp, "_write_table", fail_on_call(cp._write_table))
+    elif kind == "meta":
+        on_meta = fail_on_call(open, lambda path, *rest: os.path.basename(path) == "meta")
+        monkeypatch.setattr(cp, "open", on_meta, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", fail_on_call(os.replace))
+    with pytest.raises(OSError, match="injected failure"):
+        save_checkpoint(numbered_checkpoint(2), str(target))
+    monkeypatch.undo()
+
+    assert os.listdir(tmp_path) == ["last"]  # no temporary directory left beside it
+    assert file_bytes(target) == before
+    back = load_checkpoint(str(target))
+    assert back.epoch == 1 and back.history == [(1, 0.5)]
+    assert_tables_equal(numbered_checkpoint(1).params, back.params)
+
+
+def test_a_save_replaces_the_previous_checkpoint_whole(tmp_path):
+    target = tmp_path / "last"
+    save_checkpoint(numbered_checkpoint(1), str(target))
+    (target / "stray.bin").write_bytes(b"left by hand")
+    save_checkpoint(numbered_checkpoint(2), str(target))
+    assert os.listdir(tmp_path) == ["last"]
+    assert "stray.bin" not in os.listdir(target)
+    back = load_checkpoint(str(target))
+    assert back.epoch == 2
+    assert_tables_equal(numbered_checkpoint(2).params, back.params)
+
+
 def test_vocab_reference_mismatch_rejected(tmp_path):
     params = init_params("distmult", 5, 2, 3, seed=0)
     ckpt = Checkpoint(

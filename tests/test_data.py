@@ -21,7 +21,7 @@ from kgembed.data import (
     write_vocab,
 )
 
-from conftest import make_kg
+from conftest import make_kg, random_label_triples
 
 
 # --- load_triples ----------------------------------------------------------
@@ -189,6 +189,9 @@ def test_index_matches_set_scan(data):
     known = set(rows)
     every = [(h, r, t) for h in range(n_e) for r in range(n_r) for t in range(n_e)]
     assert index.contains(np.array(every)).tolist() == [x in known for x in every]
+    # hrt ascends as (h, r, t) does, so a known triple's position is its sorted rank
+    rank = {x: i for i, x in enumerate(sorted(known))}
+    assert index.find(np.array(every)).tolist() == [rank.get(x, -1) for x in every]
     for slot in (HEAD, TAIL):
         # every possible pair is queried, those with no completion included
         expect = {}
@@ -302,6 +305,19 @@ def test_rule_invariants():
         Rule(body_relations=(0,), head_relation=1, confidence=0.0)
 
 
+def grounding_rows(groundings):
+    """(body atoms, conclusion, confidence, in_train) per grounding, as tuples."""
+    return [
+        (tuple(tuple(atom) for atom in body if atom[0] >= 0), tuple(conclusion), conf, flag)
+        for body, conclusion, conf, flag in zip(
+            groundings.bodies.tolist(),
+            groundings.conclusions.tolist(),
+            groundings.confidence.tolist(),
+            groundings.in_train.tolist(),
+        )
+    ]
+
+
 def test_ground_single_atom():
     vocab, kg = make_kg([("a", "r1", "b"), ("x", "r2", "y")])
     rule = Rule(
@@ -312,7 +328,11 @@ def test_ground_single_atom():
     groundings = ground_rules([rule], kg)
     a, b = vocab.entity_to_id["a"], vocab.entity_to_id["b"]
     r1, r2 = vocab.relation_to_id["r1"], vocab.relation_to_id["r2"]
-    assert any(g.conclusion == (a, r2, b) and g.body_triples == ((a, r1, b),) for g in groundings)
+    assert groundings.bodies[:, 1].tolist() == [[-1, -1, -1]] * len(groundings)
+    assert any(
+        body == ((a, r1, b),) and conclusion == (a, r2, b)
+        for body, conclusion, _, _ in grounding_rows(groundings)
+    )
 
 
 def test_ground_chain_rule():
@@ -325,7 +345,7 @@ def test_ground_chain_rule():
     groundings = ground_rules([rule], kg)
     a, c = vocab.entity_to_id["a"], vocab.entity_to_id["c"]
     r3 = vocab.relation_to_id["r3"]
-    assert [g.conclusion for g in groundings] == [(a, r3, c)]
+    assert groundings.conclusions.tolist() == [[a, r3, c]]
 
 
 def test_ground_in_train_flag():
@@ -335,8 +355,7 @@ def test_ground_in_train_flag():
         head_relation=vocab.relation_to_id["r2"],
         confidence=1.0,
     )
-    (g,) = ground_rules([rule], kg)
-    assert g.in_train
+    assert ground_rules([rule], kg).in_train.tolist() == [True]
 
 
 def test_ground_count_matches_join_oracle(toy_kg):
@@ -353,7 +372,7 @@ def test_ground_count_matches_join_oracle(toy_kg):
         for h2, rr2, t2 in train:
             if rr2 == r2 and h2 == t1:
                 expected.add(((h1, r1, t1), (h2, r2, t2), (h1, r3, t2)))
-    got = {(g.body_triples[0], g.body_triples[1], g.conclusion) for g in groundings}
+    got = {(body[0], body[1], conclusion) for body, conclusion, _, _ in grounding_rows(groundings)}
     assert got == expected
 
 
@@ -364,7 +383,9 @@ def test_ground_empty_result_ok():
         head_relation=vocab.relation_to_id["r1"],
         confidence=0.5,
     )
-    assert ground_rules([rule], kg) == []
+    groundings = ground_rules([rule], kg)
+    assert len(groundings) == 0
+    assert groundings.conclusions.shape == (0, 3) and groundings.bodies.shape == (0, 2, 3)
 
 
 def test_groundings_bodies_in_train(toy_kg):
@@ -372,22 +393,86 @@ def test_groundings_bodies_in_train(toy_kg):
     r1, r2 = vocab.relation_to_id["r1"], vocab.relation_to_id["r2"]
     rule = Rule(body_relations=(r1, r2), head_relation=r1, confidence=0.6)
     train = {tuple(map(int, x)) for x in kg.train}
-    for g in ground_rules([rule], kg):
-        for body in g.body_triples:
-            assert body in train
+    for body, _, _, _ in grounding_rows(ground_rules([rule], kg)):
+        for atom in body:
+            assert atom in train
 
 
 def test_groundings_file_round_trip(tmp_path, toy_kg):
     vocab, kg = toy_kg
     r1, r2 = vocab.relation_to_id["r1"], vocab.relation_to_id["r2"]
-    rule = Rule(body_relations=(r1, r2), head_relation=r1, confidence=0.6)
-    groundings = ground_rules([rule], kg)
+    rules = [
+        Rule(body_relations=(r1, r2), head_relation=r1, confidence=0.6),
+        Rule(body_relations=(r2,), head_relation=r1, confidence=0.25),
+    ]
+    groundings = ground_rules(rules, kg)
+    assert sorted(set(groundings.confidence.tolist())) == [0.25, 0.6]
     path = tmp_path / "g.tsv"
     write_groundings(groundings, str(path))
     back = read_groundings(str(path), kg)
-    assert [(g.conclusion, g.body_triples, g.confidence, g.in_train) for g in back] == [
-        (g.conclusion, g.body_triples, g.confidence, g.in_train) for g in groundings
+    for name in ("conclusions", "bodies", "confidence", "in_train"):
+        got, want = getattr(back, name), getattr(groundings, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("conf", ["nan", "5", "-1", "0"])
+def test_groundings_file_rejects_a_confidence_outside_unit_interval(tmp_path, toy_kg, conf):
+    _, kg = toy_kg
+    path = tmp_path / "g.tsv"
+    path.write_text(f"0.9\t0,1,1\t0,0,1\n{conf}\t0,1,2\t0,0,2\n")
+    with pytest.raises(DataFormatError, match=r"g\.tsv:2: confidence must be in \(0, 1\]"):
+        read_groundings(str(path), kg)
+
+
+def parent_ground_rules(rules, kg):
+    """The object-building grounding loop that preceded the table: one
+    (body atoms, conclusion, confidence, in_train) tuple per grounding."""
+    parts = []
+    for rule in rules:
+        first = kg.train[kg.train[:, 1] == rule.body_relations[0]]
+        if len(rule.body_relations) == 1:
+            body = first[:, None]
+        else:
+            probe = first[:, [2, 1, 0]]
+            probe[:, 1] = rule.body_relations[1]
+            rows, z = kg.train_index.completions(probe, TAIL)
+            second = np.stack([first[rows, 2], probe[rows, 1], z], axis=1)
+            body = np.stack([first[rows], second], axis=1)
+        concl = np.stack([body[:, 0, 0], np.full(len(body), rule.head_relation), body[:, -1, 2]], 1)
+        parts.append((rule.confidence, body.tolist(), concl))
+    concls = np.concatenate([c for _, _, c in parts]) if parts else np.zeros((0, 3), np.int64)
+    flags = iter(kg.in_train(concls).tolist())
+    return [
+        (tuple(map(tuple, b)), tuple(c), conf, next(flags))
+        for conf, bodies, concl in parts
+        for b, c in zip(bodies, concl.tolist())
     ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ground_rules_table_equals_the_object_loop(seed):
+    """1- and 2-atom rules over a KG with duplicate train lines, field by field."""
+    rng = np.random.default_rng(seed)
+    labels = random_label_triples(rng, 8, 3, 40)
+    labels += [labels[i] for i in rng.integers(0, len(labels), 10)]  # duplicate lines
+    _, kg = make_kg(labels)
+    assert len(np.unique(kg.train, axis=0)) < len(kg.train)
+    rules = [
+        Rule(body_relations=(0,), head_relation=1, confidence=0.9),
+        Rule(body_relations=(0, 1), head_relation=2, confidence=0.5),
+        Rule(body_relations=(2, 2), head_relation=0, confidence=1.0),
+        Rule(body_relations=(1,), head_relation=1, confidence=0.3),
+    ]
+    groundings = ground_rules(rules, kg)
+    expected = parent_ground_rules(rules, kg)
+    assert len(groundings) == len(expected) > 0
+    assert groundings.in_train.any() and not groundings.in_train.all()
+    bodies = [[list(a) for a in b] + [[-1, -1, -1]] * (2 - len(b)) for b, _, _, _ in expected]
+    assert groundings.bodies.tolist() == bodies
+    assert groundings.conclusions.tolist() == [list(c) for _, c, _, _ in expected]
+    assert groundings.confidence.tolist() == [conf for _, _, conf, _ in expected]
+    assert groundings.in_train.tolist() == [flag for _, _, _, flag in expected]
 
 
 def test_groundings_file_rejects_out_of_range_conclusion(tmp_path, toy_kg):

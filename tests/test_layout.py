@@ -74,3 +74,23 @@ def test_one_formula_per_model():
         if isinstance(node, ast.FunctionDef) and node.name.startswith(("_score_", "_grad_"))
     ]
     assert not split, split
+
+
+def test_the_library_imports_only_numpy_and_the_standard_library():
+    """The runtime is numpy-only: every import in ``src/kgembed`` is numpy, a
+    sibling module, or a module of the standard library."""
+    import sys
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "kgembed"}
+    found = []
+    for fname, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{fname}:{node.lineno} imports {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert not found, found

@@ -12,6 +12,7 @@ from kgembed.losses import (
     margin_loss_grads,
     self_adversarial_loss,
     self_adversarial_loss_grads,
+    sigmoid,
 )
 from kgembed.models import (
     MODEL_KINDS,
@@ -23,7 +24,6 @@ from kgembed.models import (
     renormalize_normals,
     score,
     score_candidates,
-    score_grad,
 )
 from kgembed.sampling import HEAD, TAIL, LabeledBatch, NegBatch
 
@@ -265,16 +265,19 @@ def test_margin_all_satisfied_gives_empty_grad():
 
 
 def test_duplicate_rows_sum_contributions():
+    """Each copy of a repeated triple carries half the mean bce coefficient,
+    so the gradient equals the single triple's only if both copies add up."""
     params = init_params("distmult", 6, 2, 4, seed=15)
     tr_once = np.array([[1, 0, 2]])
     tr_twice = np.array([[1, 0, 2], [1, 0, 2]])
-    g1 = score_grad(params, tr_once, np.array([1.0]))
-    g2 = score_grad(params, tr_twice, np.array([1.0, 1.0]))
+    _, g1 = grad(params, LabeledBatch(tr_once, np.array([1.0])), LossSpec("bce"))
+    _, g2 = grad(params, LabeledBatch(tr_twice, np.array([1.0, 1.0])), LossSpec("bce"))
+    assert g1.keys() == g2.keys()
     for table in g1:
         ids1, rows1 = g1[table]
         ids2, rows2 = g2[table]
         assert np.array_equal(ids1, ids2)
-        assert np.allclose(rows2, 2.0 * rows1)
+        assert np.allclose(rows2, rows1)
 
 
 @pytest.mark.parametrize("model", MODEL_KINDS)
@@ -426,16 +429,20 @@ def test_negatives_grad_inactive_margin_negatives(monkeypatch, model, p):
 @pytest.mark.parametrize("tables", ["float32", "float64", "1e6", "1e-6"])
 @pytest.mark.parametrize("model,p", GRAD_MODELS)
 def test_score_grad_matches_flat_reference(monkeypatch, model, p, tables):
-    """Repeated triples and zero coefficients, 11 triples in chunks of 3."""
+    """``grad`` on a LabeledBatch: repeated triples and zero coefficients, 11
+    triples in chunks of 3."""
     params = grad_params(model, p)
     rescale_tables(params, tables)
     rng = np.random.default_rng(33)
     triples = np.stack([rng.integers(0, 10, 11), rng.integers(0, 4, 11), rng.integers(0, 10, 11)], 1)
     triples[5], triples[9] = triples[0], triples[2]
-    coeff = rng.normal(size=11)
-    coeff[[3, 7]] = 0.0
+    labels = rng.random(11)
+    labels[[3, 7]] = sigmoid(flat_scores(params, triples[[3, 7]]))  # bce coefficient exactly 0
+    coeff = bce_loss_grads(flat_scores(params, triples), labels)
+    assert not coeff[[3, 7]].any()
     chunk_positives(monkeypatch, params, 1, 3)
-    assert_grads_match(score_grad(params, triples, coeff), flat_score_grad(params, triples, coeff))
+    _, grads = grad(params, LabeledBatch(triples, labels), LossSpec("bce"))
+    assert_grads_match(grads, flat_score_grad(params, triples, coeff))
 
 
 def test_negatives_must_share_their_positive_anchor():

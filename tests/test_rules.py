@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kgembed import models, rules
-from kgembed.data import Grounding
+from kgembed.data import Groundings
 from kgembed.losses import LossSpec, bce_loss, bce_loss_grads, sigmoid
-from kgembed.models import grad, init_params, score, score_grad
+from kgembed.models import grad, init_params, score
 from kgembed.rules import (
     SoftLabelSet,
     StaleSoftLabelsError,
@@ -18,6 +18,8 @@ from kgembed.rules import (
 )
 from kgembed.sampling import HEAD, LabeledBatch, NegBatch
 
+from fd_utils import flat_score_grad
+
 
 @pytest.fixture
 def cparams():
@@ -25,11 +27,20 @@ def cparams():
 
 
 def g(conclusion, bodies, conf=1.0, in_train=False):
-    return Grounding(
-        body_triples=tuple(tuple(b) for b in bodies),
-        conclusion=tuple(conclusion),
-        confidence=conf,
-        in_train=in_train,
+    return conclusion, bodies, conf, in_train
+
+
+def grounding_table(params, rows):
+    """A :class:`Groundings` table over ``params``' ids, one row per ``g``, in order."""
+    return Groundings(
+        conclusions=np.array([c for c, _, _, _ in rows], dtype=np.int64).reshape(-1, 3),
+        bodies=np.array(
+            [list(b) + [(-1, -1, -1)] * (2 - len(b)) for _, b, _, _ in rows], dtype=np.int64
+        ).reshape(-1, 2, 3),
+        confidence=np.array([conf for _, _, conf, _ in rows], dtype=np.float64),
+        in_train=np.array([flag for _, _, _, flag in rows], dtype=bool),
+        n_entities=params.n_entities,
+        n_relations=params.n_relations,
     )
 
 
@@ -66,17 +77,20 @@ def test_truth_requires_complex():
 
 
 def test_pool_excludes_train_conclusions(cparams):
-    gs = [
-        g((0, 1, 2), [(0, 0, 2)], in_train=True),
-        g((3, 1, 4), [(3, 0, 4)]),
-        g((3, 1, 4), [(3, 2, 4)]),  # duplicate conclusion
-    ]
+    gs = grounding_table(
+        cparams,
+        [
+            g((0, 1, 2), [(0, 0, 2)], in_train=True),
+            g((3, 1, 4), [(3, 0, 4)]),
+            g((3, 1, 4), [(3, 2, 4)]),  # duplicate conclusion
+        ],
+    )
     pool = unlabeled_conclusions(gs)
     assert pool.tolist() == [[3, 1, 4]]
 
 
 def test_soft_labels_equal_truth_at_zero_weight(cparams):
-    gs = [g((0, 1, 2), [(0, 0, 2)], conf=0.9)]
+    gs = grounding_table(cparams, [g((0, 1, 2), [(0, 0, 2)], conf=0.9)])
     soft = predict_soft_labels(cparams, gs, rule_weight=0.0)
     assert np.array_equal(soft.labels, triple_truth(cparams, soft.triples))
 
@@ -90,7 +104,7 @@ def test_soft_label_arithmetic():
     # craft params where we control truths via direct patching of triple_truth inputs:
     # easier: use a real model and compute expected from its own truths
     params = init_params("complex", 6, 2, 4, seed=3)
-    gs = [g((0, 1, 2), [(0, 0, 2)], conf=0.7)]
+    gs = grounding_table(params, [g((0, 1, 2), [(0, 0, 2)], conf=0.7)])
     c = 0.5
     soft = predict_soft_labels(params, gs, rule_weight=c)
     pi_u = triple_truth(params, np.array([[0, 1, 2]]))[0]
@@ -100,7 +114,7 @@ def test_soft_label_arithmetic():
 
 def test_soft_label_chain_body_uses_product():
     params = init_params("complex", 6, 3, 4, seed=4)
-    gs = [g((0, 2, 3), [(0, 0, 1), (1, 1, 3)], conf=1.0)]
+    gs = grounding_table(params, [g((0, 2, 3), [(0, 0, 1), (1, 1, 3)], conf=1.0)])
     soft = predict_soft_labels(params, gs, rule_weight=1.0)
     pi_u = triple_truth(params, np.array([[0, 2, 3]]))[0]
     b = triple_truth(params, np.array([[0, 0, 1], [1, 1, 3]]))
@@ -109,29 +123,33 @@ def test_soft_label_chain_body_uses_product():
 
 def test_soft_label_clipped_to_one():
     params = init_params("complex", 6, 2, 4, seed=5)
-    gs = [g((0, 1, 2), [(0, 0, 2)], conf=1.0)]
+    gs = grounding_table(params, [g((0, 1, 2), [(0, 0, 2)], conf=1.0)])
     soft = predict_soft_labels(params, gs, rule_weight=1000.0)
     assert soft.labels[0] == 1.0
 
 
 def loop_soft_labels(params, groundings, rule_weight, pool):
-    """Soft labels by a dict over the pool and one ``np.prod`` per grounding."""
+    """Soft labels by a dict over the pool and one ``np.prod`` per grounding,
+    walking the table's rows one at a time."""
     labels = triple_truth(params, pool)
     index = {tuple(t): i for i, t in enumerate(pool.tolist())}
     by_conclusion = defaultdict(list)
-    for gr in groundings:
-        i = index.get(gr.conclusion)
+    rows = zip(
+        groundings.conclusions.tolist(), groundings.bodies.tolist(), groundings.confidence.tolist()
+    )
+    for conclusion, body, lam in rows:
+        i = index.get(tuple(conclusion))
         if i is not None:
-            by_conclusion[i].append(gr)
+            by_conclusion[i].append(([tuple(a) for a in body if a[0] >= 0], lam))
     if by_conclusion and rule_weight != 0.0:
         push = np.zeros(len(pool))
         body_triples, body_slices, conf, owner = [], [], [], []
         for i, gs in by_conclusion.items():
-            for gr in gs:
+            for atoms, lam in gs:
                 start = len(body_triples)
-                body_triples.extend(gr.body_triples)
+                body_triples.extend(atoms)
                 body_slices.append((start, len(body_triples)))
-                conf.append(gr.confidence)
+                conf.append(lam)
                 owner.append(i)
         truths = triple_truth(params, np.array(body_triples, dtype=np.int64))
         for (start, end), lam, i in zip(body_slices, conf, owner):
@@ -153,9 +171,11 @@ def test_soft_labels_equal_the_grounding_loop_bitwise(weight):
         y = int(rng.integers(12))
         bodies = [(h, 0, t)] if rng.random() < 0.4 else [(h, 1, y), (y, 2, t)]
         gs.append(g((h, 3, t), bodies, conf=float(rng.uniform(0.1, 1.0))))
+    gs = grounding_table(params, gs)
     unlabeled = unlabeled_conclusions(gs)
-    # a subset in another order, with one conclusion no grounding reaches
-    pool = np.concatenate([unlabeled[::-2], [[11, 0, 11]]])
+    # a subset in another order, with one conclusion no grounding reaches and
+    # one listed twice (the push goes to its last row)
+    pool = np.concatenate([unlabeled[::-2], [[11, 0, 11]], unlabeled[-1:]])
     for p in (unlabeled, pool):
         got = predict_soft_labels(params, gs, weight, pool=p)
         assert got.labels.tobytes() == loop_soft_labels(params, gs, weight, p).tobytes()
@@ -166,11 +186,14 @@ def test_soft_labels_equal_the_grounding_loop_bitwise(weight):
 
 def test_soft_labels_monotone_in_weight():
     params = init_params("complex", 8, 3, 4, seed=6)
-    gs = [
-        g((0, 1, 2), [(0, 0, 2)], conf=0.8),
-        g((3, 2, 4), [(3, 0, 4)], conf=0.5),
-        g((3, 2, 4), [(3, 1, 4)], conf=0.9),
-    ]
+    gs = grounding_table(
+        params,
+        [
+            g((0, 1, 2), [(0, 0, 2)], conf=0.8),
+            g((3, 2, 4), [(3, 0, 4)], conf=0.5),
+            g((3, 2, 4), [(3, 1, 4)], conf=0.9),
+        ],
+    )
     prev = None
     for c in (0.0, 0.25, 0.5, 1.0, 4.0):
         labels = predict_soft_labels(params, gs, rule_weight=c).labels
@@ -221,7 +244,9 @@ def test_ruge_two_term_oracle(cparams):
         np.stack([rng.integers(0, 10, 12), rng.integers(0, 4, 12), rng.integers(0, 10, 12)], 1),
         (rng.random(12) < 0.5).astype(float),
     )
-    gs = [g((0, 1, 2), [(0, 0, 2)], conf=0.9), g((3, 2, 4), [(3, 0, 4)], conf=0.4)]
+    gs = grounding_table(
+        cparams, [g((0, 1, 2), [(0, 0, 2)], conf=0.9), g((3, 2, 4), [(3, 0, 4)], conf=0.4)]
+    )
     soft = predict_soft_labels(cparams, gs, rule_weight=0.5)
     got = ruge_loss(cparams, labeled, soft)
     expected = bce_loss(score(cparams, labeled.triples), labeled.labels) + bce_loss(
@@ -252,7 +277,7 @@ def test_ruge_grad_zero_weight_matches_labeled_only(cparams):
     labeled = LabeledBatch(
         np.array([[0, 0, 1], [2, 1, 3], [4, 3, 5]]), np.array([1.0, 0.0, 1.0])
     )
-    gs = [g((6, 2, 7), [(6, 0, 7)], conf=0.8)]
+    gs = grounding_table(cparams, [g((6, 2, 7), [(6, 0, 7)], conf=0.8)])
     soft = predict_soft_labels(cparams, gs, rule_weight=0.0)
     loss_rule, grads_rule = ruge_grad(cparams, labeled, soft)
     _, grads_plain = grad(cparams, labeled, LossSpec("bce"))
@@ -274,18 +299,18 @@ def neg_batch(rng, n_e, n_r, b, n):
     return NegBatch(pos, neg, slot, np.zeros((b, n), dtype=bool))
 
 
-def shared_row_groundings(batch):
+def shared_row_groundings(params, batch):
     """Groundings whose conclusions reuse the batch's entities and relations."""
     gs = []
     for (h, r, t), negs in zip(batch.positives.tolist(), batch.negatives.tolist()):
         gs.append(g((h, (r + 1) % 4, t), [(h, r, t)], conf=0.9))
         gs.append(g((negs[0][0], r, negs[0][2]), [(h, r, t)], conf=0.6))
-    return gs
+    return grounding_table(params, gs)
 
 
 def test_ruge_grad_on_a_neg_batch_is_flat_bce_plus_soft_bce(cparams):
     batch = neg_batch(np.random.default_rng(11), 10, 4, 7, 5)
-    soft = predict_soft_labels(cparams, shared_row_groundings(batch), rule_weight=0.5)
+    soft = predict_soft_labels(cparams, shared_row_groundings(cparams, batch), rule_weight=0.5)
     b, n = batch.negatives.shape[:2]
     flat = np.concatenate([batch.positives, batch.negatives.reshape(-1, 3)])
     labels = np.concatenate([np.ones(b), np.zeros(b * n)])
@@ -298,7 +323,7 @@ def test_ruge_grad_on_a_neg_batch_is_flat_bce_plus_soft_bce(cparams):
     coeff = np.concatenate(
         [bce_loss_grads(flat_scores, labels), bce_loss_grads(soft_scores, soft.labels)]
     )
-    expected = score_grad(cparams, np.concatenate([flat, soft.triples]), coeff)
+    expected = flat_score_grad(cparams, np.concatenate([flat, soft.triples]), coeff)
     assert set(grads) == set(expected)
     for table, (ids, rows) in expected.items():
         assert np.array_equal(grads[table][0], ids), table
@@ -321,7 +346,7 @@ def test_a_ruge_step_is_one_grad_call_with_one_accumulator(monkeypatch, cparams)
     monkeypatch.setattr(rules, "grad", counted_grad)
     monkeypatch.setattr(models, "GradAccumulator", CountedAccumulator)
     batch = neg_batch(np.random.default_rng(13), 10, 4, 7, 5)
-    soft = predict_soft_labels(cparams, shared_row_groundings(batch), rule_weight=0.5)
+    soft = predict_soft_labels(cparams, shared_row_groundings(cparams, batch), rule_weight=0.5)
     assert len(soft.triples)
     ruge_grad(cparams, batch, soft)
     assert calls == {"grad": 1, "accumulators": 1}
@@ -329,7 +354,7 @@ def test_a_ruge_step_is_one_grad_call_with_one_accumulator(monkeypatch, cparams)
 
 def test_ruge_grad_on_a_neg_batch_at_zero_weight_is_plain_grad(cparams):
     batch = neg_batch(np.random.default_rng(12), 10, 4, 7, 5)
-    soft = predict_soft_labels(cparams, shared_row_groundings(batch), rule_weight=0.0)
+    soft = predict_soft_labels(cparams, shared_row_groundings(cparams, batch), rule_weight=0.0)
     loss_rule, grads_rule = ruge_grad(cparams, batch, soft)
     loss_plain, grads_plain = grad(cparams, batch, LossSpec("bce"))
     assert loss_rule == loss_plain + bce_loss(score(cparams, soft.triples), soft.labels)

@@ -6,7 +6,7 @@ import pytest
 
 import kgembed.models
 from kgembed.config import ConfigError, TrainConfig
-from kgembed.data import Grounding
+from kgembed.data import Groundings
 from kgembed.optim import NonFiniteGradientError
 from kgembed.train import early_stop, final_report, train
 
@@ -336,20 +336,17 @@ def test_non_finite_gradient_names_epoch_batch_and_model(
 
 def rule_groundings(kg):
     """Groundings saying relation 1 follows relation 0 on the same pair."""
-    gs = []
-    train = {tuple(map(int, x)) for x in kg.train}
-    for h, r, t in sorted(train):
-        if r == 0:
-            concl = (h, 1, t)
-            gs.append(
-                Grounding(
-                    body_triples=((h, 0, t),),
-                    conclusion=concl,
-                    confidence=0.9,
-                    in_train=concl in train,
-                )
-            )
-    return gs
+    body = np.unique(kg.train[kg.train[:, 1] == 0], axis=0)  # distinct, ascending
+    conclusions = body.copy()
+    conclusions[:, 1] = 1
+    return Groundings(
+        conclusions=conclusions,
+        bodies=np.stack([body, np.full_like(body, -1)], axis=1),
+        confidence=np.full(len(body), 0.9),
+        in_train=kg.in_train(conclusions),
+        n_entities=kg.n_entities,
+        n_relations=kg.n_relations,
+    )
 
 
 def test_rule_zero_weight_matches_plain_trajectory(toy_kg):
