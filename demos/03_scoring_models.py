@@ -18,12 +18,14 @@ for model in MODEL_KINDS:
     params = init_params(model, n_entities, n_relations, dim, seed=7)
     print(f"{model:10s} {np.round(score(params, triples), 3)}")
 
-# a toy batch: one positive, two tail-corrupted negatives
+# a toy batch: one positive, two negatives that replace its tail (slot 1)
+# with entities 7 and 9
 params = init_params("rotate", n_entities, n_relations, dim, seed=7)
 positives = triples[:1]
-negatives = np.array([[[0, 1, 7], [0, 1, 9]]])
+replaced = np.array([[7, 9]])
 slot = np.array([[1, 1]], dtype=np.uint8)
-batch = NegBatch(positives, negatives, slot, np.zeros((1, 2), bool))
+batch = NegBatch(positives, replaced, slot, np.zeros((1, 2), bool))
+negatives = batch.negatives  # as triples: [[[0, 1, 7], [0, 1, 9]]]
 
 spec = LossSpec("self_adversarial", margin=2.0, adv_temperature=1.0)
 loss, grads = grad(params, batch, spec)

@@ -75,6 +75,13 @@ def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
     return data.reshape(shape).astype(np.float32)
 
 
+def checkpoint_path(directory: str) -> str:
+    """``directory``, or ``<directory>.old`` if only it exists: a save stopped between renames."""
+    directory = os.path.normpath(directory)
+    old = directory + ".old"
+    return old if not os.path.exists(directory) and os.path.isdir(old) else directory
+
+
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     """Write the checkpoint; the directory is created if needed.
 
@@ -84,6 +91,8 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     """
     directory = os.path.normpath(directory)
     tmp, old = directory + ".tmp", directory + ".old"
+    if checkpoint_path(directory) == old:  # put the previous checkpoint back first
+        os.replace(old, directory)
     params = ckpt.params
     lines = [
         f"format: {FORMAT_VERSION}",
@@ -127,7 +136,8 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
-    """Read a checkpoint directory, verifying checksums and shapes."""
+    """Read the checkpoint at ``checkpoint_path(directory)``, verifying checksums and shapes."""
+    directory = checkpoint_path(directory)
     meta_path = os.path.join(directory, "meta")
     if not os.path.exists(meta_path):
         raise CheckpointError(f"no checkpoint at {directory} (missing meta)")

@@ -374,7 +374,8 @@ def write_groundings(groundings: Groundings, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for conf, concl, body in rows:
             atoms = [concl] + [atom for atom in body if atom[0] >= 0]
-            fh.write("\t".join([f"{conf:g}"] + [",".join(map(str, t)) for t in atoms]) + "\n")
+            # repr is the shortest text that reads back as the same float
+            fh.write("\t".join([repr(conf)] + [",".join(map(str, t)) for t in atoms]) + "\n")
 
 
 def read_groundings(path: str, kg: IndexedKG) -> Groundings:

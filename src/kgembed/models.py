@@ -14,18 +14,19 @@ coefficient that scales it, back to the accessor instead of reducing to a
 score.
 
 There is one accessor, :class:`_Query`, and every score and gradient runs
-in its query form. Every corruption keeps its positive's relation and the
-entity its slot left alone (the anchor), so a chunk of positives and
-their N corruptions is a [b, N] batch of queries: the relation rows
-(TransR's projections too) are gathered once per positive and broadcast
-over its corruptions, and the entity rows once per corruption. Explicit
-triples (``score``, and in :func:`grad` a :class:`NegBatch`'s positives
-or a :class:`LabeledBatch`'s triples, with any soft-labeled triples after
-them) are [n, 1] queries, each triple its own tail corruption; a candidate
-sweep (``score_candidates``) is a [B, n_entities] batch over every
-entity. The formulas see each corruption's rows in the order of its own
-triple, so every score is the same bit for bit whichever batch it comes
-in.
+in its query form: b positives and the entities that replace one slot of
+each, a [b, N] batch of queries. A :class:`NegBatch` is that form as the
+sampler draws it (``positives``, ``replaced``, ``slot``), so a negative
+keeps its positive's relation and the entity its slot left alone (the
+anchor) by construction. The relation rows (TransR's projections too) are
+gathered once per positive and broadcast over its corruptions, and the
+entity rows once per corruption. Explicit triples (``score``, and in
+:func:`grad` a :class:`NegBatch`'s positives or a :class:`LabeledBatch`'s
+triples, with any soft-labeled triples after them) are [n, 1] queries,
+each triple its own tail corruption; a candidate sweep
+(``score_candidates``) is a [B, n_entities] batch over every entity. The
+formulas see each corruption's rows in the order of its own triple, so
+every score is the same bit for bit whichever batch it comes in.
 
 A gradient is known once the loss coefficients are: a second pass
 recomputes each chunk and writes it through one :class:`GradAccumulator`,
@@ -880,18 +881,27 @@ def _query_grad(params, groups, coeffs) -> SparseGrad:
     return acc.finalize()
 
 
-def _check_anchors(batch: NegBatch) -> None:
-    """Every negative keeps its positive's relation and the entity its slot left alone."""
-    pos, neg = batch.positives[:, None, :], batch.negatives
-    head = batch.slot == HEAD
-    same = (neg[..., 1] == pos[..., 1]) & np.where(
-        head, neg[..., 2] == pos[..., 2], neg[..., 0] == pos[..., 0]
-    )
-    if not same.all():
-        i, j = np.argwhere(~same)[0]
+def _check_negatives(params: ModelParams, batch: NegBatch, b: int):
+    replaced, slot = np.asarray(batch.replaced, dtype=np.int64), np.asarray(batch.slot)
+    ok = replaced.ndim == 2 and len(replaced) == b and replaced.shape[1] > 0
+    if not ok or slot.shape != replaced.shape:
         raise ValueError(
-            f"negative [{i}, {j}] does not share its positive's relation and uncorrupted entity"
+            f"a negative batch needs [{b}, N] replaced ids and slots with N >= 1, "
+            f"got replaced of shape {replaced.shape} and slot of shape {slot.shape}"
         )
+    if replaced.size and (replaced.min() < 0 or replaced.max() >= params.n_entities):
+        raise ValueError(f"replaced entity id out of range ({params.n_entities} entities)")
+    return replaced, slot == HEAD
+
+
+def _check_labeled(params: ModelParams, name: str, batch: LabeledBatch) -> np.ndarray:
+    triples = _check_ids(params, batch.triples)
+    if np.shape(batch.labels) != (len(triples),):
+        raise ValueError(
+            f"the {name} batch needs one label per triple, got labels of shape "
+            f"{np.shape(batch.labels)} for triples of shape {triples.shape}"
+        )
+    return triples
 
 
 def _negatives_loss(
@@ -940,22 +950,14 @@ def grad(
         raise ValueError(f"labeled batches require the bce loss, got {loss_spec.kind!r}")
     if soft is not None and loss_spec.kind != "bce":
         raise ValueError(f"soft labels require the bce loss, got {loss_spec.kind!r}")
-    triples = _check_ids(params, batch.triples if labeled else batch.positives)
-    groups = []
-    if not labeled:
-        if batch.negatives.shape[1] == 0:
-            raise ValueError(
-                f"a negative batch needs at least one negative per positive, "
-                f"got negatives of shape {batch.negatives.shape}"
-            )
-        _check_ids(params, batch.negatives.reshape(-1, 3))
-        _check_anchors(batch)
-        head = batch.slot == HEAD
-        replaced = np.where(head, batch.negatives[..., 0], batch.negatives[..., 2])
-        groups.append((triples, replaced, head))
+    if labeled:
+        triples, groups = _check_labeled(params, "batch", batch), []
+    else:
+        triples = _check_ids(params, batch.positives)
+        groups = [(triples, *_check_negatives(params, batch, len(triples)))]
     explicit = triples
     if soft is not None:
-        explicit = np.concatenate([triples, _check_ids(params, soft.triples)])
+        explicit = np.concatenate([triples, _check_labeled(params, "soft", soft)])
     groups.insert(0, _as_queries(explicit))
     scores = _query_scores(params, *groups[0])[:, 0]
     batch_scores, soft_scores = scores[: len(triples)], scores[len(triples) :]

@@ -4,11 +4,15 @@ Every sampler is a pure function of (kg, inputs, seed): the RNG is always
 constructed locally from the seed argument, so identical calls give
 byte-identical batches. Candidate filtering tests membership against the
 train split only; evaluation-time filtering is a separate concern.
+
+A :class:`NegBatch` holds each negative as the entity it puts in one slot
+of its positive (``replaced``, ``slot``): the sampler draws that form and
+:func:`kgembed.models.grad` reads it, and no [B, N, 3] copy is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,16 +25,21 @@ RETRY_CAP = 10  # resampling rounds before accepting a filtered candidate, flagg
 class NegBatch:
     """Positive triples paired with corrupted candidates.
 
-    ``slot[i, j]`` says which field of ``negatives[i, j]`` was replaced
-    (0 = head, 1 = tail); the other two fields equal the positive's.
-    ``fallback`` marks candidates that still collide with a train triple
-    after the retry cap and were accepted unfiltered.
+    Negative j of positive i puts ``replaced[i, j]`` in the field that
+    ``slot[i, j]`` names (0 = head, 1 = tail) and keeps the positive's
+    other two fields. ``fallback`` marks candidates that still collide with
+    a train triple after the retry cap and were accepted unfiltered.
     """
 
     positives: np.ndarray  # [B, 3] int64
-    negatives: np.ndarray  # [B, N, 3] int64
+    replaced: np.ndarray  # [B, N] int64
     slot: np.ndarray  # [B, N] uint8
     fallback: np.ndarray  # [B, N] bool
+
+    @property
+    def negatives(self) -> np.ndarray:
+        """The negatives as [B, N, 3] triples, built on each read."""
+        return _triples(self.positives, self.replaced, self.slot == HEAD)
 
 
 @dataclass
@@ -62,7 +71,7 @@ class GraphBatch:
     ``edges`` are (src, rel, dst) with node indices local to ``node_ids``;
     edges are sorted by (dst, rel, src) so per-node message aggregation
     order is fixed. ``negatives`` holds the training triples (the sampled
-    edges) and their uniform corruptions, also in local indices.
+    edges) and their uniform corruptions; its ``replaced`` ids are local too.
     """
 
     node_ids: np.ndarray  # [M] int64, global entity ids, sorted
@@ -78,6 +87,14 @@ def filter_known(candidates, kg: IndexedKG) -> list:
     return [c for c, k in zip(candidates, known.tolist()) if not k]
 
 
+def _triples(positives: np.ndarray, replaced: np.ndarray, head) -> np.ndarray:
+    """[B, N, 3] triples: positive i with ``replaced[i, j]`` as head where ``head``, else tail."""
+    out = np.repeat(positives[:, None, :], replaced.shape[1], axis=1)
+    out[..., 0] = np.where(head, replaced, out[..., 0])
+    out[..., 2] = np.where(head, out[..., 2], replaced)
+    return out
+
+
 def _corrupt(
     kg: IndexedKG,
     positives: np.ndarray,
@@ -91,38 +108,38 @@ def _corrupt(
     With ``node_ids``, ``positives`` hold indices into it: replacements
     are drawn over that node set, and filtered after mapping to global ids.
     """
-    if node_ids is None:  # caller-supplied positives; graph batches build their own
-        positives = np.asarray(positives, dtype=np.int64)
-        if positives.ndim != 2 or positives.shape[1] != 3:
-            raise ValueError("positives must be an [n, 3] array")
-        if n_neg < 1:
-            raise ValueError(f"n_neg must be >= 1, got {n_neg}")
+    anchors, m = positives, kg.n_entities
+    if node_ids is not None:
+        anchors, m = positives.copy(), len(node_ids)
+        anchors[:, [0, 2]] = node_ids[positives[:, [0, 2]]]
     b = positives.shape[0]
-    m = kg.n_entities if node_ids is None else len(node_ids)
 
     slot = np.where(rng.random((b, n_neg)) < head_prob, HEAD, TAIL).astype(np.uint8)
-    negatives = np.repeat(positives[:, None, :], n_neg, axis=1)
-    cols = np.where(slot == HEAD, 0, 2)
-    rows = np.arange(b)[:, None]
-    negs = np.arange(n_neg)[None, :]
+    head = slot == HEAD
 
-    def in_train(tr):
-        if node_ids is not None:
-            tr = tr.copy()
-            tr[..., 0] = node_ids[tr[..., 0]]
-            tr[..., 2] = node_ids[tr[..., 2]]
-        return kg.in_train(tr)
+    def in_train(anchors, replaced, head):
+        ids = replaced if node_ids is None else node_ids[replaced]
+        return kg.in_train(_triples(anchors, ids, head))
 
-    negatives[rows, negs, cols] = rng.integers(0, m, size=(b, n_neg), dtype=np.int64)
-    bad = in_train(negatives)
+    replaced = rng.integers(0, m, size=(b, n_neg), dtype=np.int64)
+    bad = in_train(anchors, replaced, head)
     for _ in range(RETRY_CAP):
         if not bad.any():
             break
         bi, bj = bad.nonzero()
-        redraw = rng.integers(0, m, size=len(bi), dtype=np.int64)
-        negatives[bi, bj, cols[bi, bj]] = redraw
-        bad[bi, bj] = in_train(negatives[bi, bj])  # the others were accepted already
-    return NegBatch(positives=positives, negatives=negatives, slot=slot, fallback=bad)
+        replaced[bi, bj] = rng.integers(0, m, size=len(bi), dtype=np.int64)
+        # the others were accepted already
+        bad[bi, bj] = in_train(anchors[bi], replaced[bi, bj, None], head[bi, bj, None])[:, 0]
+    return NegBatch(positives=positives, replaced=replaced, slot=slot, fallback=bad)
+
+
+def _check_positives(positives, n_neg: int) -> np.ndarray:
+    positives = np.asarray(positives, dtype=np.int64)
+    if positives.ndim != 2 or positives.shape[1] != 3:
+        raise ValueError("positives must be an [n, 3] array")
+    if n_neg < 1:
+        raise ValueError(f"n_neg must be >= 1, got {n_neg}")
+    return positives
 
 
 def uniform_negatives(kg: IndexedKG, positives: np.ndarray, n_neg: int, seed) -> NegBatch:
@@ -132,7 +149,7 @@ def uniform_negatives(kg: IndexedKG, positives: np.ndarray, n_neg: int, seed) ->
     cap, then accepted with ``fallback`` set.
     """
     rng = np.random.default_rng(seed)
-    return _corrupt(kg, positives, n_neg, 0.5, rng)
+    return _corrupt(kg, _check_positives(positives, n_neg), n_neg, 0.5, rng)
 
 
 def bernoulli_table(kg: IndexedKG) -> BernoulliTable:
@@ -156,7 +173,7 @@ def bern_negatives(
     kg: IndexedKG, positives: np.ndarray, n_neg: int, table: BernoulliTable, seed
 ) -> NegBatch:
     """Corrupt the head with per-relation probability p_head(r), else the tail."""
-    positives = np.asarray(positives, dtype=np.int64)
+    positives = _check_positives(positives, n_neg)
     p = table.p_head[positives[:, 1]]
     if np.isnan(p).any():
         missing = int(positives[np.isnan(p).nonzero()[0][0], 1])
@@ -174,10 +191,8 @@ def candidate_triples(queries, slot: int, n_entities: int) -> np.ndarray:
     if slot not in (HEAD, TAIL):
         raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
     queries = np.asarray(queries, dtype=np.int64)
-    col = 0 if slot == HEAD else 2
-    out = np.repeat(queries, n_entities, axis=0)
-    out.reshape(len(queries), n_entities, 3)[:, :, col] = np.arange(n_entities)
-    return out
+    entities = np.broadcast_to(np.arange(n_entities), (len(queries), n_entities))
+    return _triples(queries, entities, slot == HEAD).reshape(-1, 3)
 
 
 def all_negatives(triple, slot: int, kg: IndexedKG) -> np.ndarray:
@@ -186,8 +201,7 @@ def all_negatives(triple, slot: int, kg: IndexedKG) -> np.ndarray:
     Candidate i replaces the slot entity with entity id i, so the row at
     the positive's own entity id equals the positive.
     """
-    h, r, t = (int(x) for x in triple)
-    return candidate_triples([[h, r, t]], slot, kg.n_entities)
+    return candidate_triples([[int(x) for x in triple]], slot, kg.n_entities)
 
 
 def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:
@@ -209,12 +223,7 @@ def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:
     edges = np.stack([src, picked[:, 1], dst], axis=1).astype(np.int64)
 
     negatives = _corrupt(kg, edges, n_neg, 0.5, rng, node_ids)
-    return GraphBatch(
-        node_ids=node_ids,
-        edges=edges,
-        edge_norm=_edge_norm(edges),
-        negatives=negatives,
-    )
+    return GraphBatch(node_ids, edges, _edge_norm(edges), negatives)
 
 
 def mask_edges(batch: GraphBatch, drop_rate: float, seed) -> GraphBatch:
@@ -230,12 +239,7 @@ def mask_edges(batch: GraphBatch, drop_rate: float, seed) -> GraphBatch:
     if not keep.any():  # degenerate tiny batch: keep everything
         keep[:] = True
     edges = batch.edges[keep]
-    return GraphBatch(
-        node_ids=batch.node_ids,
-        edges=edges,
-        edge_norm=_edge_norm(edges),
-        negatives=batch.negatives,
-    )
+    return replace(batch, edges=edges, edge_norm=_edge_norm(edges))
 
 
 def full_graph(kg: IndexedKG, n_neg: int = 1, seed=0) -> GraphBatch:
@@ -244,20 +248,15 @@ def full_graph(kg: IndexedKG, n_neg: int = 1, seed=0) -> GraphBatch:
     Used for full-graph training on small KGs and for evaluation-time
     encoding; node_ids covers every entity so local ids equal global ids.
     ``n_neg=0`` draws no corruptions (``negatives`` holds the train edges
-    with an empty [E, 0, 3] candidate array): encoding reads edges only.
+    with an empty [E, 0] ``replaced`` array): encoding reads edges only.
     """
     order = np.lexsort((kg.train[:, 0], kg.train[:, 1], kg.train[:, 2]))
     picked = kg.train[order]
     node_ids = np.arange(kg.n_entities, dtype=np.int64)
     edges = picked.astype(np.int64)
     rng = np.random.default_rng(seed)
-    negatives = _corrupt(kg, edges, n_neg, 0.5, rng, node_ids)
-    return GraphBatch(
-        node_ids=node_ids,
-        edges=edges,
-        edge_norm=_edge_norm(edges),
-        negatives=negatives,
-    )
+    negatives = _corrupt(kg, edges, n_neg, 0.5, rng)  # local ids are global ids here
+    return GraphBatch(node_ids, edges, _edge_norm(edges), negatives)
 
 
 def _edge_norm(edges: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, rules
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, checkpoint_path, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, config_hash
 from .data import TAIL, Groundings, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
@@ -122,7 +122,7 @@ def train(
         opt = last.opt_state
         start_epoch = last.epoch
         history = list(last.history)
-        best_path = os.path.join(run_dir, "best")
+        best_path = checkpoint_path(os.path.join(run_dir, "best"))
         best_ckpt = load_checkpoint(best_path) if os.path.exists(best_path) else None
         if early_stop(history, config.patience):  # the run had finished: leave it as it is
             return TrainResult(best=best_ckpt or last, last=last, log=[], history=history)

@@ -216,6 +216,54 @@ def test_a_save_replaces_the_previous_checkpoint_whole(tmp_path):
     assert_tables_equal(numbered_checkpoint(2).params, back.params)
 
 
+def test_a_save_stopped_between_its_renames_loads_from_old(tmp_path):
+    """A kill between the two renames leaves no ``last``, only a complete ``last.old``."""
+    target = tmp_path / "last"
+    save_checkpoint(numbered_checkpoint(1), str(target))
+    before = file_bytes(target)
+    os.replace(target, tmp_path / "last.old")
+
+    back = load_checkpoint(str(target))
+    assert back.epoch == 1 and back.history == [(1, 0.5)]
+    assert_tables_equal(numbered_checkpoint(1).params, back.params)
+    save_checkpoint(back, str(tmp_path / "again"))
+    assert file_bytes(tmp_path / "again") == before
+
+
+def test_a_save_after_a_stopped_one_puts_the_old_checkpoint_back_first(tmp_path, monkeypatch):
+    """So a failure in that save still leaves the old checkpoint loadable."""
+    import kgembed.checkpoint as cp
+
+    target = tmp_path / "last"
+    save_checkpoint(numbered_checkpoint(1), str(target))
+    before = file_bytes(target)
+    os.replace(target, tmp_path / "last.old")
+
+    def full_disk(path, arr):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(cp, "_write_table", full_disk)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(numbered_checkpoint(2), str(target))
+    assert os.listdir(tmp_path) == ["last"]
+    assert file_bytes(target) == before
+
+    save_checkpoint(numbered_checkpoint(2), str(target))
+    assert os.listdir(tmp_path) == ["last"]
+    assert load_checkpoint(str(target)).epoch == 2
+
+
+def test_old_is_not_read_while_the_directory_exists(tmp_path):
+    target = tmp_path / "last"
+    save_checkpoint(numbered_checkpoint(1), str(target))
+    save_checkpoint(numbered_checkpoint(2), str(tmp_path / "last.old"))
+    assert load_checkpoint(str(target)).epoch == 1
+    (target / "meta").unlink()
+    with pytest.raises(CheckpointError, match="missing meta"):
+        load_checkpoint(str(target))
+
+
 def test_vocab_reference_mismatch_rejected(tmp_path):
     params = init_params("distmult", 5, 2, 3, seed=0)
     ckpt = Checkpoint(
@@ -333,6 +381,31 @@ def test_resume_matches_uninterrupted(tmp_path, toy_kg):
     assert resumed.best.best_metric == full.best.best_metric
     for name, table in full.best.params.tables.items():
         assert table.tobytes() == resumed.best.params.tables[name].tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "stopped", [("last",), ("best",), ("last", "best")], ids=["last", "best", "both"]
+)
+def test_resume_from_saves_stopped_between_their_renames(tmp_path, toy_kg, stopped):
+    """``last`` and ``best`` are found at ``.old``; the run ends as the uninterrupted one."""
+    _, kg = toy_kg
+    cfg = train_config()
+    full = train(cfg, kg, run_dir=str(tmp_path / "full"))
+    three = train(cfg.with_overrides(max_epochs=3), kg)
+    resume_dir = tmp_path / "resume"
+    for slot, ck in (("last", three.last), ("best", three.best)):
+        relabeled = Checkpoint(
+            ck.params, ck.opt_state, ck.epoch, ck.best_metric, cfg, ck.history
+        )
+        save_checkpoint(relabeled, str(resume_dir / slot))
+    for slot in stopped:
+        os.replace(resume_dir / slot, resume_dir / f"{slot}.old")
+    resumed = train(cfg, kg, run_dir=str(resume_dir), resume=True)
+    assert resumed.history == full.history
+    assert resumed.best.best_metric == full.best.best_metric
+    assert sorted(os.listdir(resume_dir)) == ["best", "last", "train.log"]
+    for slot in ("last", "best"):
+        assert file_bytes(resume_dir / slot) == file_bytes(tmp_path / "full" / slot), slot
 
 
 def test_resume_rejects_config_drift(tmp_path, toy_kg):

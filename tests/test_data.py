@@ -404,9 +404,10 @@ def test_groundings_file_round_trip(tmp_path, toy_kg):
     rules = [
         Rule(body_relations=(r1, r2), head_relation=r1, confidence=0.6),
         Rule(body_relations=(r2,), head_relation=r1, confidence=0.25),
+        Rule(body_relations=(r1,), head_relation=r2, confidence=0.123456789),  # > 6 digits
     ]
     groundings = ground_rules(rules, kg)
-    assert sorted(set(groundings.confidence.tolist())) == [0.25, 0.6]
+    assert sorted(set(groundings.confidence.tolist())) == [0.123456789, 0.25, 0.6]
     path = tmp_path / "g.tsv"
     write_groundings(groundings, str(path))
     back = read_groundings(str(path), kg)

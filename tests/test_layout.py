@@ -94,3 +94,15 @@ def test_the_library_imports_only_numpy_and_the_standard_library():
             found += [f"{fname}:{node.lineno} imports {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert not found, found
+
+
+def test_models_reads_negatives_in_their_sampled_form():
+    """``models`` takes a ``NegBatch`` as (positives, replaced, slot) and never
+    builds or reads its [B, N, 3] ``negatives`` triples."""
+    tree = dict(modules())["models.py"]
+    found = [
+        f"models.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "negatives"
+    ]
+    assert not found, found

@@ -43,13 +43,9 @@ def random_batch(params, rng, b=6, n=3):
     pos = np.stack(
         [rng.integers(0, n_e, b), rng.integers(0, n_r, b), rng.integers(0, n_e, b)], axis=1
     )
-    neg = np.repeat(pos[:, None, :], n, axis=1)
     slot = (rng.random((b, n)) < 0.5).astype(np.uint8)
     repl = rng.integers(0, n_e, (b, n))
-    for i in range(b):
-        for j in range(n):
-            neg[i, j, 0 if slot[i, j] == HEAD else 2] = repl[i, j]
-    return NegBatch(pos, neg, slot, np.zeros((b, n), dtype=bool))
+    return NegBatch(pos, repl, slot, np.zeros((b, n), dtype=bool))
 
 
 # --- init ------------------------------------------------------------------
@@ -258,8 +254,8 @@ def test_margin_all_satisfied_gives_empty_grad():
         "transe", {"ent": [[0.0, 0.0], [5.0, 5.0]], "rel": [[0.0, 0.0]]}, dim=2
     )
     pos = np.array([[0, 0, 0]])  # score 0
-    neg = np.array([[[0, 0, 1]]])  # score -10, margin satisfied by far
-    nb = NegBatch(pos, neg, np.array([[TAIL]], dtype=np.uint8), np.zeros((1, 1), bool))
+    repl = np.array([[1]])  # (0, 0, 1) scores -10, margin satisfied by far
+    nb = NegBatch(pos, repl, np.array([[TAIL]], dtype=np.uint8), np.zeros((1, 1), bool))
     loss, grads = grad(params, nb, LossSpec("margin", margin=1.0))
     assert loss == 0.0 and grads == {}
 
@@ -320,11 +316,7 @@ def grad_params(model, p, n_entities=10, n_relations=4):
 
 def neg_batch(positives, slot, replacement):
     """The negatives of ``positives`` with ``replacement[i, j]`` put in ``slot[i, j]``."""
-    neg = np.repeat(positives[:, None, :], slot.shape[1], axis=1)
-    head = slot == HEAD
-    neg[..., 0] = np.where(head, replacement, neg[..., 0])
-    neg[..., 2] = np.where(head, neg[..., 2], replacement)
-    return NegBatch(positives, neg, slot.astype(np.uint8), np.zeros(slot.shape, dtype=bool))
+    return NegBatch(positives, replacement, slot.astype(np.uint8), np.zeros(slot.shape, dtype=bool))
 
 
 def flat_reference(params, batch, spec):
@@ -445,26 +437,62 @@ def test_score_grad_matches_flat_reference(monkeypatch, model, p, tables):
     assert_grads_match(grads, flat_score_grad(params, triples, coeff))
 
 
-def test_negatives_must_share_their_positive_anchor():
-    params = init_params("distmult", 6, 2, 4, seed=35)
-    pos = np.array([[0, 0, 1]])
-    neg = np.array([[[2, 1, 1]]])  # head replaced, but the relation differs too
-    nb = NegBatch(pos, neg, np.array([[HEAD]], dtype=np.uint8), np.zeros((1, 1), bool))
-    with pytest.raises(ValueError, match=r"negative \[0, 0\]"):
-        grad(params, nb, LossSpec("bce"))
-
-
 @pytest.mark.parametrize("loss", NEG_LOSSES)
 def test_negatives_grad_rejects_zero_negatives(loss):
     params = init_params("transe", 6, 2, 4, seed=36)
     nb = NegBatch(
         np.array([[0, 0, 1], [2, 1, 3]]),
-        np.zeros((2, 0, 3), dtype=np.int64),
+        np.zeros((2, 0), dtype=np.int64),
         np.zeros((2, 0), dtype=np.uint8),
         np.zeros((2, 0), dtype=bool),
     )
-    with pytest.raises(ValueError, match=r"negatives of shape \(2, 0, 3\)"):
+    with pytest.raises(ValueError, match=r"N >= 1, got replaced of shape \(2, 0\)"):
         grad(params, nb, LossSpec(loss))
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_negatives_grad_rejects_out_of_range_replaced_ids(bad):
+    params = init_params("transe", 6, 2, 4, seed=36)
+    nb = NegBatch(
+        np.array([[0, 0, 1], [2, 1, 3]]),
+        np.array([[1, 2], [bad, 4]]),
+        np.zeros((2, 2), dtype=np.uint8),
+        np.zeros((2, 2), dtype=bool),
+    )
+    with pytest.raises(ValueError, match=r"replaced entity id out of range \(6 entities\)"):
+        grad(params, nb, LossSpec("margin"))
+
+
+@pytest.mark.parametrize(
+    "replaced_shape,slot_shape",
+    [((2, 3), (2, 2)), ((2, 3), (3,)), ((6,), (6,)), ((3, 2), (3, 2))],
+    ids=["slot-narrower", "slot-1d", "replaced-1d", "rows-differ"],
+)
+def test_negatives_grad_rejects_replaced_and_slot_of_other_shapes(replaced_shape, slot_shape):
+    params = init_params("transe", 6, 2, 4, seed=36)
+    nb = NegBatch(
+        np.array([[0, 0, 1], [2, 1, 3]]),
+        np.ones(replaced_shape, dtype=np.int64),
+        np.zeros(slot_shape, dtype=np.uint8),
+        np.zeros(slot_shape, dtype=bool),
+    )
+    with pytest.raises(ValueError, match=r"needs \[2, N\] replaced ids and slots") as err:
+        grad(params, nb, LossSpec("bce"))
+    assert f"replaced of shape {replaced_shape}" in str(err.value)
+    assert f"slot of shape {slot_shape}" in str(err.value)
+
+
+@pytest.mark.parametrize("n_triples,n_labels", [(3, 1), (1, 3)])
+@pytest.mark.parametrize("which", ["batch", "soft"])
+def test_grad_needs_one_label_per_triple(which, n_triples, n_labels):
+    """Too few labels must not broadcast, and too many must not reach the gradient."""
+    params = init_params("complex", 6, 2, 4, seed=36)
+    short = LabeledBatch(np.array([[0, 0, 1], [2, 1, 3], [4, 0, 5]])[:n_triples], np.ones(n_labels))
+    whole = LabeledBatch(np.array([[1, 1, 2]]), np.ones(1))
+    batch, soft = (short, whole) if which == "batch" else (whole, short)
+    with pytest.raises(ValueError, match=f"the {which} batch needs one label per triple") as err:
+        grad(params, batch, LossSpec("bce"), soft=soft)
+    assert f"labels of shape ({n_labels},) for triples of shape ({n_triples}, 3)" in str(err.value)
 
 
 @pytest.mark.parametrize("loss", NEG_LOSSES)

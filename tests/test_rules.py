@@ -16,7 +16,7 @@ from kgembed.rules import (
     triple_truth,
     unlabeled_conclusions,
 )
-from kgembed.sampling import HEAD, LabeledBatch, NegBatch
+from kgembed.sampling import LabeledBatch, NegBatch
 
 from fd_utils import flat_score_grad
 
@@ -292,11 +292,8 @@ def test_ruge_grad_zero_weight_matches_labeled_only(cparams):
 def neg_batch(rng, n_e, n_r, b, n):
     pos = np.stack([rng.integers(0, n_e, b), rng.integers(0, n_r, b), rng.integers(0, n_e, b)], 1)
     slot = (rng.random((b, n)) < 0.5).astype(np.uint8)
-    neg = np.repeat(pos[:, None, :], n, axis=1)
     repl = rng.integers(0, n_e, (b, n))
-    neg[..., 0] = np.where(slot == HEAD, repl, neg[..., 0])
-    neg[..., 2] = np.where(slot == HEAD, neg[..., 2], repl)
-    return NegBatch(pos, neg, slot, np.zeros((b, n), dtype=bool))
+    return NegBatch(pos, repl, slot, np.zeros((b, n), dtype=bool))
 
 
 def shared_row_groundings(params, batch):

@@ -1,4 +1,5 @@
 import importlib
+import os
 import re
 
 import numpy as np
@@ -212,6 +213,47 @@ def test_resume_after_a_crash_writes_the_uninterrupted_log(monkeypatch, toy_kg, 
 
     whole = (tmp_path / "whole" / "train.log").read_bytes()
     assert (tmp_path / "crashed" / "train.log").read_bytes() == whole
+
+
+def dir_bytes(d):
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "fail_at", [(2, "last"), (4, "best"), (4, "last")], ids=["2-last", "4-best", "4-last"]
+)
+def test_resume_after_a_failed_save_matches_the_uninterrupted_run(
+    monkeypatch, toy_kg, tmp_path, fail_at
+):
+    """The save of ``(epoch, slot)`` raises and ends the run; a resume ends it as the whole run.
+
+    Validation MRR improves at epochs 1 and 4, so epoch 4 saves ``best`` and then ``last``.
+    """
+    _, kg = toy_kg
+    cfg = tiny_config(model="transe", check_per_epoch=1, max_epochs=5, patience=10)
+    whole = tmp_path / "whole"
+    train(cfg, kg, run_dir=str(whole))
+
+    save = train_module.save_checkpoint
+    failed = []
+
+    def fail_once(ckpt, directory):
+        if (ckpt.epoch, os.path.basename(directory)) == fail_at and not failed:
+            failed.append(directory)
+            raise OSError("injected save failure")
+        save(ckpt, directory)
+
+    crashed = tmp_path / "crashed"
+    monkeypatch.setattr(train_module, "save_checkpoint", fail_once)
+    with pytest.raises(OSError, match="injected save failure"):
+        train(cfg, kg, run_dir=str(crashed))
+    monkeypatch.setattr(train_module, "save_checkpoint", save)
+    assert len(failed) == 1
+    train(cfg, kg, run_dir=str(crashed), resume=True)
+
+    assert (crashed / "train.log").read_bytes() == (whole / "train.log").read_bytes()
+    assert dir_bytes(crashed / "last") == dir_bytes(whole / "last")
+    assert dir_bytes(crashed / "best") == dir_bytes(whole / "best")
 
 
 def test_resume_after_an_early_stop_trains_nothing(matching_kg, tmp_path):
