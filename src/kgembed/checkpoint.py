@@ -51,11 +51,13 @@ def _write_table(path: str, arr: np.ndarray) -> str:
     rows = arr.shape[0] if arr.ndim else 1
     cols = int(np.prod(arr.shape[1:], dtype=np.int64)) if arr.ndim > 1 else 1
     header = MAGIC + np.array([rows, cols, 0], dtype="<u4").tobytes()
-    data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    blob = header + data
+    data = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)  # written and hashed with no copy
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return hashlib.sha256(blob).hexdigest()
+        fh.write(header)
+        fh.write(data)
+    sha = hashlib.sha256(header)
+    sha.update(data)
+    return sha.hexdigest()
 
 
 def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:

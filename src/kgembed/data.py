@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,16 +55,35 @@ class Vocab:
         return len(self.id_to_relation)
 
 
+# TripleIndex.contains's bit table has 2^_HASH_BITS bits
+_HASH_BITS = 22
+
+
+def _hash(keys: np.ndarray) -> np.ndarray:
+    """Each non-negative int64 key's bit in [0, 2^_HASH_BITS), by Fibonacci hashing.
+
+    The product wraps modulo 2^64 and its top bits are the bit's index.
+    """
+    return (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - _HASH_BITS)
+
+
 class TripleIndex:
     """The distinct triples of an [n, 3] id array, as two sorted key arrays.
 
     ``hrt`` holds (h*R + r)*E + t and ``rth`` holds (r*E + t)*E + h, each
     ascending without repeats. The triples sharing (h, r) form one run of
     ``hrt`` with tails ascending, those sharing (r, t) one run of ``rth``
-    with heads ascending. So membership is one ``searchsorted``, and the
+    with heads ascending. So a lookup is one ``searchsorted``, and the
     known completions of a batch of queries are two. Every id is checked
     against [0, E) or [0, R) before packing, since an id out of range
     would alias the key of another triple.
+
+    ``contains`` first reads each key's bit in ``bits``, a table of
+    2^22 bits (512 KiB) with the bit of every ``hrt`` key set: a key whose
+    bit is clear is absent, and only the others are searched for. Against
+    a few hundred thousand triples most absent keys stop at their bit. An
+    index that is never asked ``contains`` (the filter sets, the grounded
+    conclusions) never builds the table.
     """
 
     def __init__(self, triples, n_entities: int, n_relations: int):
@@ -72,6 +92,14 @@ class TripleIndex:
         hr, t = np.divmod(self.hrt, n_entities)
         h, r = np.divmod(hr, n_relations)
         self.rth = np.sort((r * n_entities + t) * n_entities + h)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """``contains``'s bit table, built on its first use; bit k of byte j is bit 8j + k."""
+        bits = np.zeros(1 << (_HASH_BITS - 3), dtype=np.uint8)
+        at = _hash(self.hrt)
+        np.bitwise_or.at(bits, at >> 3, np.left_shift(1, at & 7).astype(np.uint8))
+        return bits
 
     def _keys(self, triples, cols) -> np.ndarray:
         """Pack columns ``cols`` of [..., 3] id rows into one int64 key per row."""
@@ -86,9 +114,8 @@ class TripleIndex:
             key = key * n + ids
         return key
 
-    def _lookup(self, triples) -> tuple[np.ndarray, np.ndarray]:
-        """Each [..., 3] id row's insertion point in ``hrt``, and whether it is there."""
-        keys = self._keys(triples, (0, 1, 2))
+    def _search(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's insertion point in ``hrt``, and whether it is there."""
         if not len(self.hrt):
             return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
         pos = np.minimum(np.searchsorted(self.hrt, keys), len(self.hrt) - 1)
@@ -96,11 +123,16 @@ class TripleIndex:
 
     def contains(self, triples) -> np.ndarray:
         """Whether each [..., 3] id row is an indexed triple."""
-        return self._lookup(triples)[1]
+        keys = self._keys(triples, (0, 1, 2))
+        at = _hash(keys)
+        found = ((self.bits[at >> 3] >> (at & 7)) & 1).astype(bool)
+        maybe = found.nonzero()
+        found[maybe] = self._search(keys[maybe])[1]
+        return found
 
     def find(self, triples) -> np.ndarray:
         """Each [..., 3] id row's position in ``hrt``, or -1 where it is not indexed."""
-        pos, found = self._lookup(triples)
+        pos, found = self._search(self._keys(triples, (0, 1, 2)))
         return np.where(found, pos, -1)
 
     def completions(self, queries, slot: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,11 @@
 All losses consume scores under the convention "higher = more plausible"
 and accumulate in float64. Each loss has a companion ``*_grads`` function
 returning d(loss)/d(score) so model-side gradient code can stay loss-free.
+Every loss is a mean with a normalizer known before any score is: the
+pairs (margin), the positives (self_adversarial) or the scores (bce). A
+``*_grads`` function takes it as ``normalizer``, so a caller can take the
+derivatives of one chunk of a batch at a time, each bit for bit the
+whole batch's.
 """
 
 from __future__ import annotations
@@ -75,16 +80,23 @@ def margin_loss(pos_scores: np.ndarray, neg_scores: np.ndarray, margin: float) -
 
 
 def margin_loss_grads(
-    pos_scores: np.ndarray, neg_scores: np.ndarray, margin: float
+    pos_scores: np.ndarray,
+    neg_scores: np.ndarray,
+    margin: float,
+    normalizer: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d(margin_loss)/d(pos_scores), d(margin_loss)/d(neg_scores)."""
+    """d(margin_loss)/d(pos_scores), d(margin_loss)/d(neg_scores).
+
+    ``normalizer`` is the number of pairs the mean runs over (default
+    ``neg_scores.size``).
+    """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     posb = pos[..., None] if neg.ndim == pos.ndim + 1 else pos
     active = (margin - posb + neg) > 0
-    scale = 1.0 / neg.size
+    scale = 1.0 / (neg.size if normalizer is None else normalizer)
     d_neg = np.where(active, scale, 0.0)
     if neg.ndim == pos.ndim + 1:
         d_pos = -d_neg.sum(axis=-1)
@@ -130,9 +142,17 @@ def self_adversarial_loss(
 
 
 def self_adversarial_loss_grads(
-    pos_scores: np.ndarray, neg_scores: np.ndarray, margin: float, temperature: float
+    pos_scores: np.ndarray,
+    neg_scores: np.ndarray,
+    margin: float,
+    temperature: float,
+    normalizer: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score-space gradients of :func:`self_adversarial_loss` (weights held constant)."""
+    """Score-space gradients of :func:`self_adversarial_loss` (weights held constant).
+
+    ``normalizer`` is the number of positives the mean runs over (default
+    ``len(pos_scores)``).
+    """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     pos = np.asarray(pos_scores, dtype=np.float64)
@@ -141,7 +161,7 @@ def self_adversarial_loss_grads(
     if squeeze:
         neg = neg[:, None]
     w = adversarial_weights(neg, temperature)
-    n = pos.shape[0]
+    n = pos.shape[0] if normalizer is None else normalizer
     d_pos = -sigmoid(-margin - pos) / n
     d_neg = w * sigmoid(margin + neg) / n
     if squeeze:
@@ -164,15 +184,18 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.
 
 
 def bce_loss_grads(
-    scores: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
+    scores: np.ndarray,
+    labels: np.ndarray,
+    label_smoothing: float = 0.0,
+    normalizer: int | None = None,
 ) -> np.ndarray:
-    """d(bce_loss)/d(scores): (sigmoid(x) - y) / n."""
+    """d(bce_loss)/d(scores): (sigmoid(x) - y) / n, n = ``normalizer`` (default ``scores.size``)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size and (labels.min() < 0.0 or labels.max() > 1.0):
         raise ValueError("bce labels must lie in [0, 1]")
     y = _smooth(labels, label_smoothing)
-    return (sigmoid(scores) - y) / scores.size
+    return (sigmoid(scores) - y) / (scores.size if normalizer is None else normalizer)
 
 
 def _smooth(labels: np.ndarray, eps: float) -> np.ndarray:

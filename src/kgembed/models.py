@@ -8,10 +8,11 @@ Gradients are derived by hand per model and composed with the loss
 derivatives from :mod:`kgembed.losses`; correctness is pinned by the
 finite-difference test suite rather than an autodiff dependency. Each
 model is one formula, which reads a triple's head, relation and tail rows
-through an accessor and builds the forward once. Without coefficients it
-returns the scores; with them it hands each row's derivative, with the
-coefficient that scales it, back to the accessor instead of reducing to a
-score.
+through an accessor, builds the forward once and returns the scores. When
+the accessor has a coefficient callback, the formula asks it for the
+coefficients of those scores and hands each row's derivative, with the
+coefficient that scales it, back to the accessor from the same
+temporaries.
 
 There is one accessor, :class:`_Query`, and every score and gradient runs
 in its query form: b positives and the entities that replace one slot of
@@ -28,15 +29,22 @@ each triple its own tail corruption; a candidate sweep
 formulas see each corruption's rows in the order of its own triple, so
 every score is the same bit for bit whichever batch it comes in.
 
-A gradient is known once the loss coefficients are: a second pass
-recomputes each chunk and writes it through one :class:`GradAccumulator`,
-which holds a zero row for every id the coefficients can reach and
-scatters into it in place. A replaced entity gets coefficient *
-d(score)/d(row), and an anchor the sum of those over the corruptions that
-use it, once per positive. Corruptions with a zero coefficient reach no
-row. Chunks hold about ``_GRAD_CHUNK_ELEMS`` float64 elements per table,
-so a call's memory grows by a few ids and scores per triple, not by its
-gathered rows.
+:func:`grad` runs each chunk of queries once. Every loss is a mean whose
+normalizer is known before any score is (margin divides by B·N, bce by
+B·(N+1), self-adversarial by B after a softmax over each positive's own
+negatives), so a chunk's coefficients follow from its own scores: in a
+:class:`NegBatch` each positive leads its negatives in one [B, 1 + N]
+query group, as the tail corruption by its own tail. The formula takes the
+coefficients as soon as the chunk is scored and writes its derivatives
+through one :class:`GradAccumulator`, which holds a zero row for every id
+the queries can reach, scatters into it in place, and keeps only the rows
+that were reached. A replaced entity gets coefficient * d(score)/d(row),
+and an anchor the sum of those over the corruptions that use it, once per
+positive. Corruptions with a zero coefficient reach no row. The loss is
+taken once over the whole score arrays, so it is the same bit for bit as
+over unchunked scores. Chunks hold about ``_GRAD_CHUNK_ELEMS`` float64
+elements per table, so a call's memory grows by a few ids and scores per
+triple, not by its gathered rows.
 
 Candidate scoring (one slot swept over every entity) has two paths.
 
@@ -71,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -229,40 +238,44 @@ def score(params: ModelParams, triples: np.ndarray) -> np.ndarray:
     return _query_scores(params, *_as_queries(triples))[:, 0]
 
 
-# Each formula reads a triple's rows through the accessor ``x`` and builds
-# the forward once. Without ``c`` it returns the scores. With ``c`` (the
-# shape of those scores) it skips the final reduction and hands every row
-# it read, with d(score)/d(row) and the coefficient that scales it, to
-# ``x.add_h``, ``x.add_r`` or ``x.add_t``.
+# Each formula reads a triple's rows through the accessor ``x``, builds the
+# forward once and returns the scores. Before returning it asks
+# ``x.coef(scores)`` for the coefficients of those scores; unless that is
+# None (scores only, or no coefficient is nonzero) it hands every row it
+# read, with d(score)/d(row) and the coefficient that scales it, to
+# ``x.add_h``, ``x.add_r`` or ``x.add_t``, built from the same temporaries.
 
 
-def _transe(params, x, c=None):
+def _transe(params, x):
     d = (x.h("ent") + x.r("rel")) - x.t("ent")
     if params.transe_p == 1:
-        if c is None:
-            return -np.abs(d).sum(axis=-1)
-        u = np.sign(d)
+        s = -np.abs(d).sum(axis=-1)
     else:
         nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
-        if c is None:
-            return -nrm[..., 0]
-        u = d / np.where(nrm > 0, nrm, 1.0)
+        s = -nrm[..., 0]
+    c = x.coef(s)
+    if c is None:
+        return s
+    u = np.sign(d) if params.transe_p == 1 else d / np.where(nrm > 0, nrm, 1.0)
     x.add_h("ent", u, -c)
     x.add_r("rel", u, -c)
     x.add_t("ent", u, c)
+    return s
 
 
 def _transh_project(e, w):
     return e - (e * w).sum(axis=-1, keepdims=True) * w
 
 
-def _transh(params, x, c=None):
+def _transh(params, x):
     w = x.r("norm")
     he = x.h("ent")
     te = x.t("ent")
     d = (_transh_project(he, w) + x.r("rel")) - _transh_project(te, w)
+    s = -(d * d).sum(axis=-1)
+    c = x.coef(s)
     if c is None:
-        return -(d * d).sum(axis=-1)
+        return s
     dw = (d * w).sum(axis=-1, keepdims=True)
     v = d - dw * w
     c2 = 2.0 * c
@@ -272,6 +285,7 @@ def _transh(params, x, c=None):
     a = te - he
     aw = (a * w).sum(axis=-1, keepdims=True)
     x.add_r("norm", dw * a + aw * d, -c2)
+    return s
 
 
 def _project(m, e):
@@ -279,13 +293,15 @@ def _project(m, e):
     return np.einsum("...ij,...j->...i", m, e)
 
 
-def _transr(params, x, c=None):
+def _transr(params, x):
     m = x.r("proj")  # [..., d, d]
     he = x.h("ent")
     te = x.t("ent")
     d = (_project(m, he) + x.r("rel")) - _project(m, te)
+    s = -(d * d).sum(axis=-1)
+    c = x.coef(s)
     if c is None:
-        return -(d * d).sum(axis=-1)
+        return s
     c2 = 2.0 * c
     mtd = np.einsum("...ij,...i->...j", m, d)  # M^T d
     x.add_h("ent", mtd, -c2)
@@ -293,41 +309,48 @@ def _transr(params, x, c=None):
     x.add_r("rel", d, -c2)
     # dF/dM = -2c * outer(d, h - t)
     x.add_r("proj", (d, he - te), -2.0 * c)
+    return s
 
 
-def _distmult(params, x, c=None):
+def _distmult(params, x):
     he = x.h("ent")
     re = x.r("rel")
     te = x.t("ent")
     hr = he * re
+    s = (hr * te).sum(axis=-1)
+    c = x.coef(s)
     if c is None:
-        return (hr * te).sum(axis=-1)
+        return s
     x.add_h("ent", re * te, c)
     x.add_r("rel", he * te, c)
     x.add_t("ent", hr, c)
+    return s
 
 
 def _split(x, d):
     return x[..., :d], x[..., d:]
 
 
-def _complex(params, x, c=None):
+def _complex(params, x):
     d = params.dim
     hre, him = _split(x.h("ent"), d)
     rre, rim = _split(x.r("rel"), d)
     tre, tim = _split(x.t("ent"), d)
     re = hre * rre - him * rim
     im = hre * rim + him * rre
+    s = (re * tre + im * tim).sum(axis=-1)
+    c = x.coef(s)
     if c is None:
-        return (re * tre + im * tim).sum(axis=-1)
+        return s
     gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=-1)
     gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=-1)
     x.add_h("ent", gh, c)
     x.add_r("rel", gr, c)
     x.add_t("ent", np.concatenate([re, im], axis=-1), c)
+    return s
 
 
-def _rotate(params, x, c=None):
+def _rotate(params, x):
     d = params.dim
     hre, him = _split(x.h("ent"), d)
     tre, tim = _split(x.t("ent"), d)
@@ -338,16 +361,19 @@ def _rotate(params, x, c=None):
     ure = hr_re - tre
     uim = hr_im - tim
     nrm = np.sqrt((ure * ure + uim * uim).sum(axis=-1))
+    s = -nrm
+    c = x.coef(s)
     if c is None:
-        return -nrm
+        return s
     fac = c / np.where(nrm > 0, nrm, 1.0)
     gh = np.concatenate([-(ure * cos + uim * sin), -(-ure * sin + uim * cos)], axis=-1)
     x.add_h("ent", gh, fac)
     x.add_t("ent", np.concatenate([ure, uim], axis=-1), fac)
     x.add_r("rel", ure * hr_im - uim * hr_re, fac)
+    return s
 
 
-def _simple(params, x, c=None):
+def _simple(params, x):
     eh_h = x.h("ent_h")
     et_t = x.t("ent_t")
     eh_t = x.t("ent_h")
@@ -356,8 +382,10 @@ def _simple(params, x, c=None):
     ri = x.r("rel_inv")
     hr = eh_h * rr
     tri = eh_t * ri
+    s = 0.5 * ((hr * et_t).sum(axis=-1) + (tri * et_h).sum(axis=-1))
+    c = x.coef(s)
     if c is None:
-        return 0.5 * ((hr * et_t).sum(axis=-1) + (tri * et_h).sum(axis=-1))
+        return s
     half = 0.5 * c
     x.add_h("ent_h", rr * et_t, half)
     x.add_r("rel", eh_h * et_t, half)
@@ -365,6 +393,7 @@ def _simple(params, x, c=None):
     x.add_t("ent_h", ri * et_h, half)
     x.add_r("rel_inv", eh_t * et_h, half)
     x.add_h("ent_t", tri, half)
+    return s
 
 
 _FORMULA = {
@@ -733,26 +762,34 @@ class GradAccumulator:
     ``ent`` and ``rel`` are the sorted distinct entity and relation ids
     the contributions may reach. Every entity table gets a zero row per
     ``ent`` id, every other table one per ``rel`` id. ``add`` scatters
-    rows into them at once, duplicate ids summing in call order, and
-    ``finalize`` returns them.
+    rows into them at once, duplicate ids summing in call order, and marks
+    their ids reached. ``finalize`` returns the rows of the reached ids
+    only, so a candidate that no contribution reached is no gradient row.
     """
 
     def __init__(self, params: ModelParams, ent: np.ndarray, rel: np.ndarray) -> None:
-        self._grads: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        kinds = {}  # entity table or not -> (ids, the gradient row of each id, reached)
+        for entity, ids, n in ((True, ent, params.n_entities), (False, rel, params.n_relations)):
+            position = np.empty(n, dtype=np.int64)
+            position[ids] = np.arange(len(ids))
+            kinds[entity] = (ids, position, np.zeros(len(ids), dtype=bool))
+        self._grads = {}
         for name, table in params.tables.items():
-            entity = name in _ENTITY_TABLES
-            ids, n = (ent, params.n_entities) if entity else (rel, params.n_relations)
-            if len(ids):
-                position = np.empty(n, dtype=np.int64)  # the gradient row of each id
-                position[ids] = np.arange(len(ids))
-                self._grads[name] = (ids, np.zeros((len(ids),) + table.shape[1:]), position)
+            kind = kinds[name in _ENTITY_TABLES]
+            self._grads[name] = (kind, np.zeros((len(kind[0]),) + table.shape[1:]))
 
     def add(self, table: str, ids: np.ndarray, rows: np.ndarray) -> None:
-        _, out, position = self._grads[table]
-        scatter_add(out, position[ids], rows)
+        (_, position, reached), out = self._grads[table]
+        at = position[ids]
+        reached[at] = True
+        scatter_add(out, at, rows)
 
     def finalize(self) -> SparseGrad:
-        return {name: (ids, rows) for name, (ids, rows, _) in self._grads.items()}
+        out = {}
+        for name, ((ids, _, reached), rows) in self._grads.items():
+            if reached.any():
+                out[name] = (ids, rows) if reached.all() else (ids[reached], rows[reached])
+        return out
 
 
 def _scaled(rows, coef: np.ndarray) -> np.ndarray:
@@ -776,27 +813,38 @@ class _Query:
     gather each corruption's entity row, the replaced one or the
     positive's.
 
-    With ``kept`` (the corruptions whose coefficient is nonzero), ``add_*``
-    write through ``acc``: a replaced entity's row as it is, and an
-    anchor's rows summed over the kept corruptions that use it, once per
-    positive.
+    ``coef`` maps the chunk's scores to their loss coefficients. Once
+    ``coef`` has kept the corruptions whose coefficient is nonzero,
+    ``add_*`` write through ``acc``: a replaced entity's row as it is, and
+    an anchor's rows summed over the kept corruptions that use it, once
+    per positive.
     """
 
-    def __init__(self, params, positives, replaced, head, kept=None, acc=None):
+    def __init__(self, params, positives, replaced, head, coef=None, acc=None):
         self.tables = params.tables
-        self.positives, self.replaced = positives, replaced
+        self.positives, self.replaced, self.head = positives, replaced, head
         self._ids = (
             np.where(head, replaced, positives[:, :1]),
             np.where(head, positives[:, 2:], replaced),
         )
-        if kept is not None:
-            # per column: the kept corruptions that replaced it, and those anchored on it
-            self._uses = {
-                0: (kept & head, kept & ~head),
-                1: (None, kept),
-                2: (kept & ~head, kept & head),
-            }
-            self.acc = acc
+        self._coef, self.acc = coef, acc
+
+    def coef(self, scores):
+        """The coefficients of ``scores``, or None: scores only, or none is nonzero."""
+        if self._coef is None:
+            return None
+        c = self._coef(scores)
+        kept = c != 0.0
+        if not kept.any():
+            return None
+        head = self.head
+        # per column: the kept corruptions that replaced it, and those anchored on it
+        self._uses = {
+            0: (kept & head, kept & ~head),
+            1: (None, kept),
+            2: (kept & ~head, kept & head),
+        }
+        return c
 
     def _gather(self, name, ids):
         return _rows(self.tables[name], ids)
@@ -852,33 +900,20 @@ def _chunks(params: ModelParams, b: int, n: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, b, step)]
 
 
-def _query_scores(params, positives, replaced, head) -> np.ndarray:
+def _query_scores(params, positives, replaced, head, coef=None, acc=None) -> np.ndarray:
+    """The [b, n] scores of queries, chunk by chunk.
+
+    With ``coef`` and ``acc`` each chunk is differentiated in the same
+    pass: ``coef(sl, scores)`` returns the loss coefficients of the chunk
+    of positives ``sl`` from its scores, and the gradient goes into ``acc``.
+    """
     out = np.empty(replaced.shape)
+    formula = _FORMULA[params.model]
     for sl in _chunks(params, *replaced.shape):
-        query = _Query(params, positives[sl], replaced[sl], head[sl])
-        out[sl] = _FORMULA[params.model](params, query)
+        chunk_coef = None if coef is None else partial(coef, sl)
+        query = _Query(params, positives[sl], replaced[sl], head[sl], chunk_coef, acc)
+        out[sl] = formula(params, query)
     return out
-
-
-def _query_grad(params, groups, coeffs) -> SparseGrad:
-    """The gradient of sum(coeff * score) over query-form groups of corruptions."""
-    ent, rel = [], []
-    for (positives, replaced, head), c in zip(groups, coeffs):
-        kept = c != 0.0
-        ent += [
-            replaced[kept],
-            positives[(kept & ~head).any(axis=1), 0],
-            positives[(kept & head).any(axis=1), 2],
-        ]
-        rel.append(positives[kept.any(axis=1), 1])
-    acc = GradAccumulator(params, np.unique(np.concatenate(ent)), np.unique(np.concatenate(rel)))
-    for (positives, replaced, head), c in zip(groups, coeffs):
-        for sl in _chunks(params, *replaced.shape):
-            kept = c[sl] != 0.0
-            if kept.any():
-                q = _Query(params, positives[sl], replaced[sl], head[sl], kept, acc)
-                _FORMULA[params.model](params, q, c[sl])
-    return acc.finalize()
 
 
 def _check_negatives(params: ModelParams, batch: NegBatch, b: int):
@@ -889,7 +924,12 @@ def _check_negatives(params: ModelParams, batch: NegBatch, b: int):
             f"a negative batch needs [{b}, N] replaced ids and slots with N >= 1, "
             f"got replaced of shape {replaced.shape} and slot of shape {slot.shape}"
         )
-    if replaced.size and (replaced.min() < 0 or replaced.max() >= params.n_entities):
+    if b == 0:
+        raise ValueError("a negative batch needs at least one positive, got 0")
+    bad = (slot != HEAD) & (slot != TAIL)
+    if bad.any():
+        raise ValueError(f"negative slot must be HEAD (0) or TAIL (1), got {slot[bad][0]}")
+    if replaced.min() < 0 or replaced.max() >= params.n_entities:
         raise ValueError(f"replaced entity id out of range ({params.n_entities} entities)")
     return replaced, slot == HEAD
 
@@ -904,29 +944,39 @@ def _check_labeled(params: ModelParams, name: str, batch: LabeledBatch) -> np.nd
     return triples
 
 
-def _negatives_loss(
-    params, pos_scores, negatives, loss_spec: LossSpec
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The loss of the positives' scores and the negatives', and its derivative by each score."""
-    neg_scores = _query_scores(params, *negatives)
-    if loss_spec.kind == "margin":
-        loss = margin_loss(pos_scores, neg_scores, loss_spec.margin)
-        d_pos, d_neg = margin_loss_grads(pos_scores, neg_scores, loss_spec.margin)
-    elif loss_spec.kind == "self_adversarial":
-        loss = self_adversarial_loss(
-            pos_scores, neg_scores, loss_spec.margin, loss_spec.adv_temperature
-        )
-        d_pos, d_neg = self_adversarial_loss_grads(
-            pos_scores, neg_scores, loss_spec.margin, loss_spec.adv_temperature
-        )
-    else:  # bce
-        b, n = neg_scores.shape
-        scores = np.concatenate([pos_scores, neg_scores.reshape(-1)])
-        labels = np.concatenate([np.ones(b), np.zeros(b * n)])
-        loss = bce_loss(scores, labels, loss_spec.label_smoothing)
-        d = bce_loss_grads(scores, labels, loss_spec.label_smoothing)
-        d_pos, d_neg = d[:b], d[b:].reshape(b, n)
-    return loss, d_pos, d_neg
+def _labeled_coef(labels: np.ndarray, smoothing: float):
+    """The bce coefficients of a chunk of [n, 1] explicit queries."""
+    n = len(labels)
+    return lambda sl, s: bce_loss_grads(s[:, 0], labels[sl], smoothing, normalizer=n)[:, None]
+
+
+def _negatives_coef(loss_spec: LossSpec, b: int, n: int):
+    """The coefficients of a chunk of [positive, its n negatives] scores, b positives in all."""
+    margin = loss_spec.margin
+
+    def coef(sl, s):
+        pos, neg = s[:, 0], s[:, 1:]
+        if loss_spec.kind == "margin":
+            d_pos, d_neg = margin_loss_grads(pos, neg, margin, normalizer=b * n)
+        elif loss_spec.kind == "self_adversarial":
+            d_pos, d_neg = self_adversarial_loss_grads(
+                pos, neg, margin, loss_spec.adv_temperature, normalizer=b
+            )
+        else:  # bce: label 1 for the positive, 0 for its negatives
+            labels = np.zeros(s.shape)
+            labels[:, 0] = 1.0
+            return bce_loss_grads(s, labels, loss_spec.label_smoothing, normalizer=b * (n + 1))
+        return np.concatenate([d_pos[:, None], d_neg], axis=1)
+
+    return coef
+
+
+def _distinct(n: int, *ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct ids in [0, n) of the arrays ``ids``."""
+    seen = np.zeros(n, dtype=bool)
+    for i in ids:
+        seen[i] = True
+    return np.flatnonzero(seen)
 
 
 def grad(
@@ -940,9 +990,11 @@ def grad(
     A :class:`NegBatch` pairs with margin / self_adversarial / bce (labels
     1 for positives, 0 for negatives); a :class:`LabeledBatch` requires bce.
     ``soft`` (bce only) is a second :class:`LabeledBatch`, such as rule
-    soft labels, whose mean bce is added to the loss. Its triples join the
-    batch's explicit triples in one [n, 1] query group, so the call scores
-    them in one pass and writes one :class:`GradAccumulator`.
+    soft labels, whose mean bce is added to the loss. Every group of
+    queries (the negatives led by their positives, or the labeled triples;
+    then the soft triples) is scored and differentiated in one pass into
+    one :class:`GradAccumulator`; the loss is then taken once over the
+    whole score arrays.
     """
     loss_spec.validate()
     labeled = isinstance(batch, LabeledBatch)
@@ -950,27 +1002,45 @@ def grad(
         raise ValueError(f"labeled batches require the bce loss, got {loss_spec.kind!r}")
     if soft is not None and loss_spec.kind != "bce":
         raise ValueError(f"soft labels require the bce loss, got {loss_spec.kind!r}")
-    if labeled:
-        triples, groups = _check_labeled(params, "batch", batch), []
-    else:
-        triples = _check_ids(params, batch.positives)
-        groups = [(triples, *_check_negatives(params, batch, len(triples)))]
-    explicit = triples
-    if soft is not None:
-        explicit = np.concatenate([triples, _check_labeled(params, "soft", soft)])
-    groups.insert(0, _as_queries(explicit))
-    scores = _query_scores(params, *groups[0])[:, 0]
-    batch_scores, soft_scores = scores[: len(triples)], scores[len(triples) :]
-
     smoothing = loss_spec.label_smoothing
     if labeled:
-        loss = bce_loss(batch_scores, batch.labels, smoothing)
-        coeffs = [bce_loss_grads(batch_scores, batch.labels, smoothing)]
+        triples = _check_labeled(params, "batch", batch)
+        groups = [(*_as_queries(triples), _labeled_coef(batch.labels, smoothing))]
     else:
-        loss, d_pos, d_neg = _negatives_loss(params, batch_scores, groups[1], loss_spec)
-        coeffs = [d_pos, d_neg]
-    if len(soft_scores):
-        loss += bce_loss(soft_scores, soft.labels, smoothing)
-        coeffs[0] = np.concatenate([coeffs[0], bce_loss_grads(soft_scores, soft.labels, smoothing)])
-    coeffs[0] = coeffs[0][:, None]
-    return loss, _query_grad(params, groups, coeffs)
+        triples = _check_ids(params, batch.positives)
+        replaced, head = _check_negatives(params, batch, len(triples))
+        # each positive leads its negatives, as the tail corruption by its own tail
+        groups = [
+            (
+                triples,
+                np.concatenate([triples[:, 2:], replaced], axis=1),
+                np.concatenate([np.zeros((len(triples), 1), dtype=bool), head], axis=1),
+                _negatives_coef(loss_spec, *replaced.shape),
+            )
+        ]
+    if soft is not None:
+        soft_triples = _check_labeled(params, "soft", soft)
+        if len(soft_triples):
+            groups.append((*_as_queries(soft_triples), _labeled_coef(soft.labels, smoothing)))
+
+    # every query's head and replaced entity (a positive's tail is its first) may be reached
+    acc = GradAccumulator(
+        params,
+        _distinct(params.n_entities, *(ids for g in groups for ids in (g[0][:, 0], g[1]))),
+        _distinct(params.n_relations, *(g[0][:, 1] for g in groups)),
+    )
+    scores = [_query_scores(params, *group, acc=acc) for group in groups]
+    if labeled:
+        loss = bce_loss(scores[0][:, 0], batch.labels, smoothing)
+    else:
+        pos, neg = scores[0][:, 0].copy(), scores[0][:, 1:].copy()
+        if loss_spec.kind == "margin":
+            loss = margin_loss(pos, neg, loss_spec.margin)
+        elif loss_spec.kind == "self_adversarial":
+            loss = self_adversarial_loss(pos, neg, loss_spec.margin, loss_spec.adv_temperature)
+        else:
+            labels = np.concatenate([np.ones(len(pos)), np.zeros(neg.size)])
+            loss = bce_loss(np.concatenate([pos, neg.reshape(-1)]), labels, smoothing)
+    if len(scores) > 1:
+        loss += bce_loss(scores[1][:, 0], soft.labels, smoothing)
+    return loss, acc.finalize()

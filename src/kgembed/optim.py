@@ -4,10 +4,18 @@ State is stored float32 like the parameter tables (so checkpoints
 round-trip bitwise); update arithmetic runs in float64. Updates are lazy:
 only rows named by the gradient are touched, and only their state
 advances — adam keeps a per-row step counter for bias correction.
+
+A step gathers each table's rows (and each slot's) with ``take``, a
+block of rows at a time, updates the float64 copies in place with the
+operands in the order of the textbook formulas, and writes them back,
+rounding to float32 on assignment. Every product and quotient is the one
+the formulas name, so the trained bytes do not depend on how the
+temporaries are laid out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +23,10 @@ import numpy as np
 OPTIMIZER_KINDS = ("sgd", "adagrad", "adam")
 
 ADAGRAD_EPS = 1e-10
+
+# float64 elements per block of rows that a step updates at once: its
+# temporaries stay in cache and do not grow with the number of rows
+_BLOCK_ELEMS = 1 << 15
 
 
 class NonFiniteGradientError(ValueError):
@@ -89,25 +101,53 @@ def optimizer_step(
             )
     for name, (ids, g) in grads.items():
         table = tables[name]
-        g64 = np.asarray(g, dtype=np.float64)
-        x = table[ids].astype(np.float64)
-        if state.kind == "sgd":
-            x -= lr * g64
-        elif state.kind == "adagrad":
-            acc = state.slots[name]["accum"]
-            a = acc[ids].astype(np.float64) + g64 * g64
-            acc[ids] = a.astype(np.float32)
-            x -= lr * g64 / (np.sqrt(a) + ADAGRAD_EPS)
-        else:  # adam
-            slot = state.slots[name]
-            steps = slot["steps"][ids].astype(np.float64) + 1.0
-            slot["steps"][ids] = steps.astype(np.float32)
-            m = state.beta1 * slot["m"][ids].astype(np.float64) + (1 - state.beta1) * g64
-            v = state.beta2 * slot["v"][ids].astype(np.float64) + (1 - state.beta2) * g64 * g64
-            slot["m"][ids] = m.astype(np.float32)
-            slot["v"][ids] = v.astype(np.float32)
-            shape = (-1,) + (1,) * (g64.ndim - 1)
-            mhat = m / (1.0 - state.beta1 ** steps).reshape(shape)
-            vhat = v / (1.0 - state.beta2 ** steps).reshape(shape)
-            x -= lr * mhat / (np.sqrt(vhat) + state.eps)
-        table[ids] = x.astype(table.dtype)
+        step = max(1, _BLOCK_ELEMS // math.prod(table.shape[1:]))
+        for lo in range(0, len(ids), step):
+            block = slice(lo, lo + step)
+            _update(state, name, table, ids[block], np.asarray(g[block], dtype=np.float64), lr)
+
+
+def _update(state: OptimizerState, name: str, table: np.ndarray, ids, g64, lr: float) -> None:
+    """Update rows ``ids`` of ``table`` and of its slots by their float64 gradient ``g64``."""
+    x = _gather(table, ids)
+    if state.kind == "sgd":
+        x -= lr * g64
+    elif state.kind == "adagrad":
+        acc = state.slots[name]["accum"]
+        a = _gather(acc, ids)
+        a += g64 * g64
+        acc[ids] = a
+        np.sqrt(a, out=a)
+        a += ADAGRAD_EPS
+        step = lr * g64
+        step /= a
+        x -= step
+    else:  # adam
+        slot = state.slots[name]
+        steps = _gather(slot["steps"], ids)
+        steps += 1.0
+        slot["steps"][ids] = steps
+        m = _gather(slot["m"], ids)
+        m *= state.beta1
+        m += (1 - state.beta1) * g64
+        v = _gather(slot["v"], ids)
+        v *= state.beta2
+        step = (1 - state.beta2) * g64
+        step *= g64
+        v += step
+        slot["m"][ids] = m
+        slot["v"][ids] = v
+        shape = (-1,) + (1,) * (g64.ndim - 1)
+        m /= (1.0 - state.beta1**steps).reshape(shape)  # mhat
+        v /= (1.0 - state.beta2**steps).reshape(shape)  # vhat
+        np.sqrt(v, out=v)
+        v += state.eps
+        m *= lr
+        m /= v
+        x -= m
+    table[ids] = x
+
+
+def _gather(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows ``ids`` of a float32 table as a new float64 array to update in place."""
+    return table.take(ids, axis=0).astype(np.float64)

@@ -170,10 +170,11 @@ def train(
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
 
-    def snapshot(epoch: int, metric: float) -> Checkpoint:
+    def snapshot(epoch: int, metric: float, final: bool) -> Checkpoint:
+        """The run's state; a ``final`` one (nothing trains after it) holds the live tables."""
         return Checkpoint(
-            params=params.copy(),
-            opt_state=opt.copy(),
+            params=params if final else params.copy(),
+            opt_state=opt if final else opt.copy(),
             epoch=epoch,
             best_metric=metric,
             config=config,
@@ -181,6 +182,7 @@ def train(
         )
 
     current_epoch = start_epoch
+    saved_last = saved_best = None  # the checkpoints this run wrote to last/ and best/
     for epoch in range(start_epoch + 1, config.max_epochs + 1):
         if config.model != "rgcn" and config.renorm_enabled():
             models.renormalize_entities(params)
@@ -206,24 +208,36 @@ def train(
             for k in (1, 3, 10):
                 emit(epoch, "valid", f"hits@{k}", report.hits(k))
             history.append((epoch, report.mrr))
+            stop = early_stop(history, config.patience)
+            final = stop or epoch == config.max_epochs
             if report.mrr > best_metric:
                 best_metric = report.mrr
-                best_ckpt = snapshot(epoch, best_metric)
+                best_ckpt = snapshot(epoch, best_metric, final)
                 if run_dir is not None:
                     save_checkpoint(best_ckpt, os.path.join(run_dir, "best"))
+                    saved_best = best_ckpt
             if run_dir is not None:
-                save_checkpoint(snapshot(epoch, best_metric), os.path.join(run_dir, "last"))
-            if early_stop(history, config.patience):
+                # a best snapshot taken this epoch is this state too
+                fresh = best_ckpt is not None and best_ckpt.epoch == epoch
+                saved_last = best_ckpt if fresh else snapshot(epoch, best_metric, final)
+                save_checkpoint(saved_last, os.path.join(run_dir, "last"))
+            if stop:
                 emit(epoch, "valid", "early_stop", 1.0)
                 break
 
     final_metric = best_metric if math.isfinite(best_metric) else math.nan
-    last_ckpt = snapshot(current_epoch, final_metric)
+    # the loop's last save holds this state unless training went on after it or the metric differs
+    last_ckpt = saved_last
+    stale = last_ckpt is None or last_ckpt.epoch != current_epoch
+    if stale or last_ckpt.best_metric != final_metric:
+        last_ckpt = snapshot(current_epoch, final_metric, final=True)
     if best_ckpt is None:
         best_ckpt = last_ckpt
     if run_dir is not None:
-        save_checkpoint(last_ckpt, os.path.join(run_dir, "last"))
-        save_checkpoint(best_ckpt, os.path.join(run_dir, "best"))
+        if last_ckpt is not saved_last:
+            save_checkpoint(last_ckpt, os.path.join(run_dir, "last"))
+        if best_ckpt is not saved_best:  # a loaded one is written too: it may be at best.old
+            save_checkpoint(best_ckpt, os.path.join(run_dir, "best"))
     return TrainResult(best=best_ckpt, last=last_ckpt, log=log, history=history)
 
 
@@ -279,6 +293,7 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
             loss, grads = models.grad(params, batch, spec)
 
         _step(config, opt, params.tables, grads, epoch, bi)
+        del batch, grads  # freed before the next step draws its own
         params.version += 1
         models.renormalize_normals(params)
         total += loss

@@ -70,10 +70,17 @@ def relative_error(analytic, numeric, floor=1e-6):
 
 
 class FlatTriples:
-    """The formulas' row accessor over explicit triples, one fancy-index gather per call."""
+    """The formulas' row accessor over explicit triples, one fancy-index gather per call.
 
-    def __init__(self, params, triples):
-        self.tables, self.ids, self.parts = params.tables, triples, {}
+    ``coeff`` (one per triple) is what ``coef`` hands the formula; without
+    it the formula only scores.
+    """
+
+    def __init__(self, params, triples, coeff=None):
+        self.tables, self.ids, self.coeff, self.parts = params.tables, triples, coeff, {}
+
+    def coef(self, scores):
+        return self.coeff
 
     def _rows(self, name, col):
         return self.tables[name][self.ids[:, col]].astype(np.float64)
@@ -113,9 +120,9 @@ def flat_score_grad(params, triples, coeff):
     """sum_i coeff[i] * d(score_i)/d(params); zero-coefficient triples touch no row."""
     triples, coeff = np.asarray(triples), np.asarray(coeff, dtype=np.float64)
     keep = coeff != 0.0
-    x = FlatTriples(params, triples[keep])
+    x = FlatTriples(params, triples[keep], coeff[keep])
     if keep.any():
-        models._FORMULA[params.model](params, x, coeff[keep])
+        models._FORMULA[params.model](params, x)
     out = {}
     for name, parts in x.parts.items():
         ids = np.concatenate([p[0] for p in parts])

@@ -1,3 +1,4 @@
+import importlib
 import os
 
 import numpy as np
@@ -350,6 +351,24 @@ def train_config(**kv):
     )
     base.update(kv)
     return TrainConfig(**base)
+
+
+def test_a_run_writes_each_checkpoint_once(tmp_path, toy_kg, monkeypatch):
+    """One epoch, one evaluation: ``best`` and ``last`` are written there and not again at the end."""
+    train_module = importlib.import_module("kgembed.train")  # the package's ``train`` is the function
+    _, kg = toy_kg
+    saved = []
+    plain = train_module.save_checkpoint
+
+    def counted(ckpt, directory):
+        saved.append(os.path.basename(directory))
+        plain(ckpt, directory)
+
+    monkeypatch.setattr(train_module, "save_checkpoint", counted)
+    result = train(train_config(max_epochs=1), kg, run_dir=str(tmp_path))
+    assert saved == ["best", "last"]
+    assert file_bytes(tmp_path / "last") == file_bytes(tmp_path / "best")
+    assert load_checkpoint(str(tmp_path / "last")).epoch == result.last.epoch == 1
 
 
 def test_resume_matches_uninterrupted(tmp_path, toy_kg):

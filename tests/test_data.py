@@ -21,6 +21,8 @@ from kgembed.data import (
     write_vocab,
 )
 
+from kgembed import data as data_module
+
 from conftest import make_kg, random_label_triples
 
 
@@ -174,6 +176,41 @@ def test_membership_rejects_out_of_range_ids():
         kg.in_train([[0, 2, 1]])
     with pytest.raises(ValueError, match="relation id 7 outside"):
         kg.train_index.completions(np.array([[0, 7, 0]]), TAIL)
+
+
+def searched(index, triples):
+    """Membership by one ``searchsorted`` over ``hrt``, with no bit table."""
+    keys = index._keys(triples, (0, 1, 2))
+    pos = np.minimum(np.searchsorted(index.hrt, keys), len(index.hrt) - 1)
+    return index.hrt[pos] == keys
+
+
+@pytest.mark.parametrize(
+    "n_e,n_r,n_triples",
+    [(14541, 237, 50_000), (30, 2, 1500)],
+    ids=["sparse", "dense"],
+)
+def test_contains_matches_a_plain_search(n_e, n_r, n_triples):
+    """Present and absent keys, on a sparse KG and a dense one (most possible triples known)."""
+    rng = np.random.default_rng(8)
+    triples = np.stack(
+        [rng.integers(0, n_e, n_triples), rng.integers(0, n_r, n_triples), rng.integers(0, n_e, n_triples)],
+        axis=1,
+    )
+    index = TripleIndex(triples, n_e, n_r)
+    queries = np.stack(
+        [rng.integers(0, n_e, (400, 64)), rng.integers(0, n_r, (400, 64)), rng.integers(0, n_e, (400, 64))],
+        axis=-1,
+    )
+    queries[:100, :10] = triples[:1000].reshape(100, 10, 3)
+    got = index.contains(queries)
+    assert got.shape == (400, 64)
+    assert np.array_equal(got, searched(index, queries))
+    assert got.any() and (~got).any()
+    if n_e > 30:  # among 50,000 triples some absent keys find their bit set
+        at = data_module._hash(index._keys(queries, (0, 1, 2)))
+        assert (((index.bits[at >> 3] >> (at & 7)) & 1).astype(bool) & ~got).any()
+    assert index.bits.nbytes == 512 * 1024
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kgembed import optim
 from kgembed.optim import ADAGRAD_EPS, NonFiniteGradientError, init_optimizer, optimizer_step
 
 
@@ -133,3 +134,57 @@ def test_unknown_table_errors():
 def test_init_unknown_kind():
     with pytest.raises(ValueError):
         init_optimizer("rmsprop", {"w": np.ones((1, 1), dtype=np.float32)})
+
+
+def two_copy_step(state, tables, grads, lr):
+    """The step as fancy-indexed gathers and float64 expressions, every result a new array."""
+    for name, (ids, g) in grads.items():
+        table = tables[name]
+        g64 = np.asarray(g, dtype=np.float64)
+        x = table[ids].astype(np.float64)
+        if state.kind == "sgd":
+            x -= lr * g64
+        elif state.kind == "adagrad":
+            acc = state.slots[name]["accum"]
+            a = acc[ids].astype(np.float64) + g64 * g64
+            acc[ids] = a.astype(np.float32)
+            x -= lr * g64 / (np.sqrt(a) + ADAGRAD_EPS)
+        else:
+            slot = state.slots[name]
+            steps = slot["steps"][ids].astype(np.float64) + 1.0
+            slot["steps"][ids] = steps.astype(np.float32)
+            m = state.beta1 * slot["m"][ids].astype(np.float64) + (1 - state.beta1) * g64
+            v = state.beta2 * slot["v"][ids].astype(np.float64) + (1 - state.beta2) * g64 * g64
+            slot["m"][ids] = m.astype(np.float32)
+            slot["v"][ids] = v.astype(np.float32)
+            shape = (-1,) + (1,) * (g64.ndim - 1)
+            mhat = m / (1.0 - state.beta1**steps).reshape(shape)
+            vhat = v / (1.0 - state.beta2**steps).reshape(shape)
+            x -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        table[ids] = x.astype(table.dtype)
+
+
+@pytest.mark.parametrize("block_elems", [20, 1 << 15], ids=["blocks-of-2-rows", "one-block"])
+@pytest.mark.parametrize("kind", ["sgd", "adagrad", "adam"])
+def test_in_place_step_leaves_the_bytes_of_the_two_copy_step(monkeypatch, kind, block_elems):
+    """Sparse steps on a matrix table and a [n, d, d] one (TransR's projections)."""
+    monkeypatch.setattr(optim, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.default_rng(5)
+    tables = {
+        "ent": rng.normal(0, 1, (30, 8)).astype(np.float32),
+        "proj": rng.normal(0, 1, (5, 3, 3)).astype(np.float32),
+    }
+    state = init_optimizer(kind, tables, beta1=0.8, beta2=0.99, eps=1e-6)
+    ref_tables = {k: v.copy() for k, v in tables.items()}
+    ref_state = state.copy()
+    for _ in range(25):
+        grads = {}
+        for name, table in tables.items():
+            ids = np.unique(rng.integers(0, len(table), len(table) // 2))
+            grads[name] = (ids, rng.normal(0, 10.0 ** rng.integers(-6, 3), (len(ids),) + table.shape[1:]))
+        optimizer_step(state, tables, grads, lr=0.05)
+        two_copy_step(ref_state, ref_tables, grads, lr=0.05)
+    for name in tables:
+        assert tables[name].tobytes() == ref_tables[name].tobytes(), name
+        for slot, arr in state.slots.get(name, {}).items():
+            assert arr.tobytes() == ref_state.slots[name][slot].tobytes(), (name, slot)
