@@ -4,18 +4,32 @@ A dataset is a directory with ``train.txt``, ``valid.txt`` and ``test.txt``,
 one tab-separated ``head relation tail`` triple per line (the de facto
 layout of the public FB15K-237 / WN18RR distributions).
 
+Loading is columnar and builds no Python object per triple. One reader
+takes a split file whole: a vectorized pass over its bytes checks that
+every non-blank line holds three non-empty fields, and one ``split`` gives
+all the labels as one flat list, three per triple. One encoder turns such
+a list into an [n, 3] id array with a C-level ``map`` over dict lookups;
+:func:`load_kg` encodes with maps that give each new label the next id,
+so the vocab is numbered by first occurrence (train, then valid, then
+test; head before tail) while the splits are encoded. The tuple-list
+functions :func:`load_triples`, :func:`build_vocab` and :func:`index_kg`
+are thin wrappers over the same reader and encoder.
+
 One structure answers "which triples are known": :class:`TripleIndex`,
 the distinct triples of an id array as two sorted int64 key arrays,
-(h*R + r)*E + t and (r*E + t)*E + h. It serves train membership, the
-Bernoulli statistics, the 1-vs-all labels, rule grounding and the lookup
-of grounded conclusions, and (over all three splits) evaluation filtering.
+(h*R + r)*E + t and (r*E + t)*E + h, deduplicated by a sort and an
+adjacent-difference mask. It serves train membership, the Bernoulli
+statistics, the 1-vs-all labels, rule grounding and the lookup of
+grounded conclusions, and (over all three splits) evaluation filtering.
 """
 
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
@@ -67,16 +81,27 @@ def _hash(keys: np.ndarray) -> np.ndarray:
     return (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - _HASH_BITS)
 
 
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array: ``np.unique`` without its sort or hashing."""
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 class TripleIndex:
     """The distinct triples of an [n, 3] id array, as two sorted key arrays.
 
     ``hrt`` holds (h*R + r)*E + t and ``rth`` holds (r*E + t)*E + h, each
-    ascending without repeats. The triples sharing (h, r) form one run of
-    ``hrt`` with tails ascending, those sharing (r, t) one run of ``rth``
-    with heads ascending. So a lookup is one ``searchsorted``, and the
-    known completions of a batch of queries are two. Every id is checked
-    against [0, E) or [0, R) before packing, since an id out of range
-    would alias the key of another triple.
+    ascending without repeats: the keys are sorted and a mask of adjacent
+    differences keeps the first of each run, which gives ``np.unique``'s
+    array without its hashing (the same mask finds ``pairs``). The
+    triples sharing (h, r) form one run of ``hrt`` with tails ascending,
+    those sharing (r, t) one run of ``rth`` with heads ascending. So a
+    lookup is one ``searchsorted``, and the known completions of a batch
+    of queries are two. Every id is checked against [0, E) or [0, R)
+    before packing, since an id out of range would alias the key of
+    another triple.
 
     ``contains`` first reads each key's bit in ``bits``, a table of
     2^22 bits (512 KiB) with the bit of every ``hrt`` key set: a key whose
@@ -88,7 +113,7 @@ class TripleIndex:
 
     def __init__(self, triples, n_entities: int, n_relations: int):
         self.n_entities, self.n_relations = n_entities, n_relations
-        self.hrt = np.unique(self._keys(np.reshape(triples, (-1, 3)), (0, 1, 2)))
+        self.hrt = _drop_repeats(np.sort(self._keys(np.reshape(triples, (-1, 3)), (0, 1, 2))))
         hr, t = np.divmod(self.hrt, n_entities)
         h, r = np.divmod(hr, n_relations)
         self.rth = np.sort((r * n_entities + t) * n_entities + h)
@@ -156,7 +181,7 @@ class TripleIndex:
         """The distinct fixed pairs with a completion: [m, 2] (h, r) rows for
         ``slot`` TAIL, (r, t) rows for HEAD, ascending."""
         keys = self.hrt if slot == TAIL else self.rth
-        prefix = np.unique(keys // self.n_entities)
+        prefix = _drop_repeats(keys // self.n_entities)
         return np.stack(np.divmod(prefix, self.n_relations if slot == TAIL else self.n_entities), 1)
 
 
@@ -234,29 +259,114 @@ class Groundings:
         return len(self.conclusions)
 
 
-def load_triples(path: str) -> list[Triple]:
-    """Read tab-separated label triples, in file order, duplicates kept.
+def _read_fields(path: str) -> list[str]:
+    """A triple file's labels as one flat list, three per triple, in file order.
 
-    Raises :class:`DataFormatError` for a missing file, an empty file, or
-    any line without exactly three fields (the error names the line).
+    The file is read whole. Lines end at ``\n``, ``\r\n`` or ``\r`` (as in
+    text mode) and blank lines are skipped. One vectorized pass over the
+    bytes finds every tab and newline, so each line is checked for three
+    non-empty fields without a Python step per line. Raises
+    :class:`DataFormatError` for a missing file, bytes that are not UTF-8,
+    a line without exactly three tab-separated fields, an empty field, or
+    a file with no triples; every line error names ``path:lineno``.
     """
     if not os.path.exists(path):
         raise DataFormatError(f"triple file not found: {path}")
-    triples: list[Triple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            triples.append((fields[0], fields[1], fields[2]))
-    if not triples:
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").rstrip(b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
+    newlines = np.flatnonzero(buf[seps] == ord("\n"))  # positions in seps
+    first = np.append(0, newlines + 1)  # each line's first separator in seps
+    n_fields = np.append(newlines, len(seps)) - first + 1
+    ends = np.append(seps[newlines], len(buf))
+    starts = np.append(0, ends[:-1] + 1)
+    # two pads past the end give every line a first and a second separator
+    seps = np.append(seps, [len(buf) + 1] * 2)
+    t0, t1 = seps[first], seps[first + 1]
+    # a three-field line's fields are [start, t0), (t0, t1) and (t1, end)
+    empty = np.stack([t0 == starts, t1 == t0 + 1, t1 + 1 == ends])
+    blank = starts == ends
+    bad = ~blank & ((n_fields != 3) | empty.any(axis=0))
+    if bad.any():
+        i = int(bad.argmax())
+        if n_fields[i] != 3:
+            raise DataFormatError(
+                f"{path}:{i + 1}: expected 3 tab-separated fields, got {n_fields[i]}"
+            )
+        raise DataFormatError(f"{path}:{i + 1}: empty {_COLUMNS[empty[:, i].argmax()]} field")
+    n_triples = int(np.count_nonzero(~blank))
+    if not n_triples:
         raise DataFormatError(f"{path}: no triples found")
-    return triples
+    fields = text.replace("\n", "\t").split("\t")
+    if len(fields) != 3 * n_triples:  # blank lines split as empty fields
+        fields = list(filter(None, fields))
+    return fields
+
+
+def _flat(triples: list[Triple]) -> list[str]:
+    """The labels of label triples as one flat list, three per triple."""
+    if not all(len(t) == 3 for t in triples):
+        raise ValueError("every triple needs exactly 3 labels (head, relation, tail)")
+    return list(chain.from_iterable(triples))
+
+
+def _encode(fields: list[str], entity_to_id: dict, relation_to_id: dict) -> np.ndarray:
+    """Flat labels (three per triple) as an [n, 3] int64 id array.
+
+    Entities are looked up in the order head, tail, next head, ..., and
+    relations in triple order. So maps that give each new label the next
+    id (:func:`_numbered`'s) number labels by first occurrence, head
+    before tail; plain dicts raise :class:`DataFormatError` for a label
+    they do not hold.
+    """
+    n = len(fields) // 3
+    heads_tails = [None] * (2 * n)
+    heads_tails[0::2], heads_tails[1::2] = fields[0::3], fields[2::3]
+    out = np.empty((n, 3), dtype=np.int64)
+    try:
+        ids = np.fromiter(map(entity_to_id.__getitem__, heads_tails), np.int64, 2 * n)
+    except KeyError as e:
+        raise DataFormatError(f"unknown entity label: {e.args[0]!r}") from None
+    out[:, 0::2] = ids.reshape(n, 2)
+    try:
+        out[:, 1] = np.fromiter(map(relation_to_id.__getitem__, fields[1::3]), np.int64, n)
+    except KeyError as e:
+        raise DataFormatError(f"unknown relation label: {e.args[0]!r}") from None
+    return out
+
+
+def _numbered(splits: list[list[str]]) -> tuple[Vocab, list[np.ndarray]]:
+    """The vocab of flat train, valid and test labels, and the splits' id arrays.
+
+    Ids are given while encoding: a label the maps do not hold yet gets the
+    next id, so the ids follow first occurrence across the splits in order.
+    """
+    entity_to_id, relation_to_id = defaultdict(count().__next__), defaultdict(count().__next__)
+    arrays = [_encode(fields, entity_to_id, relation_to_id) for fields in splits]
+    vocab = Vocab(
+        entity_to_id=dict(entity_to_id),
+        relation_to_id=dict(relation_to_id),
+        id_to_entity=list(entity_to_id),
+        id_to_relation=list(relation_to_id),
+    )
+    return vocab, arrays
+
+
+def load_triples(path: str) -> list[Triple]:
+    """Read tab-separated label triples, in file order, duplicates kept.
+
+    Raises :class:`DataFormatError` for a missing or empty file, bytes that
+    are not UTF-8, or a line without exactly three non-empty tab-separated
+    fields (the error names the line).
+    """
+    fields = _read_fields(path)
+    return list(zip(fields[0::3], fields[1::3], fields[2::3]))
 
 
 def build_vocab(train: list[Triple], valid: list[Triple] = (), test: list[Triple] = ()) -> Vocab:
@@ -265,41 +375,7 @@ def build_vocab(train: list[Triple], valid: list[Triple] = (), test: list[Triple
     Entity and relation label spaces are independent; the same label may
     appear in both without clashing.
     """
-    entity_to_id: dict[str, int] = {}
-    relation_to_id: dict[str, int] = {}
-    for split in (train, valid, test):
-        for h, r, t in split:
-            if h not in entity_to_id:
-                entity_to_id[h] = len(entity_to_id)
-            if r not in relation_to_id:
-                relation_to_id[r] = len(relation_to_id)
-            if t not in entity_to_id:
-                entity_to_id[t] = len(entity_to_id)
-    return Vocab(
-        entity_to_id=entity_to_id,
-        relation_to_id=relation_to_id,
-        id_to_entity=list(entity_to_id),
-        id_to_relation=list(relation_to_id),
-    )
-
-
-def _encode_split(triples: list[Triple], vocab: Vocab) -> np.ndarray:
-    out = np.empty((len(triples), 3), dtype=np.int64)
-    e2i, r2i = vocab.entity_to_id, vocab.relation_to_id
-    for i, (h, r, t) in enumerate(triples):
-        try:
-            out[i, 0] = e2i[h]
-        except KeyError:
-            raise DataFormatError(f"unknown entity label: {h!r}") from None
-        try:
-            out[i, 1] = r2i[r]
-        except KeyError:
-            raise DataFormatError(f"unknown relation label: {r!r}") from None
-        try:
-            out[i, 2] = e2i[t]
-        except KeyError:
-            raise DataFormatError(f"unknown entity label: {t!r}") from None
-    return out
+    return _numbered([_flat(split) for split in (train, valid, test)])[0]
 
 
 def index_kg(
@@ -309,13 +385,8 @@ def index_kg(
     vocab: Vocab,
 ) -> IndexedKG:
     """Encode splits to id arrays and index the train split."""
-    return IndexedKG(
-        train=_encode_split(train, vocab),
-        valid=_encode_split(valid, vocab),
-        test=_encode_split(test, vocab),
-        n_entities=vocab.n_entities,
-        n_relations=vocab.n_relations,
-    )
+    arrays = (_encode(_flat(s), vocab.entity_to_id, vocab.relation_to_id) for s in (train, valid, test))
+    return IndexedKG(*arrays, n_entities=vocab.n_entities, n_relations=vocab.n_relations)
 
 
 def add_inverse_relations(kg: IndexedKG) -> IndexedKG:
@@ -466,6 +537,6 @@ def load_kg(dataset_dir: str) -> tuple[Vocab, IndexedKG]:
         path = os.path.join(dataset_dir, name)
         if not os.path.exists(path):
             raise DataFormatError(f"missing dataset file: {path}")
-        splits.append(load_triples(path))
-    vocab = build_vocab(*splits)
-    return vocab, index_kg(*splits, vocab)
+        splits.append(_read_fields(path))
+    vocab, arrays = _numbered(splits)
+    return vocab, IndexedKG(*arrays, n_entities=vocab.n_entities, n_relations=vocab.n_relations)

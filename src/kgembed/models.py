@@ -1005,6 +1005,8 @@ def grad(
     smoothing = loss_spec.label_smoothing
     if labeled:
         triples = _check_labeled(params, "batch", batch)
+        if not len(triples):  # an empty soft batch is skipped below, but the loss needs a triple
+            raise ValueError("a labeled batch needs at least one triple, got 0")
         groups = [(*_as_queries(triples), _labeled_coef(batch.labels, smoothing))]
     else:
         triples = _check_ids(params, batch.positives)

@@ -16,13 +16,16 @@ from kgembed.data import (
     load_kg,
     load_rules,
     load_triples,
+    SPLIT_FILES,
     read_groundings,
     write_groundings,
     write_vocab,
 )
 
 from kgembed import data as data_module
+from kgembed.evaluate import build_filter_sets
 
+import loop_loader
 from conftest import make_kg, random_label_triples
 
 
@@ -58,6 +61,125 @@ def test_load_keeps_order_and_duplicates(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("a\tr\tb\na\tr\tb\nc\tr\td\n")
     assert load_triples(str(p)) == [("a", "r", "b")] * 2 + [("c", "r", "d")]
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes("a\tr\tb\n\nc\tr\td\ne\tr\t".encode() + b"\xff\n")
+    with pytest.raises(DataFormatError, match=r"t\.txt:4: not UTF-8"):
+        load_triples(str(p))
+    p.write_bytes("a\tr\tb\r\nc\tr\t".encode() + "é".encode()[:1])  # cut inside a character
+    with pytest.raises(DataFormatError, match=r"t\.txt:2: not UTF-8"):
+        load_triples(str(p))
+
+
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_load_rejects_an_empty_field(tmp_path, col):
+    fields = ["a", "r", "b"]
+    fields[col] = ""
+    p = tmp_path / "t.txt"
+    p.write_text("a\tr\tb\n" + "\t".join(fields) + "\nc\tr\td\n")
+    message = rf"t\.txt:2: empty {data_module._COLUMNS[col]} field"
+    with pytest.raises(DataFormatError, match=message):
+        load_triples(str(p))
+    for name in SPLIT_FILES:
+        (tmp_path / name).write_text("a\tr\tb\n")
+    (tmp_path / "valid.txt").write_text("a\tr\tb\n" + "\t".join(fields) + "\n")
+    with pytest.raises(DataFormatError, match=r"valid\.txt:2: empty"):
+        load_kg(str(tmp_path))
+
+
+def reader_contract(text):
+    """The reader's result, one line at a time: the triples, or the first bad line's message."""
+    triples = []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            return f":{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+        if "" in fields:
+            return f":{lineno}: empty {data_module._COLUMNS[fields.index('')]} field"
+        triples.append(tuple(fields))
+    return triples or ": no triples found"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab\u00e9\t\n\r ", max_size=40))
+def test_reader_keeps_the_line_contract(tmp_path_factory, text):
+    """Any mix of tabs, line ends and blank lines: the lines the loop read, or the first bad line."""
+    path = tmp_path_factory.mktemp("reader") / "t.txt"
+    path.write_bytes(text.encode())
+    expect = reader_contract(text)
+    if isinstance(expect, str):
+        with pytest.raises(DataFormatError) as err:
+            load_triples(str(path))
+        assert str(err.value) == f"{path}{expect}"
+    else:
+        assert load_triples(str(path)) == expect == loop_loader.load_triples(str(path))
+
+
+def write_messy_dataset(directory, seed):
+    """Seeded splits with blank lines, CRLF and CR line ends, no newline after the last
+    line, repeated triples, non-ASCII labels and labels that name both an entity and a
+    relation."""
+    rng = np.random.default_rng(seed)
+    entities = [f"/m/{i:03x}" for i in range(60)] + ["München", "東京", "r1", "a b"]
+    relations = ["r0", "r1", "rél/ø", "München"]
+    for name, n in zip(SPLIT_FILES, (400, 60, 60)):
+        rows = [
+            (entities[h], relations[r], entities[t])
+            for h, r, t in zip(rng.integers(len(entities), size=n), rng.integers(len(relations), size=n),
+                               rng.integers(len(entities), size=n))
+        ]
+        rows += [rows[i] for i in rng.integers(len(rows), size=n // 4)]  # repeats
+        ends = rng.choice(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n"], size=len(rows))
+        text = "\n" + "".join("\t".join(row) + end for row, end in zip(rows, ends))
+        (directory / name).write_bytes(text.rstrip("\r\n").encode("utf-8"))
+    return directory
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_columnar_loader_matches_the_loop(tmp_path, seed):
+    """Vocab order, id arrays and both indexes equal the per-line loop's, byte for byte."""
+    write_messy_dataset(tmp_path, seed)
+    vocab, kg = load_kg(str(tmp_path))
+    splits = [loop_loader.load_triples(str(tmp_path / name)) for name in SPLIT_FILES]
+    assert all(b"\r" in (tmp_path / name).read_bytes() for name in SPLIT_FILES)
+    entity_to_id, relation_to_id = loop_loader.build_vocab(*splits)
+    assert list(vocab.entity_to_id.items()) == list(entity_to_id.items())
+    assert list(vocab.relation_to_id.items()) == list(relation_to_id.items())
+    assert vocab.id_to_entity == list(entity_to_id) and vocab.id_to_relation == list(relation_to_id)
+    assert set(vocab.entity_to_id) & set(vocab.relation_to_id) == {"r1", "München"}
+    expect = [loop_loader.encode_split(split, entity_to_id, relation_to_id) for split in splits]
+    for got, ref in zip((kg.train, kg.valid, kg.test), expect):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert len(np.unique(expect[0], axis=0)) < len(expect[0])  # the train split repeats triples
+    for index, triples in ((kg.train_index, expect[0]), (build_filter_sets(kg), np.concatenate(expect))):
+        hrt, rth, pairs = loop_loader.index_arrays(triples, vocab.n_entities, vocab.n_relations)
+        assert index.hrt.dtype == hrt.dtype and index.hrt.tobytes() == hrt.tobytes()
+        assert index.rth.dtype == rth.dtype and index.rth.tobytes() == rth.tobytes()
+        for slot in (HEAD, TAIL):
+            assert index.pairs(slot).tobytes() == pairs[slot].tobytes()
+    # the tuple-list functions agree with the loop as well
+    assert [load_triples(str(tmp_path / name)) for name in SPLIT_FILES] == splits
+    tuple_vocab = build_vocab(*splits)
+    assert list(tuple_vocab.entity_to_id.items()) == list(entity_to_id.items())
+    assert list(tuple_vocab.relation_to_id.items()) == list(relation_to_id.items())
+    tuple_kg = index_kg(*splits, tuple_vocab)
+    for got, ref in zip((tuple_kg.train, tuple_kg.valid, tuple_kg.test), expect):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[], [7], [5, 5, 5, 5], [3, 1, 3, 2, 1, 0, 2**40, 3]],
+    ids=["empty", "single", "all-duplicate", "mixed"],
+)
+def test_sort_dedupe_equals_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = data_module._drop_repeats(np.sort(keys))
+    assert got.dtype == np.int64 and got.tobytes() == np.unique(keys).tobytes()
 
 
 # --- build_vocab -----------------------------------------------------------

@@ -7,7 +7,6 @@ must be the same, and the gradient rows may differ only by summation
 order.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -199,10 +198,19 @@ def test_grad_rejects_an_empty_negative_batch(loss):
         grad(params, nb, LossSpec(loss))
 
 
-def test_grad_of_no_triples_touches_no_table():
+def test_grad_rejects_an_empty_labeled_batch():
+    """An empty batch is named before the loss averages over no scores; an empty soft batch is skipped."""
     params = init_params("distmult", 6, 2, 4, seed=47)
+    loss_spec = LossSpec("bce", label_smoothing=0.1)
     empty = LabeledBatch(np.zeros((0, 3), dtype=np.int64), np.zeros(0))
-    with warnings.catch_warnings():  # the loss is a mean over no triples
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, grads = grad(params, empty, LossSpec("bce"))
-    assert grads == {}
+    one = LabeledBatch(np.array([[0, 0, 1]]), np.ones(1))
+    for soft in (None, one):
+        with pytest.raises(ValueError, match="a labeled batch needs at least one triple, got 0"):
+            grad(params, empty, loss_spec, soft=soft)
+    loss, grads = grad(params, one, loss_spec, soft=empty)
+    ref_loss, ref_grads = grad(params, one, loss_spec)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert np.array_equal(grads[name][0], ref_grads[name][0])
+        assert np.array_equal(grads[name][1], ref_grads[name][1])
