@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, TrainConfig, config_hash, parse_field, serialize_value
+from .data import read_text
 from .gnn import RGCNLayerParams, RGCNModel, param_tables
 from .models import ModelParams
 from .optim import OptimizerState, init_optimizer
@@ -144,15 +145,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
     if not os.path.exists(meta_path):
         raise CheckpointError(f"no checkpoint at {directory} (missing meta)")
     meta: dict[str, str] = {}
-    with open(meta_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if ": " not in line:
-                raise CheckpointError(f"meta:{lineno}: malformed line")
-            key, _, value = line.partition(": ")
-            meta[key] = value
+    for lineno, line in enumerate(read_text(meta_path, CheckpointError, "meta").split("\n"), 1):
+        if not line:
+            continue
+        if ": " not in line:
+            raise CheckpointError(f"meta:{lineno}: malformed line")
+        key, _, value = line.partition(": ")
+        meta[key] = value
     for req in ("format", "epoch", "best_metric", "config_hash", "optimizer"):
         if req not in meta:
             raise CheckpointError(f"meta missing key {req!r}")

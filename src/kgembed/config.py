@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
+from .data import read_text
 from .losses import LOSS_KINDS
 from .models import MODEL_KINDS
 from .optim import OPTIMIZER_KINDS
@@ -170,36 +171,36 @@ def parse_config_file(path: str) -> dict:
     """Read ``key: value`` lines; bracketed values parse to lists of scalars.
 
     Values of ``str``-typed TrainConfig fields, list items included, stay
-    verbatim (``dataset: 007`` names a dataset, not the number 7).
+    verbatim (``dataset: 007`` names a dataset, not the number 7). Bytes
+    that are not UTF-8 raise :class:`ConfigError` naming ``path:lineno``.
     """
     str_keys = {f.name for f in fields(TrainConfig) if f.type == "str"}
     out: dict = {}
     try:
-        fh = open(path, encoding="utf-8")
+        text = read_text(path, ConfigError)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key: value'")
-            key, _, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}:{lineno}: expected 'key: value'")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            if value.startswith("["):
-                if not value.endswith("]"):
-                    raise ConfigError(f"{path}:{lineno}: unterminated list for key {key!r}")
-                items = [x.strip() for x in value[1:-1].split(",") if x.strip()]
-                if not items:
-                    raise ConfigError(f"{path}:{lineno}: empty list for key {key!r}")
-                out[key] = items if key in str_keys else [parse_scalar(x) for x in items]
-            else:
-                out[key] = value if key in str_keys else parse_scalar(value)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key: value'")
+        key, _, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}: expected 'key: value'")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        if value.startswith("["):
+            if not value.endswith("]"):
+                raise ConfigError(f"{path}:{lineno}: unterminated list for key {key!r}")
+            items = [x.strip() for x in value[1:-1].split(",") if x.strip()]
+            if not items:
+                raise ConfigError(f"{path}:{lineno}: empty list for key {key!r}")
+            out[key] = items if key in str_keys else [parse_scalar(x) for x in items]
+        else:
+            out[key] = value if key in str_keys else parse_scalar(value)
     return out
 
 

@@ -259,6 +259,42 @@ class Groundings:
         return len(self.conclusions)
 
 
+def _decode(data: bytes, name: str, error: type[ValueError] = DataFormatError) -> str:
+    """``data`` as UTF-8 text; other bytes raise ``error`` naming ``name:lineno``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{name}:{lineno}: not UTF-8 ({e.reason})") from None
+
+
+def read_text(path: str, error: type[ValueError] = DataFormatError, name: str | None = None) -> str:
+    """A text file read whole, ``\r\n`` and ``\r`` read as ``\n`` (as in text mode).
+
+    Bytes that are not UTF-8 raise ``error`` naming ``name:lineno`` (``name`` defaults to ``path``).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return _decode(data, name or path, error)
+
+
+def _lines(path: str, kind: str):
+    """``(lineno, fields)`` of each non-blank line: 3 or 4 non-empty tab-separated fields."""
+    if not os.path.exists(path):
+        raise DataFormatError(f"{kind} file not found: {path}")
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}"
+            )
+        if not all(fields):
+            raise DataFormatError(f"{path}:{lineno}: empty field")
+        yield lineno, fields
+
+
 def _read_fields(path: str) -> list[str]:
     """A triple file's labels as one flat list, three per triple, in file order.
 
@@ -274,11 +310,7 @@ def _read_fields(path: str) -> list[str]:
         raise DataFormatError(f"triple file not found: {path}")
     with open(path, "rb") as fh:
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").rstrip(b"\n")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        lineno = data.count(b"\n", 0, e.start) + 1
-        raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
+    text = _decode(data, path)
     buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
     newlines = np.flatnonzero(buf[seps] == ord("\n"))  # positions in seps
@@ -413,35 +445,25 @@ def add_inverse_relations(kg: IndexedKG) -> IndexedKG:
 def load_rules(path: str, vocab: Vocab) -> list[Rule]:
     """Read rules, one per line: ``confidence<TAB>head_rel<TAB>body_rel_1[<TAB>body_rel_2]``.
 
-    Relation labels are resolved through ``vocab``; unknown labels and
-    confidences outside (0, 1] raise :class:`DataFormatError`.
+    Relation labels are resolved through ``vocab``. Unknown labels,
+    confidences outside (0, 1], bytes that are not UTF-8, an empty field or
+    a line without 3 or 4 fields raise :class:`DataFormatError` naming the line.
     """
-    if not os.path.exists(path):
-        raise DataFormatError(f"rule file not found: {path}")
     rules: list[Rule] = []
     r2i = vocab.relation_to_id
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}"
-                )
-            try:
-                conf = float(fields[0])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad confidence {fields[0]!r}") from None
-            if not 0.0 < conf <= 1.0:
-                raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
-            rels = []
-            for label in fields[1:]:
-                if label not in r2i:
-                    raise DataFormatError(f"{path}:{lineno}: unknown relation label: {label!r}")
-                rels.append(r2i[label])
-            rules.append(Rule(body_relations=tuple(rels[1:]), head_relation=rels[0], confidence=conf))
+    for lineno, fields in _lines(path, "rule"):
+        try:
+            conf = float(fields[0])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: bad confidence {fields[0]!r}") from None
+        if not 0.0 < conf <= 1.0:
+            raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
+        rels = []
+        for label in fields[1:]:
+            if label not in r2i:
+                raise DataFormatError(f"{path}:{lineno}: unknown relation label: {label!r}")
+            rels.append(r2i[label])
+        rules.append(Rule(body_relations=tuple(rels[1:]), head_relation=rels[0], confidence=conf))
     return rules
 
 
@@ -485,31 +507,24 @@ def read_groundings(path: str, kg: IndexedKG) -> Groundings:
     """Read a groundings file written by :func:`write_groundings`.
 
     The ``in_train`` flag is recomputed against ``kg`` rather than stored; a
-    confidence outside (0, 1] or an id outside ``kg`` raises :class:`DataFormatError`.
+    confidence outside (0, 1], an id outside ``kg``, bytes that are not UTF-8,
+    an empty field or a line without 3 or 4 fields raises
+    :class:`DataFormatError` naming the line.
     """
-    if not os.path.exists(path):
-        raise DataFormatError(f"groundings file not found: {path}")
     confidence, atoms, two = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise DataFormatError(f"{path}:{lineno}: expected 3 or 4 fields, got {len(fields)}")
-            try:
-                conf = float(fields[0])
-                triples = [[int(x) for x in f.split(",")] for f in fields[1:]]
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: malformed grounding line") from None
-            if any(len(t) != 3 for t in triples):
-                raise DataFormatError(f"{path}:{lineno}: triples must be h,r,t")
-            if not 0.0 < conf <= 1.0:
-                raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
-            confidence.append(conf)
-            atoms.append(triples + [[-1, -1, -1]] * (4 - len(fields)))
-            two.append(len(fields) == 4)
+    for lineno, fields in _lines(path, "groundings"):
+        try:
+            conf = float(fields[0])
+            triples = [[int(x) for x in f.split(",")] for f in fields[1:]]
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: malformed grounding line") from None
+        if any(len(t) != 3 for t in triples):
+            raise DataFormatError(f"{path}:{lineno}: triples must be h,r,t")
+        if not 0.0 < conf <= 1.0:
+            raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
+        confidence.append(conf)
+        atoms.append(triples + [[-1, -1, -1]] * (4 - len(fields)))
+        two.append(len(fields) == 4)
     atoms = np.array(atoms, dtype=np.int64).reshape(-1, 3, 3)
     try:  # one lookup range-checks every triple; only the conclusions' flags are kept
         flags = kg.in_train(np.concatenate([atoms[:, 0], atoms[:, 1], atoms[two, 2]]))[: len(atoms)]

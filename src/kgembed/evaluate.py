@@ -17,14 +17,15 @@ values, bit for bit, ties included (an RGCN scorer is DistMult over the
 encoded entities, so its scores are ``rgcn_score``'s). A scorer offers
 
 - ``fast_candidates(queries, slot, cache) -> (scores, bounds)``: [B, E]
-  fast scores and an a-priori bound on each one's distance from the
-  exact score (the gamma_n * sum |a_k b_k| dot-product bound, see
-  :mod:`kgembed.models`). ``cache`` is a dict that lives for one ranking
-  pass, where the scorer may keep entity-side work between chunks;
+  fast scores and a [B, 1] a-priori bound per query on every candidate's
+  distance from its exact score (the gamma_n * sum |a_k b_k| dot-product
+  bound at the largest entity norm, see :mod:`kgembed.models`). ``cache``
+  is a dict that lives for one ranking pass, where the scorer may keep
+  entity-side work between chunks;
 - ``score_triples(triples)``: exact scores of explicit triples.
 
-A candidate whose fast score differs from the target's by more than the
-sum of their two bounds is certainly above or below it. Only the band in
+A candidate whose fast score differs from the target's by more than
+twice the query's bound is certainly above or below it. Only the band in
 between, and the target, are re-scored exactly; so the kernels never
 decide a comparison their rounding could flip. A query with any
 non-finite fast score or bound is ranked from exact scores of all its
@@ -82,8 +83,8 @@ def build_filter_sets(kg: IndexedKG) -> TripleIndex:
 # cache size at the FB15K-237 entity count.
 _CHUNK_QUERIES = 32
 
-# Relative slack on the summed bounds, covering the rounding of the
-# difference and of the sum in the band test.
+# Relative slack on the doubled bounds, covering the rounding of the
+# difference in the band test.
 _BAND_SLACK = 1.0 + 2.0**-40
 
 
@@ -109,7 +110,7 @@ def ranks_for_queries(
 
         else:
             matrix = scorer.score_candidates(chunk, slot)
-            scores, bounds = matrix.copy(), np.zeros_like(matrix)
+            scores, bounds = matrix.copy(), np.zeros((n, 1))
 
             def exact(i, e):
                 return matrix[i, e]
@@ -118,14 +119,13 @@ def ranks_for_queries(
         known_rows, known = filters.completions(chunk, slot)
         with np.errstate(invalid="ignore", over="ignore"):
             # a row sum is finite only if every entry is (or falls back needlessly on overflow)
-            finite = np.isfinite(scores.sum(axis=1) + bounds.sum(axis=1))
+            finite = np.isfinite(scores.sum(axis=1) + bounds[:, 0])
             scores[known_rows, known] = -np.inf  # filtered: certainly below the band
             scores[rows, target] = target_scores
             scores -= target_scores[:, None]
-            bounds += bounds[rows, target][:, None]
-            bounds *= _BAND_SLACK
+            bounds = (bounds + bounds) * _BAND_SLACK  # the candidate's and the target's
             greater = np.count_nonzero(scores > bounds, axis=1)
-            band = np.abs(scores) <= bounds
+            band = np.abs(scores, out=scores) <= bounds
         fallback = ~finite  # exact scores of every unfiltered candidate
         greater[fallback] = 0
         band[fallback] = True

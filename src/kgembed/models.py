@@ -53,19 +53,20 @@ Candidate scoring (one slot swept over every entity) has two paths.
   ||a||^2 + ||e||^2 - 2 a.e GEMM for TransE-L2, TransH and RotatE; for
   TransR the same GEMM on M_r^T a, with ||M_r e||^2 computed once per
   relation; and a float32 per-dimension accumulation for TransE-L1.
-  With the [B, E] scores it returns a per-entry bound on their distance
-  from the float64 value ``score`` returns for that triple, ``score``'s
-  own rounding included. The bound is the a-priori forward-error bound
-  of a dot product, gamma_n * sum_k |a_k b_k| with
-  gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
+  With the [B, E] scores it returns a [B, 1] bound: one per query, on
+  each score's distance from the float64 value ``score`` returns for
+  that triple, ``score``'s own rounding included. The bound is the
+  a-priori forward-error bound of a dot product, gamma_n * sum_k |a_k b_k|
+  with gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
   Numerical Algorithms*, sec. 3.1), for the kernel and for ``score``.
-  The sum of magnitudes is majorized by norms: ||p_b|| ||e|| for the
-  bilinear models (Cauchy-Schwarz), N^2 with N = ||query side|| +
-  f_b ||e|| for squared distances. n is at least twice the longest chain
-  of roundings in either evaluation, so the slack also covers the
-  rounding of the bound's own arithmetic. For -sqrt distance scores the
-  bound on the squared distance is carried through the square root; for
-  TransE-L1 float32's unit roundoff enters the bound. The bound assumes
+  The sum of magnitudes is majorized by norms, the largest entity norm
+  standing for every candidate's: ||p_b|| max ||e|| for the bilinear
+  models (Cauchy-Schwarz), N^2 with N = ||query side|| + f_b max ||e||
+  for squared distances. n is at least twice the longest chain of
+  roundings in either evaluation, so the slack also covers the rounding
+  of the bound's own arithmetic. For -sqrt distance scores the bound on
+  the squared distance is carried through the square root; for TransE-L1
+  float32's unit roundoff enters the bound. The bound assumes
   float32 parameters, whose products neither overflow nor underflow in
   float64; a non-finite score or bound voids it (ranking then scores
   that query exactly).
@@ -460,11 +461,11 @@ def _memo(cache: dict, key, make):
 
 
 def _entities(params: ModelParams, cache: dict, name: str = "ent"):
-    """An entity table in float64 and its row norms."""
+    """An entity table in float64 and its largest row norm."""
 
     def make():
         ent = params.tables[name].astype(np.float64)
-        return ent, _norms(ent)
+        return ent, _norms(ent).max(initial=0.0)
 
     return _memo(cache, name, make)
 
@@ -472,13 +473,13 @@ def _entities(params: ModelParams, cache: dict, name: str = "ent"):
 def fast_candidates(
     params: ModelParams, queries: np.ndarray, slot: int, cache: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every entity in ``slot`` of each query, with an error bound.
+    """Score every entity in ``slot`` of each query, with one error bound per query.
 
-    Returns float64 [B, n_entities] scores and bounds such that
-    ``|scores[i, e] - score(params, [query i with e in slot])| <= bounds[i, e]``
-    wherever both are finite. ``cache`` keeps the entity-side work
-    (float64 tables, norms, TransR's projected entity norms) between
-    calls; it is valid only while the parameters are unchanged.
+    Returns float64 [B, n_entities] scores and [B, 1] bounds such that
+    ``|scores[i, e] - score(params, [query i with e in slot])| <= bounds[i, 0]``
+    for every e, wherever both are finite. ``cache`` keeps the entity-side
+    work (float64 tables, largest norms, TransR's projected entity norms)
+    between calls; it is valid only while the parameters are unchanged.
     """
     _check_slot(slot)
     queries = _check_ids(params, queries)
@@ -488,7 +489,7 @@ def fast_candidates(
 
 
 def _bilinear_candidates(
-    q: np.ndarray, ent: np.ndarray, ent_norms: np.ndarray, width: int, mag: np.ndarray | None = None
+    q: np.ndarray, ent: np.ndarray, max_norm: float, width: int, mag: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``q @ ent.T`` and its bound, for scores sum_k q_k e_k.
 
@@ -498,8 +499,7 @@ def _bilinear_candidates(
     from ``|q|`` where forming ``q`` cancels.
     """
     mag = np.abs(q) if mag is None else mag
-    bound = np.multiply.outer(_slack(width) * _norms(mag), ent_norms)
-    return q @ ent.T, bound
+    return q @ ent.T, (_slack(width) * _norms(mag) * max_norm)[:, None]
 
 
 def _distance_terms(ent: np.ndarray) -> np.ndarray:
@@ -521,17 +521,17 @@ def _neg_sq_distances(
     return lhs @ terms.T
 
 
-def _distance_root_bound(query_part, ent_factor, ent_norms, width: int) -> np.ndarray:
-    """sqrt(beta) for a squared distance whose terms are majorized by N^2.
+def _distance_root_bound(query_part, ent_factor, max_norm: float, width: int) -> np.ndarray:
+    """[B, 1] sqrt(beta) for squared distances whose terms are majorized by N^2.
 
-    N[b, e] = query_part[b] + ent_factor * ||e|| (``ent_factor`` a scalar
+    N[b] = query_part[b] + ent_factor * max ||e|| (``ent_factor`` a scalar
     or a [B, 1] column) is the norm of a vector that bounds, coordinate by
-    coordinate, the difference and every magnitude its rounding errors
-    are relative to; beta = slack * N^2 bounds the squared distance's
-    error. The tiny floor keeps the root positive.
+    coordinate, the difference to any candidate and every magnitude its
+    rounding errors are relative to; beta = slack * N^2 bounds the squared
+    distance's error. The tiny floor keeps the root positive.
     """
     c = np.sqrt(_slack(width))
-    return (c * ent_factor) * ent_norms + (c * query_part + 2.0**-500)[:, None]
+    return (c * ent_factor) * max_norm + (c * query_part + 2.0**-500)[:, None]
 
 
 def _sqrt_scores(
@@ -539,31 +539,25 @@ def _sqrt_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """-sqrt scores from negated squared distances within floor^2 of ``score``'s.
 
-    With x, y >= 0 and |x - y| <= beta = floor^2,
-    |sqrt(x) - sqrt(y)| <= beta / max(sqrt(x), floor). Both square roots
-    round by at most 2u (root + floor) <= kappa * floor, since
-    root <= N + floor and N <= floor / sqrt(slack).
+    With x, y >= 0 and |x - y| <= beta = floor^2, |sqrt(x) - sqrt(y)| <=
+    beta / max(sqrt(x), floor) <= floor. Both square roots round by at most
+    2u (root + floor) <= kappa * floor, since root <= N + floor and
+    N <= floor / sqrt(slack); so floor * (1 + kappa) bounds every score.
     """
     kappa = 2.0**-50 * (1.0 / np.sqrt(_slack(width)) + 2.0)
     score = np.minimum(neg_d2, 0.0, out=neg_d2)
-    score *= -1.0
-    np.sqrt(score, out=score)
-    bound = np.maximum(score, floor)
-    np.divide(floor, bound, out=bound)
-    bound += kappa
-    bound *= floor
-    score *= -1.0
-    return score, bound
+    np.sqrt(np.negative(score, out=score), out=score)
+    return np.negative(score, out=score), floor * (1.0 + kappa)
 
 
 def _fast_transe(params, x, r, slot, cache):
     if params.transe_p == 1:
         return _fast_transe_l1(params, x, r, slot, cache)
-    ent, ent_norms = _entities(params, cache)
+    ent, max_norm = _entities(params, cache)
     xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
     a = xe + rr if slot == TAIL else xe - rr
     neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
-    floor = _distance_root_bound(_norms(xe) + _norms(rr), 1.0, ent_norms, params.dim)
+    floor = _distance_root_bound(_norms(xe) + _norms(rr), 1.0, max_norm, params.dim)
     return _sqrt_scores(neg_d2, floor, params.dim)
 
 
@@ -574,7 +568,7 @@ _L1_BLOCK = 16
 def _fast_transe_l1(params, x, r, slot, cache):
     ent = params.tables["ent"]
     cols = _memo(cache, "cols", lambda: np.ascontiguousarray(ent.T))
-    ent_l1 = _memo(cache, "l1", lambda: np.abs(ent).sum(axis=1, dtype=np.float64))
+    max_l1 = _memo(cache, "l1", lambda: np.abs(ent).sum(axis=1, dtype=np.float64).max(initial=0.0))
     xe, rr = _rows(ent, x), _rows(params.tables["rel"], r)
     # the candidate-free part of the difference: h + r - e, or e - (t - r)
     a = (xe + rr if slot == TAIL else xe - rr).astype(np.float32)
@@ -594,12 +588,11 @@ def _fast_transe_l1(params, x, r, slot, cache):
     n = 2 * (params.dim + 4)
     c = _gamma(n, 2.0**-24) + _gamma(n)
     query_l1 = np.abs(xe).sum(axis=1) + np.abs(rr).sum(axis=1)
-    bound = np.add.outer(c * query_l1 + n * 2.0**-149, c * ent_l1)
-    return scores, bound
+    return scores, (c * query_l1 + n * 2.0**-149 + c * max_l1)[:, None]
 
 
 def _fast_transh(params, x, r, slot, cache):
-    ent, ent_norms = _entities(params, cache)
+    ent, max_norm = _entities(params, cache)
     w = _rows(params.tables["norm"], r)
     xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
     xp = _transh_project(xe, w)
@@ -614,13 +607,12 @@ def _fast_transh(params, x, r, slot, cache):
     neg_d2 += we
     # a projection scales a vector by at most 1 + ||w||^2
     f = 1.0 + ww
-    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], ent_norms, params.dim)
-    floor *= floor
-    return neg_d2, floor
+    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], max_norm, params.dim)
+    return neg_d2, floor * floor
 
 
 def _fast_transr(params, x, r, slot, cache):
-    ent, ent_norms = _entities(params, cache)
+    ent, max_norm = _entities(params, cache)
     m = _rows(params.tables["proj"], r)
     xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
     xm = np.einsum("nij,nj->ni", m, xe)
@@ -636,14 +628,13 @@ def _fast_transr(params, x, r, slot, cache):
         [_memo(cache, ("proj", int(rel)), lambda: projected_sq_norms(rel)) for rel in r]
     )
     f = np.sqrt((m * m).sum(axis=(1, 2)))  # ||M||_F bounds the projection's gain
-    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], ent_norms, params.dim)
-    floor *= floor
-    return neg_d2, floor
+    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], max_norm, params.dim)
+    return neg_d2, floor * floor
 
 
 def _fast_rotate(params, x, r, slot, cache):
     d = params.dim
-    ent, ent_norms = _entities(params, cache)
+    ent, max_norm = _entities(params, cache)
     xe = _rows(params.tables["ent"], x)
     xre, xim = _split(xe, d)
     theta = _rows(params.tables["rel"], r)
@@ -652,7 +643,7 @@ def _fast_rotate(params, x, r, slot, cache):
         a = np.concatenate([xre * cos - xim * sin, xre * sin + xim * cos], axis=1)
         neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
         # |rotated h_k| <= |h_re,k| + |h_im,k|, whose norm over both halves is <= 2 ||h||
-        width, floor = 2 * d, _distance_root_bound(2.0 * _norms(xe), 1.0, ent_norms, 2 * d)
+        width, floor = 2 * d, _distance_root_bound(2.0 * _norms(xe), 1.0, max_norm, 2 * d)
     else:
         # ||rot(e) - t||^2 = sum_k (c_k^2 + s_k^2)(e_re,k^2 + e_im,k^2) - 2 e.rot^T(t) + ||t||^2
         # holds for the rounded cos/sin too, which need not satisfy c^2 + s^2 = 1
@@ -670,7 +661,7 @@ def _fast_rotate(params, x, r, slot, cache):
             axis=1,
         )
         neg_d2 = lhs @ _memo(cache, "rotated_terms", make_terms).T
-        width, floor = 3 * d, _distance_root_bound(_norms(xe), 2.0, ent_norms, 3 * d)
+        width, floor = 3 * d, _distance_root_bound(_norms(xe), 2.0, max_norm, 3 * d)
     return _sqrt_scores(neg_d2, floor, width)
 
 
@@ -705,10 +696,10 @@ def _fast_simple(params, x, r, slot, cache):
 
     def make():
         cand = np.concatenate([params.tables[n].astype(np.float64) for n in names], axis=1)
-        return cand, _norms(cand)
+        return cand, _norms(cand).max(initial=0.0)
 
-    cand, cand_norms = _memo(cache, names, make)
-    return _bilinear_candidates(0.5 * np.concatenate(q, axis=1), cand, cand_norms, 2 * params.dim)
+    cand, max_norm = _memo(cache, names, make)
+    return _bilinear_candidates(0.5 * np.concatenate(q, axis=1), cand, max_norm, 2 * params.dim)
 
 
 _FAST = {

@@ -312,6 +312,25 @@ def test_bad_meta_number_names_its_key(tmp_path, key, bad):
         load_checkpoint(str(tmp_path))
 
 
+def test_meta_bytes_that_are_not_utf8_name_the_line(tmp_path):
+    params = init_params("distmult", 5, 2, 3, seed=0)
+    ckpt = Checkpoint(
+        params=params,
+        opt_state=init_optimizer("sgd", params.tables),
+        epoch=1,
+        best_metric=0.5,
+        config=TrainConfig(model="distmult", dim=3, optimizer="sgd"),
+        history=[(1, 0.5)],
+    )
+    save_checkpoint(ckpt, str(tmp_path))
+    meta = tmp_path / "meta"
+    lines = meta.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    meta.write_bytes(b"\n".join(lines))
+    with pytest.raises(CheckpointError, match=r"^meta:3: not UTF-8"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_missing_optimizer_slots_rejected(tmp_path):
     params = init_params("distmult", 5, 2, 3, seed=0)
     state = init_optimizer("adam", params.tables)

@@ -157,6 +157,14 @@ def test_train_bad_config_key_exit_1(capsys, tmp_path, dataset):
     assert "learning_rate" in err
 
 
+def test_train_config_not_utf8_exit_1(capsys, tmp_path, dataset):
+    p = tmp_path / "bad.conf"
+    p.write_bytes(f"dataset: {dataset}\n".encode() + b"model: trans\xff\n")
+    code, _, err = run(capsys, "train", str(p))
+    assert code == 1
+    assert "bad.conf:2: not UTF-8" in err
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["train"]) == 1  # missing config argument
     assert main(["frobnicate"]) == 1

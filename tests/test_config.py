@@ -70,6 +70,13 @@ def test_missing_file_is_config_error():
         parse_config_file("/nonexistent/path.conf")
 
 
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path):
+    p = tmp_path / "bad.conf"
+    p.write_bytes(b"model: transe\r\n# comment\ndataset: d\xff\n")
+    with pytest.raises(ConfigError, match=r"bad\.conf:3: not UTF-8"):
+        parse_config_file(str(p))
+
+
 def test_build_rejects_unknown_key():
     with pytest.raises(ConfigError, match="learning_rate"):
         build_train_config({"learning_rate": 0.1})

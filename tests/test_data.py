@@ -635,6 +635,50 @@ def test_ground_rules_table_equals_the_object_loop(seed):
     assert groundings.in_train.tolist() == [flag for _, _, _, flag in expected]
 
 
+def load_rule_or_groundings_file(kind, path, toy_kg):
+    vocab, kg = toy_kg
+    return load_rules(path, vocab) if kind == "rules" else read_groundings(path, kg)
+
+
+# one good line per file kind, and the same line with a byte that is not UTF-8
+GOOD_LINES = {"rules": b"0.5\tr1\tr2\n", "groundings": b"0.5\t0,0,1\t0,1,1\n"}
+BAD_BYTE_LINES = {"rules": b"0.5\tr\xff\tr2\n", "groundings": b"0.5\t0,0,1\t0,\xff,1\n"}
+
+
+@pytest.mark.parametrize("kind", ["rules", "groundings"])
+def test_rule_and_groundings_files_reject_bytes_that_are_not_utf8(tmp_path, toy_kg, kind):
+    path = tmp_path / f"{kind}.tsv"
+    path.write_bytes(GOOD_LINES[kind] + b"\r\n" + BAD_BYTE_LINES[kind])
+    with pytest.raises(DataFormatError, match=rf"{kind}\.tsv:3: not UTF-8"):
+        load_rule_or_groundings_file(kind, str(path), toy_kg)
+
+
+@pytest.mark.parametrize("kind", ["rules", "groundings"])
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_rule_and_groundings_files_reject_an_empty_field(tmp_path, toy_kg, kind, col):
+    fields = GOOD_LINES[kind].decode().rstrip("\n").split("\t")
+    fields[col] = ""
+    path = tmp_path / f"{kind}.tsv"
+    path.write_bytes(GOOD_LINES[kind] + "\t".join(fields).encode() + b"\n")
+    with pytest.raises(DataFormatError, match=rf"^\S*{kind}\.tsv:2: empty field$"):
+        load_rule_or_groundings_file(kind, str(path), toy_kg)
+
+
+@pytest.mark.parametrize("kind", ["rules", "groundings"])
+def test_rule_and_groundings_files_read_crlf_and_blank_lines(tmp_path, toy_kg, kind):
+    path = tmp_path / f"{kind}.tsv"
+    path.write_bytes(GOOD_LINES[kind])
+    want = load_rule_or_groundings_file(kind, str(path), toy_kg)
+    line = GOOD_LINES[kind].rstrip(b"\n")
+    path.write_bytes(b"\r\n" + line + b"\r\n\r" + line + b"\r")
+    got = load_rule_or_groundings_file(kind, str(path), toy_kg)
+    assert len(got) == 2
+    if kind == "rules":
+        assert got == [want[0]] * 2
+    else:
+        assert got.conclusions.tolist() == want.conclusions.tolist() * 2
+
+
 def test_groundings_file_rejects_out_of_range_conclusion(tmp_path, toy_kg):
     _, kg = toy_kg
     path = tmp_path / "g.tsv"

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgembed.config import TrainConfig
+from kgembed.data import TripleIndex
 from kgembed.evaluate import (
     CKGEScorer,
     RankingReport,
@@ -12,8 +14,10 @@ from kgembed.evaluate import (
     evaluate,
     ranks_for_queries,
 )
+from kgembed.gnn import init_rgcn
 from kgembed.models import init_params, score
 from kgembed.sampling import HEAD, TAIL
+from kgembed.train import make_scorer, train
 
 from conftest import make_kg, random_label_triples
 
@@ -323,7 +327,89 @@ def test_fast_scores_within_bound(model, dim, n_entities, log_scale, sparsity, s
         for e in range(n_entities):
             probe = queries.copy()
             probe[:, 0 if slot == HEAD else 2] = e
-            assert np.all(np.abs(fast[:, e] - score(params, probe)) <= bounds[:, e]), (slot, e)
+            assert np.all(np.abs(fast[:, e] - score(params, probe)) <= bounds[:, 0]), (slot, e)
+
+
+@pytest.mark.parametrize("model,p", BAND_MODELS + [("rgcn", 1)])
+def test_fast_candidates_return_one_bound_per_query(model, p):
+    kg = band_kg()
+    if model == "rgcn":
+        scorer = make_scorer(init_rgcn(kg.n_entities, kg.n_relations, 4, n_bases=2, seed=0), kg)
+    else:
+        scorer = CKGEScorer(band_params(model, p, kg))
+    for slot in (HEAD, TAIL):
+        scores, bounds = scorer.fast_candidates(BAND_QUERIES, slot, {})
+        assert (scores.shape, scores.dtype) == ((len(BAND_QUERIES), kg.n_entities), np.float64)
+        assert (bounds.shape, bounds.dtype) == ((len(BAND_QUERIES), 1), np.float64)
+
+
+@pytest.mark.parametrize("model,p", BAND_MODELS)
+def test_ranking_a_chunk_holds_no_bound_per_candidate(model, p):
+    """One 32-query chunk over 20,000 entities peaks below 2.75 [32, E] float64 arrays.
+
+    The scores take one; a [32, E] bound array, or a copy of the scores for
+    the band test, would take the peak past the limit.
+    """
+    import tracemalloc
+
+    n_e, n_r = 20_000, 3
+    rng = np.random.default_rng(0)
+    queries = np.stack([rng.integers(0, n_e, 32), rng.integers(0, n_r, 32),
+                        rng.integers(0, n_e, 32)], axis=1)
+    filters = TripleIndex(queries, n_e, n_r)
+    params = init_params(model, n_e, n_r, 4, seed=0)
+    params.transe_p = p
+    for slot in (HEAD, TAIL):
+        tracemalloc.start()
+        try:
+            ranks_for_queries(CKGEScorer(params), queries, slot, filters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 32 * n_e * 8, (slot, peak)
+
+
+class CountingScorer:
+    """A scorer that counts the triples it is asked to score exactly."""
+
+    def __init__(self, scorer):
+        self.scorer, self.rescored = scorer, 0
+
+    def fast_candidates(self, queries, slot, cache):
+        return self.scorer.fast_candidates(queries, slot, cache)
+
+    def score_triples(self, triples):
+        self.rescored += len(triples)
+        return self.scorer.score_triples(triples)
+
+
+@pytest.fixture(scope="module")
+def trained_band_kg():
+    rng = np.random.default_rng(5)
+    return make_kg(random_label_triples(rng, 1000, 4, 2000))[1]
+
+
+@pytest.mark.parametrize("model,p", BAND_MODELS + [("rgcn", 1)])
+def test_band_stays_small_on_trained_parameters(model, p, trained_band_kg):
+    """Few candidates besides the target are re-scored exactly.
+
+    Parameters trained three epochs (d 16, 1,000 entities) put at most
+    0.015 candidates per query in the band (TransE-L1, float32); the limit
+    leaves a margin of about 7x.
+    """
+    kg = trained_band_kg
+    config = TrainConfig(model=model, transe_p=p, dim=16, n_bases=2, lr=0.05,
+                         loss="bce" if model == "rgcn" else "self_adversarial", margin=4.0,
+                         n_neg=4, batch_size=64, max_epochs=3, check_per_epoch=3, seed=1)
+    scorer = CountingScorer(make_scorer(train(config, kg).last.params, kg))
+    filters = build_filter_sets(kg)
+    queries = kg.train[:200]
+    for slot in (HEAD, TAIL):
+        scorer.rescored = 0
+        ranks_for_queries(scorer, queries, slot, filters)
+        # each target is scored twice: in its band and as the reference
+        band = (scorer.rescored - 2 * len(queries)) / len(queries)
+        assert band <= 0.1, (slot, band)
 
 
 def test_rows_holding_both_infinities_rank_without_warnings():
