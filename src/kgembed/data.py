@@ -26,6 +26,7 @@ grounded conclusions, and (over all three splits) evaluation filtering.
 from __future__ import annotations
 
 import os
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -442,22 +443,45 @@ def add_inverse_relations(kg: IndexedKG) -> IndexedKG:
     )
 
 
+_ID = re.compile(r"-?[0-9]+")  # str(int); a negative id then fails the range check
+_FLOAT = re.compile(r"[0-9A-Za-z.+-]+")  # float() text, without spaces, "_" or non-ASCII digits
+
+
+def _confidence(text: str, where: str) -> float:
+    """A confidence field as a float in (0, 1]; anything else raises naming ``where``."""
+    try:
+        if not _FLOAT.fullmatch(text):
+            raise ValueError
+        conf = float(text)
+    except ValueError:
+        raise DataFormatError(f"{where}: bad confidence {text!r}") from None
+    if not 0.0 < conf <= 1.0:
+        raise DataFormatError(f"{where}: confidence must be in (0, 1], got {conf}")
+    return conf
+
+
+def _id_triple(text: str, where: str) -> list[int]:
+    """An ``h,r,t`` field as three ids in ``str(int)`` form; other text raises naming ``where``."""
+    ids = text.split(",")
+    if len(ids) != 3:
+        raise DataFormatError(f"{where}: triples must be h,r,t, got {text!r}")
+    if not all(_ID.fullmatch(x) for x in ids):
+        raise DataFormatError(f"{where}: bad id in {text!r}")
+    return [int(x) for x in ids]
+
+
 def load_rules(path: str, vocab: Vocab) -> list[Rule]:
     """Read rules, one per line: ``confidence<TAB>head_rel<TAB>body_rel_1[<TAB>body_rel_2]``.
 
-    Relation labels are resolved through ``vocab``. Unknown labels,
-    confidences outside (0, 1], bytes that are not UTF-8, an empty field or
+    Relation labels are resolved through ``vocab``. Unknown labels, a
+    confidence that is not plain float text (no spaces, ``_`` or non-ASCII
+    digits) or lies outside (0, 1], bytes that are not UTF-8, an empty field or
     a line without 3 or 4 fields raise :class:`DataFormatError` naming the line.
     """
     rules: list[Rule] = []
     r2i = vocab.relation_to_id
     for lineno, fields in _lines(path, "rule"):
-        try:
-            conf = float(fields[0])
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: bad confidence {fields[0]!r}") from None
-        if not 0.0 < conf <= 1.0:
-            raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
+        conf = _confidence(fields[0], f"{path}:{lineno}")
         rels = []
         for label in fields[1:]:
             if label not in r2i:
@@ -506,22 +530,17 @@ def write_groundings(groundings: Groundings, path: str) -> None:
 def read_groundings(path: str, kg: IndexedKG) -> Groundings:
     """Read a groundings file written by :func:`write_groundings`.
 
-    The ``in_train`` flag is recomputed against ``kg`` rather than stored; a
-    confidence outside (0, 1], an id outside ``kg``, bytes that are not UTF-8,
-    an empty field or a line without 3 or 4 fields raises
-    :class:`DataFormatError` naming the line.
+    The ``in_train`` flag is recomputed against ``kg`` rather than stored.
+    Only text that writer writes is read: a confidence that is not plain
+    float text or lies outside (0, 1], an id that is not plain digits or
+    lies outside ``kg``, bytes that are not UTF-8, an empty field or a line
+    without 3 or 4 fields raises :class:`DataFormatError` naming the line.
     """
     confidence, atoms, two = [], [], []
     for lineno, fields in _lines(path, "groundings"):
-        try:
-            conf = float(fields[0])
-            triples = [[int(x) for x in f.split(",")] for f in fields[1:]]
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: malformed grounding line") from None
-        if any(len(t) != 3 for t in triples):
-            raise DataFormatError(f"{path}:{lineno}: triples must be h,r,t")
-        if not 0.0 < conf <= 1.0:
-            raise DataFormatError(f"{path}:{lineno}: confidence must be in (0, 1], got {conf}")
+        where = f"{path}:{lineno}"
+        conf = _confidence(fields[0], where)
+        triples = [_id_triple(f, where) for f in fields[1:]]
         confidence.append(conf)
         atoms.append(triples + [[-1, -1, -1]] * (4 - len(fields)))
         two.append(len(fields) == 4)

@@ -5,10 +5,24 @@ combinations W_r = sum_b a[r, b] * V_b of shared bases. Layer update:
 
     out(i) = act( sum_{(j,r,i) in edges} edge_norm * (x_j @ W_r) + x_i @ W0 )
 
-with ReLU on hidden layers and identity on the last. Message aggregation
-follows the batch's canonical edge order, so forward passes are
-run-to-run deterministic. Backward passes are hand-derived like the
-conventional models and checked against finite differences.
+with ReLU on hidden layers and identity on the last. Backward passes are
+hand-derived like the conventional models and checked against finite
+differences.
+
+Each forward builds one relation plan (``_RelationPlan``): a stable
+argsort of the edges' relation ids (a radix sort of 16-bit keys) gives
+src, dst and edge norm in relation order, plus one slice per relation
+present. Every layer and the backward read those slices. A layer's
+messages run relation by relation, ascending, and within a relation in
+the batch's edge order, in blocks of at most ``_MESSAGE_BLOCK`` edges (a
+tail under half a block joins the block before it): gather the source
+rows, multiply by W_r, scale by the norms in place, scatter-add into the
+destinations. Blocking changes only the row count of each GEMM, not the
+order of any sum, so the output is bit for bit that of one GEMM per
+relation, and the message temporaries stay a few blocks in size however
+many edges a relation has. The backward keeps one GEMM per relation:
+its ``x.T @ d_msg`` sums over the relation's edges, and blocks would
+change that sum's rounding.
 
 The decoder is the conventional DistMult model over the encoded node
 rows: training takes its loss and gradient from :func:`models.grad`, and
@@ -120,32 +134,60 @@ def init_rgcn(
     )
 
 
-def _rel_groups(rel: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Each relation present, ascending, with the positions of its edges.
+_MESSAGE_BLOCK = 4096  # most edges per forward message block (module docstring)
 
-    The sort is stable, so each relation's edges keep the batch's order,
-    and its messages are computed and scattered in that order.
+
+@dataclass(frozen=True)
+class _RelationPlan:
+    """A graph's edges in relation order, and each present relation's slice.
+
+    The sort is stable, so each relation's edges keep the batch's order.
     """
-    order = np.argsort(rel, kind="stable")
-    rels, starts = np.unique(rel[order], return_index=True)
-    return list(zip(rels.tolist(), np.split(order, starts[1:])))
+
+    src: np.ndarray  # [E] int64
+    dst: np.ndarray  # [E] int64
+    norm: np.ndarray  # [E] float64
+    spans: list[tuple[int, int, int]]  # (relation, start, stop), relations ascending
+
+    @classmethod
+    def of(cls, graph: GraphBatch) -> "_RelationPlan":
+        rel = graph.edges[:, 1]
+        # numpy radix-sorts 16-bit keys when asked for a stable sort
+        keys = rel.astype(np.uint16) if len(rel) and rel.max() < 1 << 16 else rel
+        order = np.argsort(keys, kind="stable")
+        rel = rel[order]
+        cuts = [0, *(np.flatnonzero(np.diff(rel)) + 1).tolist(), len(rel)]
+        spans = [(int(rel[lo]), lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+        src, dst = graph.edges[:, 0].take(order), graph.edges[:, 2].take(order)
+        return cls(src, dst, graph.edge_norm.take(order), spans)
 
 
-def _layer_forward(layer: RGCNLayerParams, graph: GraphBatch, x: np.ndarray, groups):
-    src, dst = graph.edges[:, 0], graph.edges[:, 2]
+def _blocks(start: int, stop: int):
+    """[start, stop) in consecutive blocks of _MESSAGE_BLOCK; a short tail joins the last."""
+    n_blocks = max(1, (stop - start + _MESSAGE_BLOCK // 2) // _MESSAGE_BLOCK)
+    cuts = [start + i * _MESSAGE_BLOCK for i in range(n_blocks)] + [stop]
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _layer_forward(layer: RGCNLayerParams, plan: _RelationPlan, x: np.ndarray, keep: bool):
+    """The layer's output, and its backward cache if ``keep`` (else None).
+
+    Relation blocks are scattered in plan order, then the self-loop is added.
+    """
     basis = layer.basis.astype(np.float64)
     coeff = layer.coeff.astype(np.float64)
-    w0 = layer.self_weight.astype(np.float64)
-    agg = np.zeros((x.shape[0], basis.shape[2]), dtype=np.float64)
-    rel_groups = []
-    for r, idx in groups:
-        w_r = np.einsum("b,bio->io", coeff[r], basis)
-        msg = (x[src[idx]] @ w_r) * graph.edge_norm[idx][:, None]
-        models.scatter_add(agg, dst[idx], msg)
-        rel_groups.append((r, idx, w_r))
-    pre = agg + x @ w0
+    weights = (np.einsum("b,bio->io", coeff[r], basis) for r, _, _ in plan.spans)
+    if keep:
+        weights = list(weights)  # the backward reads them again
+    pre = np.zeros((x.shape[0], layer.basis.shape[2]), dtype=np.float64)
+    for (_, start, stop), w_r in zip(plan.spans, weights):
+        for lo, hi in _blocks(start, stop):
+            msg = x.take(plan.src[lo:hi], axis=0) @ w_r
+            msg *= plan.norm[lo:hi, None]
+            models.scatter_add(pre, plan.dst[lo:hi], msg)
+    pre += x @ layer.self_weight.astype(np.float64)
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    return out, {"x": x, "pre": pre, "rel_groups": rel_groups}
+    return out, ({"x": x, "pre": pre, "plan": plan, "weights": weights} if keep else None)
 
 
 def rgcn_forward(
@@ -157,14 +199,14 @@ def rgcn_forward(
         raise ValueError(
             f"input_emb has {x.shape[0]} rows for {len(graph.node_ids)} graph nodes"
         )
-    groups = _rel_groups(graph.edges[:, 1])
+    plan = _RelationPlan.of(graph)
     caches = []
     for layer in layers:
         if x.shape[1] != layer.basis.shape[1]:
             raise ValueError(
                 f"layer expects width {layer.basis.shape[1]}, input has {x.shape[1]}"
             )
-        x, cache = _layer_forward(layer, graph, x, groups)
+        x, cache = _layer_forward(layer, plan, x, return_cache)
         if return_cache:
             caches.append(cache)
     return (x, caches) if return_cache else x
@@ -176,13 +218,15 @@ def rgcn_backward(
     caches: list[dict],
     d_out: np.ndarray,
 ) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-    """Backprop d(loss)/d(node reps) to the input rows and all layer params."""
-    src, dst = graph.edges[:, 0], graph.edges[:, 2]
+    """Backprop d(loss)/d(node reps) to the input rows and all layer params.
+
+    ``caches`` come from ``rgcn_forward(..., return_cache=True)`` on ``graph``.
+    """
     d_x = np.asarray(d_out, dtype=np.float64)
     layer_grads: list[dict[str, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for li in range(len(layers) - 1, -1, -1):
         layer, cache = layers[li], caches[li]
-        x, pre = cache["x"], cache["pre"]
+        x, pre, plan = cache["x"], cache["pre"], cache["plan"]
         d_pre = d_x * (pre > 0) if layer.activation == "relu" else d_x
         basis = layer.basis.astype(np.float64)
         coeff = layer.coeff.astype(np.float64)
@@ -190,12 +234,14 @@ def rgcn_backward(
         g_coeff = np.zeros_like(coeff)
         g_self = x.T @ d_pre
         d_in = d_pre @ layer.self_weight.astype(np.float64).T
-        for r, idx, w_r in cache["rel_groups"]:
-            d_msg = d_pre[dst[idx]] * graph.edge_norm[idx][:, None]
-            g_wr = x[src[idx]].T @ d_msg
+        # whole-relation GEMMs: x.T @ d_msg sums over the edges, so blocks would move bits
+        for (r, lo, hi), w_r in zip(plan.spans, cache["weights"]):
+            src = plan.src[lo:hi]
+            d_msg = d_pre.take(plan.dst[lo:hi], axis=0) * plan.norm[lo:hi, None]
+            g_wr = x.take(src, axis=0).T @ d_msg
             g_coeff[r] = np.einsum("bio,io->b", basis, g_wr)
             g_basis += coeff[r][:, None, None] * g_wr
-            models.scatter_add(d_in, src[idx], d_msg @ w_r.T)
+            models.scatter_add(d_in, src, d_msg @ w_r.T)
         layer_grads[li] = {"basis": g_basis, "coeff": g_coeff, "self": g_self}
         d_x = d_in
     return d_x, layer_grads

@@ -461,10 +461,10 @@ def _memo(cache: dict, key, make):
 
 
 def _entities(params: ModelParams, cache: dict, name: str = "ent"):
-    """An entity table in float64 and its largest row norm."""
+    """An entity table in float64 (the table itself if it is float64) and its largest row norm."""
 
     def make():
-        ent = params.tables[name].astype(np.float64)
+        ent = params.tables[name].astype(np.float64, copy=False)
         return ent, _norms(ent).max(initial=0.0)
 
     return _memo(cache, name, make)

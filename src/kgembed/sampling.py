@@ -70,8 +70,12 @@ class GraphBatch:
 
     ``edges`` are (src, rel, dst) with node indices local to ``node_ids``;
     edges are sorted by (dst, rel, src) so per-node message aggregation
-    order is fixed. ``negatives`` holds the training triples (the sampled
-    edges) and their uniform corruptions; its ``replaced`` ids are local too.
+    order is fixed. The samplers sort with one ``np.sort`` of the packed
+    int64 key (dst*R + rel)*E + src over global ids (``TripleIndex``'s
+    packing), unpacked by ``divmod``, and each edge's norm is 1 over the
+    length of its (dst, rel) run in that order. ``negatives`` holds the
+    training triples (the sampled edges) and their uniform corruptions;
+    its ``replaced`` ids are local too.
     """
 
     node_ids: np.ndarray  # [M] int64, global entity ids, sorted
@@ -213,9 +217,7 @@ def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:
     if n_edges > len(kg.train):
         raise ValueError(f"n_edges {n_edges} exceeds train size {len(kg.train)}")
     rng = np.random.default_rng(seed)
-    picked = kg.train[rng.choice(len(kg.train), size=n_edges, replace=False)]
-    order = np.lexsort((picked[:, 0], picked[:, 1], picked[:, 2]))
-    picked = picked[order]
+    picked = _sorted_edges(kg, kg.train[rng.choice(len(kg.train), size=n_edges, replace=False)])
 
     node_ids = np.unique(picked[:, [0, 2]])
     src = np.searchsorted(node_ids, picked[:, 0])
@@ -230,7 +232,8 @@ def mask_edges(batch: GraphBatch, drop_rate: float, seed) -> GraphBatch:
     """Edge dropout: keep a random subset of message edges, norms recomputed.
 
     The training triples (``negatives``) are untouched; only the message
-    graph shrinks.
+    graph shrinks. The kept edges stay in the batch's sorted order, which
+    the norms are counted in.
     """
     if not 0.0 <= drop_rate < 1.0:
         raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
@@ -250,18 +253,34 @@ def full_graph(kg: IndexedKG, n_neg: int = 1, seed=0) -> GraphBatch:
     ``n_neg=0`` draws no corruptions (``negatives`` holds the train edges
     with an empty [E, 0] ``replaced`` array): encoding reads edges only.
     """
-    order = np.lexsort((kg.train[:, 0], kg.train[:, 1], kg.train[:, 2]))
-    picked = kg.train[order]
     node_ids = np.arange(kg.n_entities, dtype=np.int64)
-    edges = picked.astype(np.int64)
-    rng = np.random.default_rng(seed)
-    negatives = _corrupt(kg, edges, n_neg, 0.5, rng)  # local ids are global ids here
+    edges = _sorted_edges(kg, kg.train)
+    if n_neg == 0:  # no draws; skips the train membership table that _corrupt would build
+        empty = np.zeros((len(edges), 0), dtype=np.int64)
+        negatives = NegBatch(edges, empty, empty.astype(np.uint8), empty.astype(bool))
+    else:
+        rng = np.random.default_rng(seed)
+        negatives = _corrupt(kg, edges, n_neg, 0.5, rng)  # local ids are global ids here
     return GraphBatch(node_ids, edges, _edge_norm(edges), negatives)
 
 
+def _sorted_edges(kg: IndexedKG, triples: np.ndarray) -> np.ndarray:
+    """``triples`` sorted by (tail, relation, head), as a new [n, 3] int64 array.
+
+    One sort of the packed key (t*R + r)*E + h, unpacked by ``divmod``:
+    equal keys are equal triples, so this is ``lexsort``'s order row for row.
+    """
+    n_e, n_r = kg.n_entities, kg.n_relations
+    h, r, t = np.asarray(triples, dtype=np.int64).T
+    tr, h = np.divmod(np.sort((t * n_r + r) * n_e + h), n_e)
+    t, r = np.divmod(tr, n_r)
+    return np.stack([h, r, t], axis=1)
+
+
 def _edge_norm(edges: np.ndarray) -> np.ndarray:
-    if len(edges) == 0:
-        return np.zeros(0)
-    group = edges[:, 2] * (edges[:, 1].max() + 1) + edges[:, 1]
-    _, inverse, counts = np.unique(group, return_inverse=True, return_counts=True)
-    return 1.0 / counts[inverse]
+    """1 / the size of each edge's (dst, rel) run; ``edges`` must be sorted by (dst, rel)."""
+    n = len(edges)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (edges[1:, 2] != edges[:-1, 2]) | (edges[1:, 1] != edges[:-1, 1])
+    counts = np.diff(np.append(starts.nonzero()[0], n))
+    return np.repeat(1.0 / counts, counts)

@@ -721,3 +721,40 @@ def test_write_vocab_dumps(tmp_path, toy_kg):
     assert ents[0] == "a\t0"
     rels = (tmp_path / "relations.tsv").read_text().splitlines()
     assert len(rels) == vocab.n_relations
+
+
+# text that float() or int() reads but the writers never write
+LENIENT_FLOATS = [" 0.5", "0.5 ", "0.5_0", "٠.٥", "0.5\x0b"]
+LENIENT_IDS = [" 0", "1 ", "0_0", "+1", "١"]
+
+
+@pytest.mark.parametrize("kind", ["rules", "groundings"])
+@pytest.mark.parametrize("conf", LENIENT_FLOATS)
+def test_rule_and_groundings_files_reject_a_lenient_confidence(tmp_path, toy_kg, kind, conf):
+    assert 0.0 < float(conf) <= 1.0
+    fields = GOOD_LINES[kind].decode().rstrip("\n").split("\t")
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text(GOOD_LINES[kind].decode() + "\t".join([conf] + fields[1:]) + "\n")
+    with pytest.raises(DataFormatError, match=rf"{kind}\.tsv:2: bad confidence"):
+        load_rule_or_groundings_file(kind, str(path), toy_kg)
+
+
+@pytest.mark.parametrize("field", [1, 2, 3], ids=["conclusion", "body1", "body2"])
+@pytest.mark.parametrize("col", [0, 1, 2])
+@pytest.mark.parametrize("text", LENIENT_IDS)
+def test_groundings_file_rejects_a_lenient_id(tmp_path, toy_kg, field, col, text):
+    assert int(text) in (0, 1)
+    triples = [["0", "1", "1"], ["0", "0", "1"], ["1", "0", "1"]]
+    triples[field - 1][col] = text
+    path = tmp_path / "g.tsv"
+    line = "\t".join(["0.9"] + [",".join(t) for t in triples])
+    path.write_text("0.9\t0,1,1\t0,0,1\n" + line + "\n")
+    with pytest.raises(DataFormatError, match=r"g\.tsv:2: bad id in"):
+        read_groundings(str(path), toy_kg[1])
+
+
+def test_groundings_file_names_the_line_of_a_triple_without_three_ids(tmp_path, toy_kg):
+    path = tmp_path / "g.tsv"
+    path.write_text("0.9\t0,1,1\t0,0,1\n0.9\t0,1\t0,0,1\n")
+    with pytest.raises(DataFormatError, match=r"g\.tsv:2: triples must be h,r,t"):
+        read_groundings(str(path), toy_kg[1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgembed import models
+from kgembed import gnn, models
 from kgembed.gnn import (
     RGCNLayerParams,
     RGCNModel,
@@ -389,6 +389,55 @@ def test_forward_and_backward_equal_the_masked_reference_bitwise(n_edges):
     for got, expected in zip(grads, want_grads):
         for name in ("basis", "coeff", "self"):
             assert got[name].tobytes() == expected[name].tobytes(), name
+
+
+def test_blocked_messages_equal_the_masked_reference_bitwise(monkeypatch):
+    """Blocks of 4 edges: relation 0 spans blocks of 4, 4 and 5 (its 1-edge tail
+    joins the block before it), relation 1 blocks of 4, 4 and 2, relation 2 one edge."""
+    monkeypatch.setattr(gnn, "_MESSAGE_BLOCK", 4)
+    assert list(gnn._blocks(3, 16)) == [(3, 7), (7, 11), (11, 16)]
+    assert list(gnn._blocks(0, 10)) == [(0, 4), (4, 8), (8, 10)]
+    assert list(gnn._blocks(5, 6)) == [(5, 6)]
+    rng = np.random.default_rng(44)
+    n_nodes, d = 7, 6
+    rel = rng.permutation(np.repeat([0, 1, 2], [13, 10, 1]))
+    src, dst = rng.integers(n_nodes, size=(2, len(rel)))
+    edges = np.stack([src, rel, dst], 1)
+    graph = GraphBatch(np.arange(n_nodes), edges, rng.uniform(0.1, 1.0, len(rel)), None)
+    model = init_rgcn(n_nodes, 3, dim=d, n_bases=2, seed=5)
+    x0 = rng.normal(size=(n_nodes, d))
+    d_out = rng.normal(size=(n_nodes, d))
+
+    out, caches = rgcn_forward(model.layers, graph, x0, return_cache=True)
+    want, want_caches = masked_forward(model.layers, graph, x0)
+    assert out.tobytes() == want.tobytes()
+    d_x, grads = rgcn_backward(model.layers, graph, caches, d_out)
+    want_d_x, want_grads = masked_backward(model.layers, graph, want_caches, d_out)
+    assert d_x.tobytes() == want_d_x.tobytes()
+    for got, expected in zip(grads, want_grads):
+        for name in ("basis", "coeff", "self"):
+            assert got[name].tobytes() == expected[name].tobytes(), name
+
+
+def test_forward_peak_memory_stays_within_a_few_message_blocks():
+    """One relation of 40,000 edges at width 32: its messages at once would take
+    20 MB of gathered rows and products, one block of them takes 1 MiB."""
+    import tracemalloc
+
+    n_nodes, n_edges, d = 200, 40_000, 32
+    rng = np.random.default_rng(43)
+    src, dst = rng.integers(n_nodes, size=(2, n_edges))
+    edges = np.stack([src, np.zeros(n_edges, dtype=np.int64), dst], 1)
+    graph = GraphBatch(np.arange(n_nodes), edges, np.ones(n_edges), None)
+    model = init_rgcn(n_nodes, 1, dim=d, n_bases=1, seed=0)
+    x0 = model.entity_emb.astype(np.float64)
+    tracemalloc.start()
+    try:
+        rgcn_forward(model.layers, graph, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * gnn._MESSAGE_BLOCK * d * 8, peak
 
 
 def test_forward_peak_memory_does_not_grow_with_relations():

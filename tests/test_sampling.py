@@ -380,3 +380,48 @@ def test_full_graph_without_negatives(toy_kg):
     assert np.array_equal(bare.edges, plain.edges)
     assert np.array_equal(bare.edge_norm, plain.edge_norm)
     assert bare.negatives.negatives.shape == (len(kg.train), 0, 3)
+
+
+def test_full_graph_without_negatives_makes_no_membership_query():
+    _, kg = make_kg([("a", "r", "b"), ("b", "r", "c"), ("a", "s", "c")])
+    negatives = full_graph(kg, n_neg=0).negatives
+    assert "bits" not in vars(kg.train_index)  # the membership table was never built
+    assert negatives.positives.shape == (3, 3)
+    for name, dtype in (("replaced", np.int64), ("slot", np.uint8), ("fallback", bool)):
+        array = getattr(negatives, name)
+        assert (array.dtype, array.shape) == (dtype, (3, 0)), name
+
+
+def lexsort_graph(kg, picked):
+    """The graph construction that preceded the packed-key sort: ``lexsort``
+    by (dst, rel, src), and norms from ``np.unique`` counts."""
+    picked = picked[np.lexsort((picked[:, 0], picked[:, 1], picked[:, 2]))]
+    node_ids = np.unique(picked[:, [0, 2]])
+    src = np.searchsorted(node_ids, picked[:, 0])
+    dst = np.searchsorted(node_ids, picked[:, 2])
+    edges = np.stack([src, picked[:, 1], dst], axis=1).astype(np.int64)
+    group = edges[:, 2] * (edges[:, 1].max() + 1) + edges[:, 1]
+    _, inverse, counts = np.unique(group, return_inverse=True, return_counts=True)
+    return node_ids, edges, 1.0 / counts[inverse]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graphs_equal_the_lexsort_reference_bytewise(seed):
+    rng = np.random.default_rng(seed)
+    labels = random_label_triples(rng, 15, 4, 80)
+    labels += [labels[i] for i in rng.integers(0, len(labels), 20)]  # duplicate lines
+    _, kg = make_kg(labels)
+    assert len(np.unique(kg.train, axis=0)) < len(kg.train)
+    assert (np.diff(kg.train[:, 2]) < 0).any()  # train is not in (dst, rel, src) order
+
+    full = full_graph(kg, n_neg=0)
+    _, edges, norm = lexsort_graph(kg, kg.train)
+    graphs = [(full, (np.arange(kg.n_entities), edges, norm))]  # full_graph keeps every entity
+    for n_edges in (1, 30, len(kg.train)):
+        picked = kg.train[np.random.default_rng(seed).choice(len(kg.train), n_edges, replace=False)]
+        graphs.append((sample_graph(kg, n_edges, 1, seed=seed), lexsort_graph(kg, picked)))
+    for graph, (node_ids, edges, norm) in graphs:
+        got_arrays = (graph.node_ids, graph.edges, graph.edge_norm)
+        for got, want in zip(got_arrays, (node_ids, edges, norm)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
