@@ -5,8 +5,10 @@ per optimizer slot. Binary format: 16-byte header (magic ``KGT1``,
 little-endian uint32 rows, cols, reserved zero) followed by row-major
 little-endian float32 data; arrays with more than two axes store
 rows = shape[0], cols = prod(rest), with the true shape kept in meta.
-Every file's sha256 is recorded in meta and checked on load, so a
-corrupted directory fails loudly instead of resuming from garbage.
+The sha256 of every binary file is recorded in meta and checked on load,
+so a corrupted table fails loudly instead of resuming from garbage. meta
+itself is not hashed: only its ``config.*`` lines are guarded, by
+``config_hash``; a repeated key is rejected.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
         if ": " not in line:
             raise CheckpointError(f"meta:{lineno}: malformed line")
         key, _, value = line.partition(": ")
+        if key in meta:
+            raise CheckpointError(f"meta:{lineno}: duplicate key {key!r}")
         meta[key] = value
     for req in ("format", "epoch", "best_metric", "config_hash", "optimizer"):
         if req not in meta:

@@ -111,6 +111,7 @@ def cmd_eval(args) -> int:
         config = config.with_overrides(dataset=args.dataset)
     if args.threads:
         config = config.with_overrides(threads=args.threads)
+    config.validate()
     _, kg = _load_for_config(config)
     report = final_report(ckpt.params, kg, split=args.split, threads=config.threads)
     _print_report(args.split, report)

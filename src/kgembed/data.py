@@ -5,9 +5,12 @@ one tab-separated ``head relation tail`` triple per line (the de facto
 layout of the public FB15K-237 / WN18RR distributions).
 
 Loading is columnar and builds no Python object per triple. One reader
-takes a split file whole: a vectorized pass over its bytes checks that
-every non-blank line holds three non-empty fields, and one ``split`` gives
-all the labels as one flat list, three per triple. One encoder turns such
+takes every input file whole (split, rule and groundings files): a
+vectorized pass over its bytes checks that every non-blank line holds an
+allowed number of non-empty fields (three, or three or four), and one
+``split`` gives all the fields as one flat list, as many per line as the
+widest allowed. The rule and groundings loaders parse that list by column,
+and check it field by field only to name a bad line. One encoder turns such
 a list into an [n, 3] id array with a C-level ``map`` over dict lookups;
 :func:`load_kg` encodes with maps that give each new label the next id,
 so the vocab is numbered by first occurrence (train, then valid, then
@@ -269,77 +272,63 @@ def _decode(data: bytes, name: str, error: type[ValueError] = DataFormatError) -
         raise error(f"{name}:{lineno}: not UTF-8 ({e.reason})") from None
 
 
+def _read_bytes(path: str) -> bytes:
+    """A file's bytes, ``\r\n`` and ``\r`` read as ``\n`` (as in text mode)."""
+    with open(path, "rb") as fh:
+        return fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
 def read_text(path: str, error: type[ValueError] = DataFormatError, name: str | None = None) -> str:
     """A text file read whole, ``\r\n`` and ``\r`` read as ``\n`` (as in text mode).
 
     Bytes that are not UTF-8 raise ``error`` naming ``name:lineno`` (``name`` defaults to ``path``).
     """
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return _decode(data, name or path, error)
+    return _decode(_read_bytes(path), name or path, error)
 
 
-def _lines(path: str, kind: str):
-    """``(lineno, fields)`` of each non-blank line: 3 or 4 non-empty tab-separated fields."""
-    if not os.path.exists(path):
-        raise DataFormatError(f"{kind} file not found: {path}")
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (3, 4):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 3 or 4 tab-separated fields, got {len(fields)}"
-            )
-        if not all(fields):
-            raise DataFormatError(f"{path}:{lineno}: empty field")
-        yield lineno, fields
+def _read_fields(path: str, kind: str = "triple", counts: tuple[int, ...] = (3,)):
+    """A tab-separated file's fields, ``max(counts)`` per non-blank line (a short
+    line padded with ``""``) in one flat list, and those lines' numbers.
 
-
-def _read_fields(path: str) -> list[str]:
-    """A triple file's labels as one flat list, three per triple, in file order.
-
-    The file is read whole. Lines end at ``\n``, ``\r\n`` or ``\r`` (as in
-    text mode) and blank lines are skipped. One vectorized pass over the
-    bytes finds every tab and newline, so each line is checked for three
-    non-empty fields without a Python step per line. Raises
-    :class:`DataFormatError` for a missing file, bytes that are not UTF-8,
-    a line without exactly three tab-separated fields, an empty field, or
-    a file with no triples; every line error names ``path:lineno``.
+    Lines end at ``\n``, ``\r\n`` or ``\r``. One vectorized pass over the
+    bytes checks every line for a field count in ``counts`` (consecutive)
+    and no empty field. Raises :class:`DataFormatError` naming ``path:lineno``
+    for a bad line or bytes that are not UTF-8, and for a missing ``kind``
+    file or a split file (``counts`` (3,)) with no triples.
     """
     if not os.path.exists(path):
-        raise DataFormatError(f"triple file not found: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").rstrip(b"\n")
+        raise DataFormatError(f"{kind} file not found: {path}")
+    data = _read_bytes(path).rstrip(b"\n")
     text = _decode(data, path)
     buf = np.frombuffer(data, dtype=np.uint8)
     seps = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
     newlines = np.flatnonzero(buf[seps] == ord("\n"))  # positions in seps
-    first = np.append(0, newlines + 1)  # each line's first separator in seps
+    first = np.append(0, newlines + 1)  # each line's first field
     n_fields = np.append(newlines, len(seps)) - first + 1
-    ends = np.append(seps[newlines], len(buf))
-    starts = np.append(0, ends[:-1] + 1)
-    # two pads past the end give every line a first and a second separator
-    seps = np.append(seps, [len(buf) + 1] * 2)
-    t0, t1 = seps[first], seps[first + 1]
-    # a three-field line's fields are [start, t0), (t0, t1) and (t1, end)
-    empty = np.stack([t0 == starts, t1 == t0 + 1, t1 + 1 == ends])
-    blank = starts == ends
-    bad = ~blank & ((n_fields != 3) | empty.any(axis=0))
+    # field k of the file runs from bounds[k] + 1 to bounds[k + 1]: the empty ones, and their lines
+    empty = np.flatnonzero(np.diff(np.concatenate(([-1], seps, [len(buf)]))) == 1)
+    has_empty = np.bincount(np.searchsorted(first, empty, side="right") - 1, minlength=len(first)) > 0
+    blank = has_empty & (n_fields == 1)
+    bad = ~blank & (has_empty | (n_fields < min(counts)) | (n_fields > max(counts)))
     if bad.any():
         i = int(bad.argmax())
-        if n_fields[i] != 3:
-            raise DataFormatError(
-                f"{path}:{i + 1}: expected 3 tab-separated fields, got {n_fields[i]}"
-            )
-        raise DataFormatError(f"{path}:{i + 1}: empty {_COLUMNS[empty[:, i].argmax()]} field")
-    n_triples = int(np.count_nonzero(~blank))
-    if not n_triples:
+        if n_fields[i] in counts:  # a split file's error names the line's first empty field
+            k = empty[np.searchsorted(empty, first[i])] - first[i]
+            problem = f"empty {_COLUMNS[k]} field" if counts == (3,) else "empty field"
+        else:
+            problem = f"expected {' or '.join(map(str, counts))} tab-separated fields, got {n_fields[i]}"
+        raise DataFormatError(f"{path}:{i + 1}: {problem}")
+    linenos = np.flatnonzero(~blank) + 1
+    if counts == (3,) and not len(linenos):
         raise DataFormatError(f"{path}: no triples found")
     fields = text.replace("\n", "\t").split("\t")
-    if len(fields) != 3 * n_triples:  # blank lines split as empty fields
-        fields = list(filter(None, fields))
-    return fields
+    width = max(counts)
+    # a blank line splits as one empty field, and a short line needs pads
+    if len(fields) != width * len(n_fields):
+        at = first[linenos - 1, None] + np.arange(width)
+        at[at >= (first + n_fields)[linenos - 1, None]] = len(fields)  # the "" appended below
+        fields = np.array(fields + [""], dtype=object)[at.ravel()].tolist()
+    return fields, linenos
 
 
 def _flat(triples: list[Triple]) -> list[str]:
@@ -398,7 +387,7 @@ def load_triples(path: str) -> list[Triple]:
     are not UTF-8, or a line without exactly three non-empty tab-separated
     fields (the error names the line).
     """
-    fields = _read_fields(path)
+    fields, _ = _read_fields(path)
     return list(zip(fields[0::3], fields[1::3], fields[2::3]))
 
 
@@ -443,52 +432,69 @@ def add_inverse_relations(kg: IndexedKG) -> IndexedKG:
     )
 
 
-_ID = re.compile(r"-?[0-9]+")  # str(int); a negative id then fails the range check
-_FLOAT = re.compile(r"[0-9A-Za-z.+-]+")  # float() text, without spaces, "_" or non-ASCII digits
+_FLOAT = r"[0-9A-Za-z.+-]+"  # float() text, without spaces, "_" or non-ASCII digits
+_ATOM = r"-?[0-9]+,-?[0-9]+,-?[0-9]+"  # h,r,t as str(int); a negative id then fails the range check
+# a column of fields joined by "\n" or "\t", as one match
+_FLOATS = re.compile(rf"(?:{_FLOAT}(?:\n{_FLOAT})*)?")
+_ATOMS = re.compile(rf"(?:{_ATOM}(?:\t{_ATOM})*)?")
 
 
-def _confidence(text: str, where: str) -> float:
-    """A confidence field as a float in (0, 1]; anything else raises naming ``where``."""
-    try:
-        if not _FLOAT.fullmatch(text):
-            raise ValueError
-        conf = float(text)
-    except ValueError:
-        raise DataFormatError(f"{where}: bad confidence {text!r}") from None
-    if not 0.0 < conf <= 1.0:
-        raise DataFormatError(f"{where}: confidence must be in (0, 1], got {conf}")
+def _confidences(texts: list[str]) -> np.ndarray:
+    """Confidence fields as floats in (0, 1]; any other field raises ValueError."""
+    if not _FLOATS.fullmatch("\n".join(texts)):
+        raise ValueError
+    conf = np.fromiter(map(float, texts), np.float64, len(texts))
+    if not ((conf > 0.0) & (conf <= 1.0)).all():
+        raise ValueError
     return conf
 
 
-def _id_triple(text: str, where: str) -> list[int]:
-    """An ``h,r,t`` field as three ids in ``str(int)`` form; other text raises naming ``where``."""
-    ids = text.split(",")
-    if len(ids) != 3:
-        raise DataFormatError(f"{where}: triples must be h,r,t, got {text!r}")
-    if not all(_ID.fullmatch(x) for x in ids):
-        raise DataFormatError(f"{where}: bad id in {text!r}")
-    return [int(x) for x in ids]
+def _confidence_error(text: str) -> str | None:
+    """Why a confidence field is not plain float text in (0, 1], or None."""
+    try:
+        if not re.fullmatch(_FLOAT, text):
+            raise ValueError
+        conf = float(text)
+    except ValueError:
+        return f"bad confidence {text!r}"
+    return None if 0.0 < conf <= 1.0 else f"confidence must be in (0, 1], got {conf}"
+
+
+def _atom_error(text: str) -> str | None:
+    """Why an ``h,r,t`` field is not three ids in ``str(int)`` form, or None."""
+    if text.count(",") != 2:
+        return f"triples must be h,r,t, got {text!r}"
+    return None if re.fullmatch(_ATOM, text) else f"bad id in {text!r}"
+
+
+def _bad_line(path: str, fields: list[str], linenos: np.ndarray, atom_error) -> DataFormatError:
+    """The error of the first line (four fields) whose confidence is bad or whose
+    atom ``atom_error`` rejects."""
+    for i, lineno in enumerate(linenos.tolist()):
+        conf, *atoms = fields[4 * i : 4 * i + 4]
+        errors = map(atom_error, filter(None, atoms))
+        message = _confidence_error(conf) or next(filter(None, errors), None)
+        if message:
+            return DataFormatError(f"{path}:{lineno}: {message}")
 
 
 def load_rules(path: str, vocab: Vocab) -> list[Rule]:
     """Read rules, one per line: ``confidence<TAB>head_rel<TAB>body_rel_1[<TAB>body_rel_2]``.
 
-    Relation labels are resolved through ``vocab``. Unknown labels, a
-    confidence that is not plain float text (no spaces, ``_`` or non-ASCII
-    digits) or lies outside (0, 1], bytes that are not UTF-8, an empty field or
-    a line without 3 or 4 fields raise :class:`DataFormatError` naming the line.
+    Relation labels are resolved through ``vocab``. A line the reader rejects,
+    an unknown label, or a confidence that is not plain float text (no spaces,
+    ``_`` or non-ASCII digits) in (0, 1] raises :class:`DataFormatError` naming it.
     """
-    rules: list[Rule] = []
+    fields, linenos = _read_fields(path, "rule", (3, 4))
     r2i = vocab.relation_to_id
-    for lineno, fields in _lines(path, "rule"):
-        conf = _confidence(fields[0], f"{path}:{lineno}")
-        rels = []
-        for label in fields[1:]:
-            if label not in r2i:
-                raise DataFormatError(f"{path}:{lineno}: unknown relation label: {label!r}")
-            rels.append(r2i[label])
-        rules.append(Rule(body_relations=tuple(rels[1:]), head_relation=rels[0], confidence=conf))
-    return rules
+    try:
+        rows = zip(_confidences(fields[0::4]).tolist(), *(fields[c::4] for c in (1, 2, 3)))
+        # "" pads a one-atom rule's second body atom
+        return [Rule(tuple(r2i[x] for x in body if x), r2i[head], conf) for conf, head, *body in rows]
+    except (KeyError, ValueError):
+        raise _bad_line(
+            path, fields, linenos, lambda x: None if x in r2i else f"unknown relation label: {x!r}"
+        ) from None
 
 
 def ground_rules(rules: list[Rule], kg: IndexedKG) -> Groundings:
@@ -531,26 +537,29 @@ def read_groundings(path: str, kg: IndexedKG) -> Groundings:
     """Read a groundings file written by :func:`write_groundings`.
 
     The ``in_train`` flag is recomputed against ``kg`` rather than stored.
-    Only text that writer writes is read: a confidence that is not plain
-    float text or lies outside (0, 1], an id that is not plain digits or
-    lies outside ``kg``, bytes that are not UTF-8, an empty field or a line
-    without 3 or 4 fields raises :class:`DataFormatError` naming the line.
+    Only text that writer writes is read: a line the reader rejects, a bad
+    confidence (as in :func:`load_rules`) or an id that is not plain digits
+    raises :class:`DataFormatError` naming the line; an id outside ``kg``, the file.
     """
-    confidence, atoms, two = [], [], []
-    for lineno, fields in _lines(path, "groundings"):
-        where = f"{path}:{lineno}"
-        conf = _confidence(fields[0], where)
-        triples = [_id_triple(f, where) for f in fields[1:]]
-        confidence.append(conf)
-        atoms.append(triples + [[-1, -1, -1]] * (4 - len(fields)))
-        two.append(len(fields) == 4)
-    atoms = np.array(atoms, dtype=np.int64).reshape(-1, 3, 3)
+    fields, linenos = _read_fields(path, "groundings", (3, 4))
+    n = len(linenos)
+    two = np.array(fields[3::4], dtype=object).astype(bool)  # rows with a second body atom
+    # every atom in one text: the conclusions, the first body atoms, then the second ones
+    atoms = "\t".join(fields[1::4] + fields[2::4] + list(filter(None, fields[3::4])))
+    try:
+        confidence = _confidences(fields[0::4])
+        if not _ATOMS.fullmatch(atoms):
+            raise ValueError
+    except ValueError:
+        raise _bad_line(path, fields, linenos, _atom_error) from None
+    ids = np.array(atoms.replace("\t", ",").split(",") if n else [], dtype=np.int64).reshape(-1, 3)
     try:  # one lookup range-checks every triple; only the conclusions' flags are kept
-        flags = kg.in_train(np.concatenate([atoms[:, 0], atoms[:, 1], atoms[two, 2]]))[: len(atoms)]
+        flags = kg.in_train(ids)[:n]
     except ValueError as e:
         raise DataFormatError(f"{path}: {e}") from None
-    confidence = np.array(confidence, dtype=np.float64)
-    return Groundings(atoms[:, 0], atoms[:, 1:], confidence, flags, kg.n_entities, kg.n_relations)
+    triples = np.full((n, 3, 3), -1, dtype=np.int64)
+    triples[:, 0], triples[:, 1], triples[two, 2] = ids[:n], ids[n : 2 * n], ids[2 * n :]
+    return Groundings(triples[:, 0], triples[:, 1:], confidence, flags, kg.n_entities, kg.n_relations)
 
 
 def write_vocab(vocab: Vocab, directory: str) -> None:
@@ -566,11 +575,6 @@ def write_vocab(vocab: Vocab, directory: str) -> None:
 
 def load_kg(dataset_dir: str) -> tuple[Vocab, IndexedKG]:
     """Load a train/valid/test dataset directory into a vocab and indexed KG."""
-    splits = []
-    for name in SPLIT_FILES:
-        path = os.path.join(dataset_dir, name)
-        if not os.path.exists(path):
-            raise DataFormatError(f"missing dataset file: {path}")
-        splits.append(_read_fields(path))
+    splits = [_read_fields(os.path.join(dataset_dir, name), "dataset")[0] for name in SPLIT_FILES]
     vocab, arrays = _numbered(splits)
     return vocab, IndexedKG(*arrays, n_entities=vocab.n_entities, n_relations=vocab.n_relations)

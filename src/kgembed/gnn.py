@@ -199,6 +199,11 @@ def rgcn_forward(
         raise ValueError(
             f"input_emb has {x.shape[0]} rows for {len(graph.node_ids)} graph nodes"
         )
+    rel, n_rel = graph.edges[:, 1], len(layers[0].coeff)
+    if len(rel) and (rel.min() < 0 or rel.max() >= n_rel):  # -1 would wrap in the plan's uint16 key
+        e = int(np.flatnonzero((rel < 0) | (rel >= n_rel))[0])
+        edge = graph.edges[e].tolist()
+        raise ValueError(f"edge {e} {edge} has relation id {rel[e]} outside [0, {n_rel})")
     plan = _RelationPlan.of(graph)
     caches = []
     for layer in layers:

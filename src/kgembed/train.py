@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, rules
-from .checkpoint import Checkpoint, checkpoint_path, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, checkpoint_path, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, config_hash
 from .data import TAIL, Groundings, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
@@ -247,8 +247,14 @@ def _drop_log_after(path: str, epoch: int) -> None:
         return
     keep = 0
     with open(path, "rb") as fh:
-        for line in fh:
-            if not line.endswith(b"\n") or int(line.split(b"\t", 1)[0]) > epoch:
+        for lineno, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                break
+            field = line.split(b"\t", 1)[0]
+            if not field.isdigit():  # the log's epochs are written as ASCII digits
+                text = field.decode(errors="replace")
+                raise CheckpointError(f"{path}:{lineno}: epoch {text!r} is not an integer")
+            if int(field) > epoch:
                 break
             keep += len(line)
     os.truncate(path, keep)

@@ -331,6 +331,25 @@ def test_meta_bytes_that_are_not_utf8_name_the_line(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
+def test_a_repeated_meta_key_names_its_line(tmp_path):
+    """A second ``epoch:`` line is rejected, not read over the first."""
+    params = init_params("distmult", 5, 2, 3, seed=0)
+    ckpt = Checkpoint(
+        params=params,
+        opt_state=init_optimizer("sgd", params.tables),
+        epoch=1,
+        best_metric=0.5,
+        config=TrainConfig(model="distmult", dim=3, optimizer="sgd"),
+        history=[(1, 0.5)],
+    )
+    save_checkpoint(ckpt, str(tmp_path))
+    meta = tmp_path / "meta"
+    n_lines = len(meta.read_text().splitlines())
+    meta.write_text(meta.read_text() + "epoch: 99\n")
+    with pytest.raises(CheckpointError, match=rf"^meta:{n_lines + 1}: duplicate key 'epoch'$"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_missing_optimizer_slots_rejected(tmp_path):
     params = init_params("distmult", 5, 2, 3, seed=0)
     state = init_optimizer("adam", params.tables)

@@ -143,6 +143,17 @@ def test_eval_untrained_random_checkpoint_sanity_band(capsys, config_path, tmp_p
     assert 0.05 < mrr < 0.85
 
 
+def test_eval_rejects_a_bad_threads_override(capsys, config_path, tmp_path):
+    p = tmp_path / "zero.conf"
+    p.write_text(open(config_path).read().replace("max_epochs: 6", "max_epochs: 0"))
+    out = str(tmp_path / "zrun")
+    assert run(capsys, "train", str(p), "--out", out)[0] == 0
+    for command in (["train", str(p), "--out", out], ["eval", os.path.join(out, "best")]):
+        code, stdout, err = run(capsys, *command, "--threads", "-3")
+        assert code == 1 and not stdout
+        assert "config field 'threads' must be >= 1" in err
+
+
 def test_eval_missing_checkpoint(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(tmp_path / "nope"))
     assert code == 2

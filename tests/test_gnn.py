@@ -148,6 +148,17 @@ def test_dimension_mismatch_errors():
         rgcn_forward(model.layers, empty_graph(3), np.zeros((3, 7)))
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 5])
+def test_a_relation_id_outside_the_layers_names_its_edge(bad):
+    """-1 would otherwise encode as relation 2 (a wrapped sort key), and 5 fail on an index."""
+    model = init_rgcn(4, 3, dim=4, n_bases=2, seed=0)
+    edges = np.array([[2, 2, 3], [0, bad, 1], [1, 0, 2]], dtype=np.int64)
+    graph = GraphBatch(np.arange(4), edges, np.ones(3), None)
+    message = rf"^edge 1 \[0, {bad}, 1\] has relation id {bad} outside \[0, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        rgcn_forward(model.layers, graph, np.zeros((4, 4)))
+
+
 def test_layer_param_validation():
     with pytest.raises(ValueError, match="n_bases"):
         RGCNLayerParams(

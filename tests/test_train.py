@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import kgembed.models
+from kgembed.checkpoint import CheckpointError
 from kgembed.config import ConfigError, TrainConfig
-from kgembed.data import Groundings
+from kgembed.data import Groundings, Rule, ground_rules, write_groundings
 from kgembed.optim import NonFiniteGradientError
 from kgembed.train import early_stop, final_report, train
 
@@ -409,6 +410,44 @@ def test_rule_mode_trains_with_positive_weight(toy_kg):
     )
     result = train(cfg, kg, groundings=rule_groundings(kg))
     assert all(np.isfinite(t).all() for t in result.last.params.tables.values())
+
+
+def test_a_groundings_file_trains_exactly_like_the_grounded_table(toy_kg, tmp_path):
+    """RUGE from a written groundings file: the same tables and log as from memory."""
+    vocab, kg = toy_kg
+    r1, r2, r3 = (vocab.relation_to_id[f"r{i}"] for i in (1, 2, 3))
+    rules = [
+        Rule(body_relations=(r1, r2), head_relation=r3, confidence=0.7),
+        Rule(body_relations=(r3,), head_relation=r1, confidence=0.123456789),
+    ]
+    groundings = ground_rules(rules, kg)
+    assert set(groundings.bodies[:, 1, 0] >= 0) == {True, False}  # one- and two-atom bodies
+    assert not groundings.in_train.all()  # some conclusions get soft labels
+    path = str(tmp_path / "groundings.tsv")
+    write_groundings(groundings, path)
+    cfg = tiny_config(
+        model="complex", loss="bce", rule_file=path, rule_weight=0.8, max_epochs=3, check_per_epoch=1
+    )
+    from_file = train(cfg, kg, run_dir=str(tmp_path / "file"))
+    in_memory = train(cfg, kg, groundings=groundings, run_dir=str(tmp_path / "memory"))
+    for name, table in in_memory.last.params.tables.items():
+        assert table.tobytes() == from_file.last.params.tables[name].tobytes(), name
+    file_run, memory_run = tmp_path / "file", tmp_path / "memory"
+    assert (file_run / "train.log").read_bytes() == (memory_run / "train.log").read_bytes()
+    for slot in ("best", "last"):
+        assert dir_bytes(file_run / slot) == dir_bytes(memory_run / slot)
+
+
+def test_a_bad_log_epoch_names_its_line(toy_kg, tmp_path):
+    """A resume that meets a log line whose epoch is not an integer names that line."""
+    _, kg = toy_kg
+    cfg = tiny_config(check_per_epoch=1, max_epochs=2, patience=10)
+    train(cfg, kg, run_dir=str(tmp_path))
+    log = tmp_path / "train.log"
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:1]) + b"x2\ttrain\tloss\t1\n" + b"".join(lines[1:]))
+    with pytest.raises(CheckpointError, match=r"train\.log:2: epoch 'x2' is not an integer"):
+        train(cfg, kg, run_dir=str(tmp_path), resume=True)
 
 
 def test_rule_mode_requires_complex_and_bce(toy_kg):
