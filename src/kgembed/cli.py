@@ -92,7 +92,7 @@ def _load_for_config(config):
 def cmd_train(args) -> int:
     doc = parse_config_file(args.config)
     config, space = build_train_config(doc, allow_lists=False)
-    if args.threads:
+    if args.threads is not None:
         config = config.with_overrides(threads=args.threads)
     _, kg = _load_for_config(config)
     run_dir = args.out or "run"
@@ -109,7 +109,7 @@ def cmd_eval(args) -> int:
     config = ckpt.config
     if args.dataset:
         config = config.with_overrides(dataset=args.dataset)
-    if args.threads:
+    if args.threads is not None:
         config = config.with_overrides(threads=args.threads)
     config.validate()
     _, kg = _load_for_config(config)
@@ -121,7 +121,7 @@ def cmd_eval(args) -> int:
 def cmd_tune(args) -> int:
     doc = parse_config_file(args.config)
     base, space = build_train_config(doc, allow_lists=True)
-    if args.threads:
+    if args.threads is not None:
         base = base.with_overrides(threads=args.threads)
     _, kg = _load_for_config(base)
     if args.strategy == "grid":
@@ -158,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", help="run directory (default: ./run)")
     p.add_argument("--resume", action="store_true", help="continue from <out>/last")
-    p.add_argument("--threads", type=int, default=0, help="evaluation worker threads")
+    p.add_argument("--threads", type=int, help="evaluation worker threads")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("checkpoint", help="checkpoint directory (e.g. run/best)")
     p.add_argument("--split", choices=("valid", "test", "train"), default="test")
     p.add_argument("--dataset", help="override the dataset recorded in the checkpoint")
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tune", help="hyperparameter search from a config with list values")
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("grid", "random"), default="grid")
     p.add_argument("--trials", type=int, default=10, help="random search trial count")
     p.add_argument("--seed", type=int, default=0, help="random search seed")
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_tune)
     return parser
 

@@ -77,6 +77,9 @@ class TrainConfig:
             (self.adv_temperature > 0, "adv_temperature", "> 0"),
             (0 <= self.label_smoothing < 1, "label_smoothing", "in [0, 1)"),
             (self.sampler in SAMPLER_KINDS, "sampler", f"one of {SAMPLER_KINDS}"),
+            # RGCN training always draws uniform corruptions over its graph's nodes
+            (self.model != "rgcn" or self.sampler in ("uniform", "adv"), "sampler",
+             "uniform or adv for model: rgcn"),
             (self.n_neg >= 1, "n_neg", ">= 1"),
             (self.batch_size >= 1, "batch_size", ">= 1"),
             (self.max_epochs >= 0, "max_epochs", ">= 0"),

@@ -21,30 +21,35 @@ sampler draws it (``positives``, ``replaced``, ``slot``), so a negative
 keeps its positive's relation and the entity its slot left alone (the
 anchor) by construction. The relation rows (TransR's projections too) are
 gathered once per positive and broadcast over its corruptions, and the
-entity rows once per corruption. Explicit triples (``score``, and in
-:func:`grad` a :class:`NegBatch`'s positives or a :class:`LabeledBatch`'s
-triples, with any soft-labeled triples after them) are [n, 1] queries,
-each triple its own tail corruption; a candidate sweep
-(``score_candidates``) is a [B, n_entities] batch over every entity. The
-formulas see each corruption's rows in the order of its own triple, so
-every score is the same bit for bit whichever batch it comes in.
+entity rows once per corruption. Explicit triples (``score``, a
+:class:`LabeledBatch` with [n] labels) are [n, 1] queries, each triple its
+own tail corruption; a candidate sweep (``score_candidates``, a
+:class:`LabeledBatch` with [n, n_entities] labels) is a broadcast
+[B, n_entities] batch over every entity. The formulas see each
+corruption's rows in the order of its own triple, so every score is the
+same bit for bit whichever batch it comes in.
 
 :func:`grad` runs each chunk of queries once. Every loss is a mean whose
 normalizer is known before any score is (margin divides by B·N, bce by
-B·(N+1), self-adversarial by B after a softmax over each positive's own
-negatives), so a chunk's coefficients follow from its own scores: in a
-:class:`NegBatch` each positive leads its negatives in one [B, 1 + N]
-query group, as the tail corruption by its own tail. The formula takes the
-coefficients as soon as the chunk is scored and writes its derivatives
-through one :class:`GradAccumulator`, which holds a zero row for every id
-the queries can reach, scatters into it in place, and keeps only the rows
-that were reached. A replaced entity gets coefficient * d(score)/d(row),
-and an anchor the sum of those over the corruptions that use it, once per
-positive. Corruptions with a zero coefficient reach no row. The loss is
-taken once over the whole score arrays, so it is the same bit for bit as
-over unchunked scores. Chunks hold about ``_GRAD_CHUNK_ELEMS`` float64
-elements per table, so a call's memory grows by a few ids and scores per
-triple, not by its gathered rows.
+B·(N+1) or by its labels, self-adversarial by B after a softmax over each
+positive's own negatives), so a chunk's coefficients follow from its own
+scores: in a :class:`NegBatch` each positive leads its negatives in one
+[B, 1 + N] query group, as the tail corruption by its own tail, and a
+labeled batch (and the soft one) is one group with elementwise bce
+coefficients. The formula takes the coefficients as soon as the chunk is
+scored and writes its derivatives through one :class:`GradAccumulator`,
+which holds a zero row for every id the queries can reach, scatters into
+it in place, and keeps only the rows that were reached. A replaced entity
+gets coefficient * d(score)/d(row), and an anchor the sum of those over
+the corruptions of the chunk that use it, once per positive. Corruptions
+with a zero coefficient reach no row. The loss is taken once over the
+whole score arrays, so it is the same bit for bit as over unchunked
+scores. Chunks hold about ``_GRAD_CHUNK_ELEMS`` float64 elements per
+table, so a call's memory grows by a few ids and scores per triple, not by
+its gathered rows. A positive whose row alone exceeds that (a
+[B, n_entities] sweep) is also cut along its candidates, but a negative
+batch's row never is: its margin and self-adversarial coefficients need
+the positive's score and the softmax over all its negatives.
 
 Candidate scoring (one slot swept over every entity) has two paths.
 
@@ -420,10 +425,13 @@ def score_candidates(params: ModelParams, queries: np.ndarray, slot: int) -> np.
     run as a [B, n_entities] batch of corruptions.
     """
     _check_slot(slot)
-    queries = _check_ids(params, queries)
-    shape = (len(queries), params.n_entities)
-    replaced = np.broadcast_to(np.arange(shape[1]), shape)
-    return _query_scores(params, queries, replaced, np.broadcast_to(slot == HEAD, shape))
+    return _query_scores(params, *_sweep(params, _check_ids(params, queries), slot))
+
+
+def _sweep(params: ModelParams, queries: np.ndarray, slot: int):
+    """``queries`` with every entity in ``slot``: a broadcast [B, n_entities] query group."""
+    every = np.broadcast_to(np.arange(params.n_entities), (len(queries), params.n_entities))
+    return queries, every, np.broadcast_to(slot == HEAD, every.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -884,26 +892,32 @@ def _chunks(params: ModelParams, b: int, n: int) -> list[slice]:
     A positive gathers n rows of each entity table and one row of each
     relation table (TransR's [d, d] projection), and is sized by the widest.
     """
-    tables = params.tables.items()
-    ent = max(t[0].size for name, t in tables if name in _ENTITY_TABLES)
-    rel = max(t[0].size for name, t in tables if name not in _ENTITY_TABLES)
-    step = max(1, _GRAD_CHUNK_ELEMS // max(n * ent, rel))
+    step = max(1, _GRAD_CHUNK_ELEMS // max(n * _widest(params, True), _widest(params, False)))
     return [slice(lo, lo + step) for lo in range(0, b, step)]
 
 
-def _query_scores(params, positives, replaced, head, coef=None, acc=None) -> np.ndarray:
-    """The [b, n] scores of queries, chunk by chunk.
+def _widest(params: ModelParams, entity: bool) -> int:
+    """The most one row of an entity table (or of a relation table) holds."""
+    return max(t[0].size for name, t in params.tables.items() if (name in _ENTITY_TABLES) == entity)
 
-    With ``coef`` and ``acc`` each chunk is differentiated in the same
-    pass: ``coef(sl, scores)`` returns the loss coefficients of the chunk
-    of positives ``sl`` from its scores, and the gradient goes into ``acc``.
+
+def _query_scores(params, positives, replaced, head, coef=None, whole_rows=False, acc=None):
+    """The [b, n] scores of queries, chunk by chunk; ``whole_rows`` cuts no row.
+
+    With ``coef`` and ``acc`` each chunk is differentiated in the same pass:
+    ``coef(index, scores)`` gives the coefficients of ``out[index]``, the gradient goes to ``acc``.
     """
     out = np.empty(replaced.shape)
+    b, n = out.shape
     formula = _FORMULA[params.model]
-    for sl in _chunks(params, *replaced.shape):
-        chunk_coef = None if coef is None else partial(coef, sl)
-        query = _Query(params, positives[sl], replaced[sl], head[sl], chunk_coef, acc)
-        out[sl] = formula(params, query)
+    ent = _widest(params, True)
+    width = max(1, n if whole_rows or n * ent <= _GRAD_CHUNK_ELEMS else _GRAD_CHUNK_ELEMS // ent)
+    for sl in _chunks(params, b, n):
+        for lo in range(0, n, width):
+            index = (sl, slice(lo, lo + width))
+            chunk_coef = None if coef is None else partial(coef, index)
+            query = _Query(params, positives[sl], replaced[index], head[index], chunk_coef, acc)
+            out[index] = formula(params, query)
     return out
 
 
@@ -925,33 +939,37 @@ def _check_negatives(params: ModelParams, batch: NegBatch, b: int):
     return replaced, slot == HEAD
 
 
-def _check_labeled(params: ModelParams, name: str, batch: LabeledBatch) -> np.ndarray:
+def _labeled_group(params: ModelParams, name: str, batch: LabeledBatch, smoothing: float):
+    """A labeled batch's [n, 1] or [n, n_entities] query group, with its bce coefficients."""
     triples = _check_ids(params, batch.triples)
-    if np.shape(batch.labels) != (len(triples),):
+    labels = np.asarray(batch.labels, dtype=np.float64)
+    if labels.shape == (len(triples),):
+        group, labels = _as_queries(triples), labels[:, None]
+    elif labels.shape == (len(triples), params.n_entities):
+        group = _sweep(params, triples, TAIL)
+    else:
         raise ValueError(
-            f"the {name} batch needs one label per triple, got labels of shape "
-            f"{np.shape(batch.labels)} for triples of shape {triples.shape}"
+            f"the {name} batch needs one label per triple or one per triple and entity, "
+            f"got labels of shape {labels.shape} for triples of shape {triples.shape}"
         )
-    return triples
 
+    def coef(index, s):
+        y = labels[index].ravel()
+        return bce_loss_grads(s.ravel(), y, smoothing, normalizer=labels.size).reshape(s.shape)
 
-def _labeled_coef(labels: np.ndarray, smoothing: float):
-    """The bce coefficients of a chunk of [n, 1] explicit queries."""
-    n = len(labels)
-    return lambda sl, s: bce_loss_grads(s[:, 0], labels[sl], smoothing, normalizer=n)[:, None]
+    return (*group, coef)
 
 
 def _negatives_coef(loss_spec: LossSpec, b: int, n: int):
     """The coefficients of a chunk of [positive, its n negatives] scores, b positives in all."""
-    margin = loss_spec.margin
 
-    def coef(sl, s):
+    def coef(index, s):
         pos, neg = s[:, 0], s[:, 1:]
         if loss_spec.kind == "margin":
-            d_pos, d_neg = margin_loss_grads(pos, neg, margin, normalizer=b * n)
+            d_pos, d_neg = margin_loss_grads(pos, neg, loss_spec.margin, normalizer=b * n)
         elif loss_spec.kind == "self_adversarial":
             d_pos, d_neg = self_adversarial_loss_grads(
-                pos, neg, margin, loss_spec.adv_temperature, normalizer=b
+                pos, neg, loss_spec.margin, loss_spec.adv_temperature, normalizer=b
             )
         else:  # bce: label 1 for the positive, 0 for its negatives
             labels = np.zeros(s.shape)
@@ -995,26 +1013,22 @@ def grad(
         raise ValueError(f"soft labels require the bce loss, got {loss_spec.kind!r}")
     smoothing = loss_spec.label_smoothing
     if labeled:
-        triples = _check_labeled(params, "batch", batch)
-        if not len(triples):  # an empty soft batch is skipped below, but the loss needs a triple
+        groups = [_labeled_group(params, "batch", batch, smoothing)]
+        # an empty soft batch is skipped below, but the loss needs a triple
+        if not len(groups[0][0]):
             raise ValueError("a labeled batch needs at least one triple, got 0")
-        groups = [(*_as_queries(triples), _labeled_coef(batch.labels, smoothing))]
     else:
         triples = _check_ids(params, batch.positives)
         replaced, head = _check_negatives(params, batch, len(triples))
-        # each positive leads its negatives, as the tail corruption by its own tail
-        groups = [
-            (
-                triples,
-                np.concatenate([triples[:, 2:], replaced], axis=1),
-                np.concatenate([np.zeros((len(triples), 1), dtype=bool), head], axis=1),
-                _negatives_coef(loss_spec, *replaced.shape),
-            )
-        ]
+        # each positive leads its negatives as the tail corruption by its own tail, rows never cut
+        lead = np.zeros((len(triples), 1), dtype=bool)
+        coef = _negatives_coef(loss_spec, *replaced.shape)
+        replaced = np.concatenate([triples[:, 2:], replaced], axis=1)
+        groups = [(triples, replaced, np.concatenate([lead, head], axis=1), coef, True)]
     if soft is not None:
-        soft_triples = _check_labeled(params, "soft", soft)
-        if len(soft_triples):
-            groups.append((*_as_queries(soft_triples), _labeled_coef(soft.labels, smoothing)))
+        group = _labeled_group(params, "soft", soft, smoothing)
+        if len(group[0]):
+            groups.append(group)
 
     # every query's head and replaced entity (a positive's tail is its first) may be reached
     acc = GradAccumulator(
@@ -1024,7 +1038,7 @@ def grad(
     )
     scores = [_query_scores(params, *group, acc=acc) for group in groups]
     if labeled:
-        loss = bce_loss(scores[0][:, 0], batch.labels, smoothing)
+        loss = bce_loss(scores[0].ravel(), np.ravel(batch.labels), smoothing)
     else:
         pos, neg = scores[0][:, 0].copy(), scores[0][:, 1:].copy()
         if loss_spec.kind == "margin":
@@ -1035,5 +1049,5 @@ def grad(
             labels = np.concatenate([np.ones(len(pos)), np.zeros(neg.size)])
             loss = bce_loss(np.concatenate([pos, neg.reshape(-1)]), labels, smoothing)
     if len(scores) > 1:
-        loss += bce_loss(scores[1][:, 0], soft.labels, smoothing)
+        loss += bce_loss(scores[1].ravel(), np.ravel(soft.labels), smoothing)
     return loss, acc.finalize()

@@ -44,10 +44,14 @@ class NegBatch:
 
 @dataclass
 class LabeledBatch:
-    """Triples with real-valued labels in [0, 1], for 1-vs-all / soft-label losses."""
+    """Triples with real-valued labels in [0, 1], for 1-vs-all / soft-label losses.
+
+    [n, n_entities] labels sweep each triple's tail over every entity (1-vs-all):
+    ``labels[i, e]`` labels (h_i, r_i, e), and no [n * n_entities, 3] triples are built.
+    """
 
     triples: np.ndarray  # [n, 3] int64
-    labels: np.ndarray  # [n] float64
+    labels: np.ndarray  # [n] or [n, n_entities] float64
 
 
 @dataclass(frozen=True)
@@ -186,26 +190,17 @@ def bern_negatives(
     return _corrupt(kg, positives, n_neg, p[:, None], rng)
 
 
-def candidate_triples(queries, slot: int, n_entities: int) -> np.ndarray:
-    """Every entity in ``slot`` of each [B, 3] query, as [B * n_entities, 3] triples.
-
-    Row i * n_entities + e is query i with entity e in the head (slot=0)
-    or tail (slot=1) position.
-    """
-    if slot not in (HEAD, TAIL):
-        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
-    queries = np.asarray(queries, dtype=np.int64)
-    entities = np.broadcast_to(np.arange(n_entities), (len(queries), n_entities))
-    return _triples(queries, entities, slot == HEAD).reshape(-1, 3)
-
-
 def all_negatives(triple, slot: int, kg: IndexedKG) -> np.ndarray:
     """All n_entities candidates for one slot of one triple, the positive included.
 
     Candidate i replaces the slot entity with entity id i, so the row at
-    the positive's own entity id equals the positive.
+    the positive's own entity id equals the positive. Training and ranking
+    sweep a slot as a broadcast [B, n_entities] query group instead.
     """
-    return candidate_triples([[int(x) for x in triple]], slot, kg.n_entities)
+    if slot not in (HEAD, TAIL):
+        raise ValueError(f"slot must be HEAD (0) or TAIL (1), got {slot}")
+    positive = np.array([[int(x) for x in triple]], dtype=np.int64)
+    return _triples(positive, np.arange(kg.n_entities)[None], slot == HEAD)[0]
 
 
 def sample_graph(kg: IndexedKG, n_edges: int, n_neg: int, seed) -> GraphBatch:

@@ -25,7 +25,6 @@ from .sampling import (
     LabeledBatch,
     bern_negatives,
     bernoulli_table,
-    candidate_triples,
     full_graph,
     mask_edges,
     sample_graph,
@@ -70,15 +69,6 @@ def make_scorer(params, kg: IndexedKG):
     if isinstance(params, RGCNModel):
         return RGCNScorer(params, full_graph(kg, n_neg=0))
     return CKGEScorer(params)
-
-
-def _all_sampler_batch(kg: IndexedKG, positives: np.ndarray) -> LabeledBatch:
-    """1-vs-all tail-slot batch: every entity labeled by train membership."""
-    n_e = kg.n_entities
-    labels = np.zeros(len(positives) * n_e)
-    rows, tails = kg.train_index.completions(positives, TAIL)
-    labels[rows * n_e + tails] = 1.0
-    return LabeledBatch(triples=candidate_triples(positives, TAIL, n_e), labels=labels)
 
 
 def train(
@@ -279,8 +269,10 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
     for bi, lo in enumerate(range(0, len(perm), config.batch_size)):
         positives = kg.train[perm[lo : lo + config.batch_size]]
         seed = _stream(config, epoch, bi, _SAMPLER)
-        if config.sampler == "all":
-            batch = _all_sampler_batch(kg, positives)
+        if config.sampler == "all":  # 1-vs-all: each tail over every entity, labeled by train
+            labels = np.zeros((len(positives), kg.n_entities))
+            labels[kg.train_index.completions(positives, TAIL)] = 1.0
+            batch = LabeledBatch(positives, labels)
         elif config.sampler == "bern":
             batch = bern_negatives(kg, positives, config.n_neg, bern, seed)
         else:  # uniform and adv share uniform candidate generation

@@ -154,6 +154,24 @@ def test_eval_rejects_a_bad_threads_override(capsys, config_path, tmp_path):
         assert "config field 'threads' must be >= 1" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_every_threads_override_below_one_exits_1(capsys, config_path, tmp_path, threads):
+    """An explicit ``--threads 0`` is an override like any other, not "no override"."""
+    p = tmp_path / "zero.conf"
+    p.write_text(open(config_path).read().replace("max_epochs: 6", "max_epochs: 0"))
+    out = str(tmp_path / "zrun")
+    assert run(capsys, "train", str(p), "--out", out)[0] == 0
+    tune = tmp_path / "tune.conf"
+    tune.write_text(open(p).read() + "lr: [0.1, 0.01]\n")
+    tune.write_text(tune.read_text().replace("lr: 0.05\n", ""))
+    for command in (
+        ["train", str(p), "--out", out], ["eval", os.path.join(out, "best")], ["tune", str(tune)]
+    ):
+        code, stdout, err = run(capsys, *command, "--threads", threads)
+        assert code == 1 and not stdout, command
+        assert "config field 'threads' must be >= 1" in err, command
+
+
 def test_eval_missing_checkpoint(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(tmp_path / "nope"))
     assert code == 2

@@ -109,6 +109,16 @@ def test_validation_names_field():
         TrainConfig(sampler="lol").validate()
 
 
+@pytest.mark.parametrize("sampler", ["bern", "all"])
+def test_rgcn_rejects_a_sampler_it_would_ignore(sampler):
+    """RGCN training always draws uniform corruptions over its graph's nodes."""
+    message = f"config field 'sampler' must be uniform or adv for model: rgcn, got '{sampler}'"
+    with pytest.raises(ConfigError, match=message):
+        TrainConfig(model="rgcn", loss="bce", sampler=sampler).validate()
+    for ok in ("uniform", "adv"):
+        TrainConfig(model="rgcn", loss="bce", sampler=ok).validate()
+
+
 def test_with_overrides_unknown_key():
     with pytest.raises(ConfigError, match="nope"):
         TrainConfig().with_overrides(nope=1)

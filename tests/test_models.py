@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kgembed import models
+from kgembed import gnn, models
 from kgembed.losses import (
     LossSpec,
     bce_loss,
@@ -614,6 +614,137 @@ def test_chunks_size_a_positive_by_what_it_gathers(model):
             assert step == models._GRAD_CHUNK_ELEMS // (64 * 64)
         else:  # as when the widest row of any table was counted n times
             assert step == max(1, models._GRAD_CHUNK_ELEMS // (n * widest)), n
+
+
+# --- 1-vs-all: [B, n_entities] labels ---------------------------------------
+
+
+def one_vs_all_params(model, p):
+    """40 entities; the RGCN decoder is DistMult over float64 rows (``gnn._decoder``)."""
+    if model == "rgcn-decoder":
+        rng = np.random.default_rng(51)
+        rel = rng.normal(0.0, 0.5, (4, 5)).astype(np.float32)
+        return gnn._decoder(rng.normal(0.0, 0.5, (40, 5)), rel)
+    return grad_params(model, p, n_entities=40)
+
+
+def every_tail(positives, n_entities):
+    """Each positive with every entity as its tail: the explicit form of [B, n_entities] labels."""
+    triples = np.repeat(positives, n_entities, axis=0)
+    triples[:, 2] = np.tile(np.arange(n_entities), len(positives))
+    return triples
+
+
+def random_triples(rng, n, n_entities, n_relations=4):
+    heads, rels = rng.integers(0, n_entities, n), rng.integers(0, n_relations, n)
+    return np.stack([heads, rels, rng.integers(0, n_entities, n)], axis=1)
+
+
+def entity_width(params):
+    return max(t[0].size for name, t in params.tables.items() if name in models._ENTITY_TABLES)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole-rows", "cut-rows"])
+@pytest.mark.parametrize("with_soft", [False, True], ids=["no-soft", "soft"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+@pytest.mark.parametrize("model,p", GRAD_MODELS + [("rgcn-decoder", 1)])
+def test_one_vs_all_labels_match_their_explicit_triples(
+    monkeypatch, model, p, smoothing, with_soft, cut
+):
+    """[B, E] labels train as the B·E triples they label: the same loss bit for bit and the
+    same ids; the rows differ by summation order, since an anchor's rows are summed per chunk."""
+    params = one_vs_all_params(model, p)
+    n_e = params.n_entities
+    rng = np.random.default_rng(52)
+    positives = random_triples(rng, 6, n_e)
+    positives[3] = positives[0]  # a repeated query
+    labels = (rng.random((6, n_e)) < 0.2).astype(float)
+    labels[:, :3] = rng.random((6, 3))  # soft values too
+    soft = None
+    if with_soft:  # shares a query's head and relation, and one of its swept triples
+        soft_triples = random_triples(rng, 5, n_e)
+        soft_triples[0] = positives[2]
+        soft = LabeledBatch(soft_triples, rng.random(5))
+    if cut:  # 7 candidates per chunk: each row of 40 is cut, its last piece short
+        monkeypatch.setattr(models, "_GRAD_CHUNK_ELEMS", 7 * entity_width(params))
+    spec = LossSpec("bce", label_smoothing=smoothing)
+    loss, grads = grad(params, LabeledBatch(positives, labels), spec, soft=soft)
+    explicit = LabeledBatch(every_tail(positives, n_e), labels.ravel())
+    ref_loss, ref = grad(params, explicit, spec, soft=soft)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert_grads_match(grads, ref)
+
+
+def test_a_row_is_cut_along_its_candidates_unless_its_coefficients_read_it_whole(monkeypatch):
+    """Labeled and score-only sweeps are cut; a negative batch never is (margin and the
+    self-adversarial softmax read the whole row), even when its row exceeds the chunk."""
+    params = init_params("distmult", 40, 4, 5, seed=56)
+    monkeypatch.setattr(models, "_GRAD_CHUNK_ELEMS", 7 * 5)
+    shapes = []
+    plain = models._FORMULA["distmult"]
+
+    def recorded(params, x):
+        shapes.append(x.replaced.shape)
+        return plain(params, x)
+
+    monkeypatch.setitem(models._FORMULA, "distmult", recorded)
+    positives = np.array([[0, 0, 1], [2, 1, 3]])
+    cut_rows = 2 * ([(1, 7)] * 5 + [(1, 5)])
+    grad(params, LabeledBatch(positives, np.zeros((2, 40))), LossSpec("bce"))
+    assert shapes == cut_rows
+    shapes.clear()
+    score_candidates(params, positives, HEAD)
+    assert shapes == cut_rows
+    batch = random_batch(params, np.random.default_rng(57), b=2, n=9)  # rows of 1 + 9 > 7
+    for loss in NEG_LOSSES:
+        shapes.clear()
+        grad(params, batch, LossSpec(loss))
+        assert shapes == [(1, 10), (1, 10)], loss
+
+
+@pytest.mark.parametrize("model", ["distmult", "complex", "transr"])
+def test_one_vs_all_step_peaks_below_its_explicit_form(model):
+    """A step at E 3,000, B 128, d 32, labels built then ``grad``: at most 0.8 of the
+    peak of the same step over B·E explicit triples."""
+    n_e, b = 3000, 128
+    params = init_params(model, n_e, 4, 32, seed=53)
+    rng = np.random.default_rng(54)
+    positives = random_triples(rng, b, n_e)
+    known = rng.integers(0, n_e, (b, 3))  # the known tails of each query
+    spec = LossSpec("bce")
+
+    def one_vs_all():
+        labels = np.zeros((b, n_e))
+        labels[np.arange(b)[:, None], known] = 1.0
+        return grad(params, LabeledBatch(positives, labels), spec)
+
+    def explicit():
+        labels = np.zeros(b * n_e)
+        labels[(np.arange(b)[:, None] * n_e + known).ravel()] = 1.0
+        return grad(params, LabeledBatch(every_tail(positives, n_e), labels), spec)
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_vs_all()  # numpy's one-time allocations
+    small, large = peak(one_vs_all), peak(explicit)
+    assert small <= 0.8 * large, (small, large)
+
+
+@pytest.mark.parametrize("which", ["batch", "soft"])
+def test_grad_rejects_labels_one_column_wider_than_the_entities(which):
+    params = init_params("distmult", 6, 2, 4, seed=55)
+    wide = LabeledBatch(np.array([[0, 0, 1], [2, 1, 3]]), np.zeros((2, 7)))
+    whole = LabeledBatch(np.array([[1, 1, 2]]), np.ones(1))
+    batch, soft = (wide, whole) if which == "batch" else (whole, wide)
+    with pytest.raises(ValueError, match=f"the {which} batch needs one label per triple") as err:
+        grad(params, batch, LossSpec("bce"), soft=soft)
+    assert "labels of shape (2, 7) for triples of shape (2, 3)" in str(err.value)
 
 
 # --- renormalization -------------------------------------------------------

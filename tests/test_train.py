@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kgembed.models
+import kgembed.rules
 from kgembed.checkpoint import CheckpointError
 from kgembed.config import ConfigError, TrainConfig
 from kgembed.data import Groundings, Rule, ground_rules, write_groundings
@@ -436,6 +437,57 @@ def test_a_groundings_file_trains_exactly_like_the_grounded_table(toy_kg, tmp_pa
     assert (file_run / "train.log").read_bytes() == (memory_run / "train.log").read_bytes()
     for slot in ("best", "last"):
         assert dir_bytes(file_run / slot) == dir_bytes(memory_run / slot)
+
+
+def test_all_sampler_runs_write_identical_logs_and_checkpoints(monkeypatch, toy_kg, tmp_path):
+    """Each step trains on [B, E] labels, no B·E triples; two runs write the same bytes."""
+    _, kg = toy_kg
+    shapes = []
+    plain = kgembed.models.grad
+
+    def recorded(params, batch, loss_spec, soft=None):
+        shapes.append((batch.triples.shape, batch.labels.shape))
+        return plain(params, batch, loss_spec, soft)
+
+    monkeypatch.setattr(kgembed.models, "grad", recorded)
+    cfg = tiny_config(sampler="all", loss="bce", max_epochs=4, check_per_epoch=2, patience=10)
+    runs = tmp_path / "a", tmp_path / "b"
+    for run_dir in runs:
+        train(cfg, kg, run_dir=str(run_dir))
+    # 10 train triples in batches of 8 and 2, over 6 entities, for 4 epochs per run
+    assert shapes == 8 * [((8, 3), (8, 6)), ((2, 3), (2, 6))]
+    a, b = runs
+    assert (a / "train.log").read_bytes() == (b / "train.log").read_bytes()
+    for slot in ("best", "last"):
+        assert dir_bytes(a / slot) == dir_bytes(b / slot)
+
+
+def test_rule_mode_trains_with_the_all_sampler(monkeypatch, toy_kg):
+    """RUGE with ``sampler: all``: a [B, E] batch group and an [n] soft group per ``grad`` call."""
+    _, kg = toy_kg
+    cfg = tiny_config(
+        model="complex", loss="bce", sampler="all", rule_file="unused.tsv", rule_weight=0.8,
+        max_epochs=3, check_per_epoch=3,
+    )
+    without_rules = train(cfg.with_overrides(rule_file=""), kg)
+    shapes = []
+    plain = kgembed.rules.grad
+
+    def recorded(params, batch, loss_spec, soft=None):
+        shapes.append((batch.labels.shape, soft.labels.shape))
+        return plain(params, batch, loss_spec, soft)
+
+    monkeypatch.setattr(kgembed.rules, "grad", recorded)
+    ruled = train(cfg, kg, groundings=rule_groundings(kg))
+    assert len(shapes) == 6  # two batches per epoch
+    for batch_shape, soft_shape in shapes:
+        assert batch_shape[1:] == (kg.n_entities,) and len(soft_shape) == 1 and soft_shape[0] > 0
+    for name, table in ruled.last.params.tables.items():
+        assert np.isfinite(table).all(), name
+    assert any(
+        table.tobytes() != without_rules.last.params.tables[name].tobytes()
+        for name, table in ruled.last.params.tables.items()
+    )
 
 
 def test_a_bad_log_epoch_names_its_line(toy_kg, tmp_path):
