@@ -34,7 +34,7 @@ print(f"touched tables: { {name: len(ids) for name, (ids, _) in grads.items()} }
 
 # finite-difference cross-check of one gradient coordinate (the weights of
 # the self-adversarial loss are held fixed, as in training)
-from kgembed.losses import adversarial_weights, self_adversarial_loss, log_sigmoid  # noqa: E402
+from kgembed.losses import adversarial_weights, self_adversarial_loss  # noqa: E402
 
 ids, rows = grads["ent"]
 row, coord = int(ids[0]), 0

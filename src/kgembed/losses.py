@@ -1,13 +1,16 @@
 """Training losses over triple scores, with their score-space derivatives.
 
 All losses consume scores under the convention "higher = more plausible"
-and accumulate in float64. Each loss has a companion ``*_grads`` function
-returning d(loss)/d(score) so model-side gradient code can stay loss-free.
-Every loss is a mean with a normalizer known before any score is: the
-pairs (margin), the positives (self_adversarial) or the scores (bce). A
-``*_grads`` function takes it as ``normalizer``, so a caller can take the
-derivatives of one chunk of a batch at a time, each bit for bit the
-whole batch's.
+and accumulate in float64. Each loss kind is one function, ``*_grads``, so
+model-side gradient code stays loss-free: from the scores it returns
+d(loss)/d(score) and, given ``out``, writes each score's loss term there
+from the same temporaries (one self-adversarial softmax; one ``exp(-|x|)``
+per score for both a sigmoid and a softplus). The loss (``margin_loss``
+and the others) is the mean of those terms, with a normalizer known before
+any score is: the pairs (margin), the positives (self_adversarial) or the
+scores (bce). A ``*_grads`` function takes it as ``normalizer``, so a
+caller can take the derivatives and terms of one chunk of a batch at a
+time, each bit for bit the whole batch's.
 """
 
 from __future__ import annotations
@@ -43,40 +46,41 @@ class LossSpec:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
 
+# sigmoid and softplus from e = exp(-|x|), which never overflows
+def _sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x))."""
+    return np.maximum(x, 0.0) + np.log1p(e)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _sigmoid(x, np.exp(-np.abs(x)))
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)) without overflow."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _mean_terms(grads, shape, *args, **kwargs) -> float:
+    """The mean of the loss terms ``grads`` writes for scores whose terms have ``shape``."""
+    terms = np.empty(shape)
+    grads(*args, **kwargs, out=terms)
+    return float(np.mean(terms, dtype=np.float64))
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -softplus(-np.asarray(x, dtype=np.float64))
+def _unpaired(neg_shape: tuple, pos_shape: tuple) -> ValueError:
+    return ValueError(
+        f"negative scores of shape {neg_shape} do not pair with positives of shape {pos_shape}"
+    )
 
 
 def margin_loss(pos_scores: np.ndarray, neg_scores: np.ndarray, margin: float) -> float:
     """Mean over (positive, negative) pairs of max(0, margin - s_pos + s_neg).
 
-    ``neg_scores`` may be [B] or [B, n_neg]; positives broadcast over the
-    negatives paired with them.
+    ``neg_scores`` may have the shape of ``pos_scores`` or one more axis,
+    of negatives paired with each positive.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if neg.ndim == pos.ndim + 1:
-        pos = pos[..., None]
-    viol = np.maximum(0.0, margin - pos + neg)
-    return float(np.mean(viol, dtype=np.float64))
+    return _mean_terms(margin_loss_grads, np.shape(neg_scores), pos_scores, neg_scores, margin)
 
 
 def margin_loss_grads(
@@ -84,25 +88,24 @@ def margin_loss_grads(
     neg_scores: np.ndarray,
     margin: float,
     normalizer: int | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """d(margin_loss)/d(pos_scores), d(margin_loss)/d(neg_scores).
 
     ``normalizer`` is the number of pairs the mean runs over (default
-    ``neg_scores.size``).
+    ``neg_scores.size``); ``out``, shaped as ``neg_scores``, receives each
+    pair's term.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
-    posb = pos[..., None] if neg.ndim == pos.ndim + 1 else pos
-    active = (margin - posb + neg) > 0
-    scale = 1.0 / (neg.size if normalizer is None else normalizer)
-    d_neg = np.where(active, scale, 0.0)
-    if neg.ndim == pos.ndim + 1:
-        d_pos = -d_neg.sum(axis=-1)
-    else:
-        d_pos = -d_neg
-    return d_pos, d_neg
+    paired = neg.shape != pos.shape
+    if paired and neg.shape[:-1] != pos.shape:
+        raise _unpaired(neg.shape, pos.shape)
+    viol = np.maximum(0.0, margin - (pos[..., None] if paired else pos) + neg, out=out)
+    d_neg = np.where(viol > 0, 1.0 / (neg.size if normalizer is None else normalizer), 0.0)
+    return (-d_neg.sum(axis=-1) if paired else -d_neg), d_neg
 
 
 def adversarial_weights(neg_scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -129,16 +132,10 @@ def self_adversarial_loss(
     explicitly — that fixed-weight objective is what the gradient descends,
     and what finite-difference checks must probe.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if neg.ndim == 1:
-        neg = neg[:, None]
-    w = adversarial_weights(neg, temperature) if weights is None else np.asarray(weights)
-    pos_term = -log_sigmoid(margin + pos)
-    neg_term = -(w * log_sigmoid(-margin - neg)).sum(axis=-1)
-    return float(np.mean(pos_term + neg_term, dtype=np.float64))
+    return _mean_terms(
+        self_adversarial_loss_grads, np.shape(pos_scores), pos_scores, neg_scores, margin,
+        temperature, weights=weights,
+    )
 
 
 def self_adversarial_loss_grads(
@@ -147,11 +144,14 @@ def self_adversarial_loss_grads(
     margin: float,
     temperature: float,
     normalizer: int | None = None,
+    out: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score-space gradients of :func:`self_adversarial_loss` (weights held constant).
 
     ``normalizer`` is the number of positives the mean runs over (default
-    ``len(pos_scores)``).
+    ``len(pos_scores)``); ``out``, shaped as ``pos_scores``, receives each
+    positive's term; ``weights`` pins the softmax weights.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
@@ -160,13 +160,17 @@ def self_adversarial_loss_grads(
     squeeze = neg.ndim == 1
     if squeeze:
         neg = neg[:, None]
-    w = adversarial_weights(neg, temperature)
+    if pos.ndim != 1 or neg.ndim != 2 or len(neg) != len(pos):
+        raise _unpaired(np.shape(neg_scores), pos.shape)
+    w = adversarial_weights(neg, temperature) if weights is None else np.asarray(weights)
+    # -log s(margin + s_pos) = softplus(x) and -log s(-margin - s_neg) = softplus(z)
+    x, z = -margin - pos, margin + neg
+    ex, ez = np.exp(-np.abs(x)), np.exp(-np.abs(z))
     n = pos.shape[0] if normalizer is None else normalizer
-    d_pos = -sigmoid(-margin - pos) / n
-    d_neg = w * sigmoid(margin + neg) / n
-    if squeeze:
-        d_neg = d_neg[:, 0]
-    return d_pos, d_neg
+    if out is not None:
+        np.add(_softplus(x, ex), (w * _softplus(z, ez)).sum(axis=-1), out=out)
+    d_neg = w * _sigmoid(z, ez) / n
+    return -_sigmoid(x, ex) / n, (d_neg[:, 0] if squeeze else d_neg)
 
 
 def bce_loss(scores: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0) -> float:
@@ -174,13 +178,7 @@ def bce_loss(scores: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.
 
     Labels may be soft (any value in [0, 1]); values outside raise.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size and (labels.min() < 0.0 or labels.max() > 1.0):
-        raise ValueError("bce labels must lie in [0, 1]")
-    y = _smooth(labels, label_smoothing)
-    # y*softplus(-x) + (1-y)*softplus(x) == softplus(x) - y*x
-    return float(np.mean(softplus(scores) - y * scores, dtype=np.float64))
+    return _mean_terms(bce_loss_grads, np.shape(scores), scores, labels, label_smoothing)
 
 
 def bce_loss_grads(
@@ -188,14 +186,24 @@ def bce_loss_grads(
     labels: np.ndarray,
     label_smoothing: float = 0.0,
     normalizer: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """d(bce_loss)/d(scores): (sigmoid(x) - y) / n, n = ``normalizer`` (default ``scores.size``)."""
-    scores = np.asarray(scores, dtype=np.float64)
+    """d(bce_loss)/d(scores): (sigmoid(x) - y) / n, n = ``normalizer`` (default ``scores.size``).
+
+    ``out``, shaped as ``scores``, receives each score's term.
+    """
+    x = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != x.shape:
+        raise ValueError(f"labels of shape {labels.shape} do not match scores of shape {x.shape}")
     if labels.size and (labels.min() < 0.0 or labels.max() > 1.0):
         raise ValueError("bce labels must lie in [0, 1]")
     y = _smooth(labels, label_smoothing)
-    return (sigmoid(scores) - y) / (scores.size if normalizer is None else normalizer)
+    e = np.exp(-np.abs(x))
+    if out is not None:
+        # y*softplus(-x) + (1-y)*softplus(x) == softplus(x) - y*x
+        np.subtract(_softplus(x, e), y * x, out=out)
+    return (_sigmoid(x, e) - y) / (x.size if normalizer is None else normalizer)
 
 
 def _smooth(labels: np.ndarray, eps: float) -> np.ndarray:

@@ -42,14 +42,16 @@ which holds a zero row for every id the queries can reach, scatters into
 it in place, and keeps only the rows that were reached. A replaced entity
 gets coefficient * d(score)/d(row), and an anchor the sum of those over
 the corruptions of the chunk that use it, once per positive. Corruptions
-with a zero coefficient reach no row. The loss is taken once over the
-whole score arrays, so it is the same bit for bit as over unchunked
-scores. Chunks hold about ``_GRAD_CHUNK_ELEMS`` float64 elements per
-table, so a call's memory grows by a few ids and scores per triple, not by
-its gathered rows. A positive whose row alone exceeds that (a
-[B, n_entities] sweep) is also cut along its candidates, but a negative
-batch's row never is: its margin and self-adversarial coefficients need
-the positive's score and the softmax over all its negatives.
+with a zero coefficient reach no row. The call that gives a chunk's
+coefficients also writes its loss terms into one buffer per group, laid
+out as the whole batch's loss sums them, so no score is kept and the loss
+(their mean) is the same bit for bit as over unchunked scores. Chunks hold
+about ``_GRAD_CHUNK_ELEMS`` float64 elements per table, so a call's memory
+grows by a few ids and one loss term per triple, not by its gathered rows.
+A positive whose row alone exceeds that (a [B, n_entities] sweep) is also
+cut along its candidates, but a negative batch's row never is: its margin
+and self-adversarial coefficients need the positive's score and the
+softmax over all its negatives.
 
 Candidate scoring (one slot swept over every entity) has two paths.
 
@@ -89,15 +91,7 @@ from functools import partial
 
 import numpy as np
 
-from .losses import (
-    LossSpec,
-    bce_loss,
-    bce_loss_grads,
-    margin_loss,
-    margin_loss_grads,
-    self_adversarial_loss,
-    self_adversarial_loss_grads,
-)
+from .losses import LossSpec, bce_loss_grads, margin_loss_grads, self_adversarial_loss_grads
 from .sampling import HEAD, TAIL, LabeledBatch, NegBatch
 
 MODEL_KINDS = ("transe", "transh", "transr", "distmult", "complex", "rotate", "simple")
@@ -904,11 +898,11 @@ def _widest(params: ModelParams, entity: bool) -> int:
 def _query_scores(params, positives, replaced, head, coef=None, whole_rows=False, acc=None):
     """The [b, n] scores of queries, chunk by chunk; ``whole_rows`` cuts no row.
 
-    With ``coef`` and ``acc`` each chunk is differentiated in the same pass:
-    ``coef(index, scores)`` gives the coefficients of ``out[index]``, the gradient goes to ``acc``.
+    With ``coef`` and ``acc`` no score is kept: ``coef(index, scores)`` gives a chunk's
+    coefficients and keeps its loss terms, the gradient goes to ``acc`` in the same pass.
     """
-    out = np.empty(replaced.shape)
-    b, n = out.shape
+    b, n = replaced.shape
+    out = np.empty((b, n)) if coef is None else None
     formula = _FORMULA[params.model]
     ent = _widest(params, True)
     width = max(1, n if whole_rows or n * ent <= _GRAD_CHUNK_ELEMS else _GRAD_CHUNK_ELEMS // ent)
@@ -917,7 +911,9 @@ def _query_scores(params, positives, replaced, head, coef=None, whole_rows=False
             index = (sl, slice(lo, lo + width))
             chunk_coef = None if coef is None else partial(coef, index)
             query = _Query(params, positives[sl], replaced[index], head[index], chunk_coef, acc)
-            out[index] = formula(params, query)
+            scores = formula(params, query)
+            if out is not None:
+                out[index] = scores
     return out
 
 
@@ -940,7 +936,8 @@ def _check_negatives(params: ModelParams, batch: NegBatch, b: int):
 
 
 def _labeled_group(params: ModelParams, name: str, batch: LabeledBatch, smoothing: float):
-    """A labeled batch's [n, 1] or [n, n_entities] query group, with its bce coefficients."""
+    """A labeled batch's [n, 1] or [n, n_entities] query group, with its bce coefficients, and
+    the loss terms they fill, shaped as the labels."""
     triples = _check_ids(params, batch.triples)
     labels = np.asarray(batch.labels, dtype=np.float64)
     if labels.shape == (len(triples),):
@@ -952,32 +949,41 @@ def _labeled_group(params: ModelParams, name: str, batch: LabeledBatch, smoothin
             f"the {name} batch needs one label per triple or one per triple and entity, "
             f"got labels of shape {labels.shape} for triples of shape {triples.shape}"
         )
+    terms = np.empty(labels.shape)
 
     def coef(index, s):
-        y = labels[index].ravel()
-        return bce_loss_grads(s.ravel(), y, smoothing, normalizer=labels.size).reshape(s.shape)
+        chunk = np.empty(s.size)
+        c = bce_loss_grads(s.ravel(), labels[index].ravel(), smoothing, labels.size, chunk)
+        terms[index] = chunk.reshape(s.shape)
+        return c.reshape(s.shape)
 
-    return (*group, coef)
+    return (*group, coef), terms
 
 
 def _negatives_coef(loss_spec: LossSpec, b: int, n: int):
-    """The coefficients of a chunk of [positive, its n negatives] scores, b positives in all."""
+    """The coefficients of a chunk of [positive, its n negatives] scores, b positives in all,
+    and the loss terms they fill in the order the loss sums them: the [b, n] pairs (margin),
+    the b positives (self_adversarial), or the b positives and then the b * n negatives (bce).
+    """
+    kind, margin = loss_spec.kind, loss_spec.margin
+    terms = np.empty({"margin": (b, n), "self_adversarial": b}.get(kind, b * (n + 1)))
 
     def coef(index, s):
-        pos, neg = s[:, 0], s[:, 1:]
-        if loss_spec.kind == "margin":
-            d_pos, d_neg = margin_loss_grads(pos, neg, loss_spec.margin, normalizer=b * n)
-        elif loss_spec.kind == "self_adversarial":
-            d_pos, d_neg = self_adversarial_loss_grads(
-                pos, neg, loss_spec.margin, loss_spec.adv_temperature, normalizer=b
-            )
+        sl, pos, neg = index[0], s[:, 0], s[:, 1:]
+        if kind == "margin":
+            d_pos, d_neg = margin_loss_grads(pos, neg, margin, b * n, terms[sl])
+        elif kind == "self_adversarial":
+            temperature = loss_spec.adv_temperature
+            d_pos, d_neg = self_adversarial_loss_grads(pos, neg, margin, temperature, b, terms[sl])
         else:  # bce: label 1 for the positive, 0 for its negatives
-            labels = np.zeros(s.shape)
+            labels, chunk = np.zeros(s.shape), np.empty(s.shape)
             labels[:, 0] = 1.0
-            return bce_loss_grads(s, labels, loss_spec.label_smoothing, normalizer=b * (n + 1))
+            c = bce_loss_grads(s, labels, loss_spec.label_smoothing, b * (n + 1), chunk)
+            terms[:b][sl], terms[b:].reshape(b, n)[sl] = chunk[:, 0], chunk[:, 1:]
+            return c
         return np.concatenate([d_pos[:, None], d_neg], axis=1)
 
-    return coef
+    return coef, terms
 
 
 def _distinct(n: int, *ids: np.ndarray) -> np.ndarray:
@@ -1001,9 +1007,8 @@ def grad(
     ``soft`` (bce only) is a second :class:`LabeledBatch`, such as rule
     soft labels, whose mean bce is added to the loss. Every group of
     queries (the negatives led by their positives, or the labeled triples;
-    then the soft triples) is scored and differentiated in one pass into
-    one :class:`GradAccumulator`; the loss is then taken once over the
-    whole score arrays.
+    then the soft triples) is scored, differentiated and given its loss
+    terms in one pass, into one :class:`GradAccumulator`.
     """
     loss_spec.validate()
     labeled = isinstance(batch, LabeledBatch)
@@ -1013,41 +1018,30 @@ def grad(
         raise ValueError(f"soft labels require the bce loss, got {loss_spec.kind!r}")
     smoothing = loss_spec.label_smoothing
     if labeled:
-        groups = [_labeled_group(params, "batch", batch, smoothing)]
+        group, terms = _labeled_group(params, "batch", batch, smoothing)
         # an empty soft batch is skipped below, but the loss needs a triple
-        if not len(groups[0][0]):
+        if not len(group[0]):
             raise ValueError("a labeled batch needs at least one triple, got 0")
     else:
         triples = _check_ids(params, batch.positives)
         replaced, head = _check_negatives(params, batch, len(triples))
         # each positive leads its negatives as the tail corruption by its own tail, rows never cut
         lead = np.zeros((len(triples), 1), dtype=bool)
-        coef = _negatives_coef(loss_spec, *replaced.shape)
+        coef, terms = _negatives_coef(loss_spec, *replaced.shape)
         replaced = np.concatenate([triples[:, 2:], replaced], axis=1)
-        groups = [(triples, replaced, np.concatenate([lead, head], axis=1), coef, True)]
+        group = (triples, replaced, np.concatenate([lead, head], axis=1), coef, True)
+    groups = [(group, terms)]
     if soft is not None:
-        group = _labeled_group(params, "soft", soft, smoothing)
+        group, terms = _labeled_group(params, "soft", soft, smoothing)
         if len(group[0]):
-            groups.append(group)
+            groups.append((group, terms))
 
     # every query's head and replaced entity (a positive's tail is its first) may be reached
     acc = GradAccumulator(
         params,
-        _distinct(params.n_entities, *(ids for g in groups for ids in (g[0][:, 0], g[1]))),
-        _distinct(params.n_relations, *(g[0][:, 1] for g in groups)),
+        _distinct(params.n_entities, *(ids for g, _ in groups for ids in (g[0][:, 0], g[1]))),
+        _distinct(params.n_relations, *(g[0][:, 1] for g, _ in groups)),
     )
-    scores = [_query_scores(params, *group, acc=acc) for group in groups]
-    if labeled:
-        loss = bce_loss(scores[0].ravel(), np.ravel(batch.labels), smoothing)
-    else:
-        pos, neg = scores[0][:, 0].copy(), scores[0][:, 1:].copy()
-        if loss_spec.kind == "margin":
-            loss = margin_loss(pos, neg, loss_spec.margin)
-        elif loss_spec.kind == "self_adversarial":
-            loss = self_adversarial_loss(pos, neg, loss_spec.margin, loss_spec.adv_temperature)
-        else:
-            labels = np.concatenate([np.ones(len(pos)), np.zeros(neg.size)])
-            loss = bce_loss(np.concatenate([pos, neg.reshape(-1)]), labels, smoothing)
-    if len(scores) > 1:
-        loss += bce_loss(scores[1].ravel(), np.ravel(soft.labels), smoothing)
-    return loss, acc.finalize()
+    for group, _ in groups:
+        _query_scores(params, *group, acc=acc)
+    return float(sum(np.mean(terms) for _, terms in groups)), acc.finalize()

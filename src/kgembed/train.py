@@ -7,6 +7,7 @@ replays exactly the batches an uninterrupted run would have seen.
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 from dataclasses import dataclass
@@ -87,8 +88,27 @@ def train(
     lines of epochs after the checkpoint's, which the resumed run writes
     again. A run that had stopped early is returned as loaded, with
     nothing trained or written.
+
+    One process owns ``run_dir`` for the run: it holds an exclusive
+    ``flock`` on the directory, and a second run on it, in this or any
+    other process, fails at once with a ``BlockingIOError`` naming it.
     """
     config.validate()
+    if run_dir is None or (resume and not os.path.isdir(run_dir)):  # no run to lock; a resume fails
+        return _train(config, kg, groundings, run_dir, resume)
+    os.makedirs(run_dir, exist_ok=True)
+    fd = os.open(run_dir, os.O_RDONLY)  # the directory itself: a lock file would be a run file
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise BlockingIOError(f"run directory {run_dir} is in use by another run") from None
+        return _train(config, kg, groundings, run_dir, resume)
+    finally:
+        os.close(fd)  # releases the lock
+
+
+def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
     spec = LossSpec(
         kind=config.loss,
         margin=config.margin,
@@ -156,9 +176,6 @@ def train(
         if run_dir is not None:
             with open(os.path.join(run_dir, "train.log"), "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
-
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
 
     def snapshot(epoch: int, metric: float, final: bool) -> Checkpoint:
         """The run's state; a ``final`` one (nothing trains after it) holds the live tables."""

@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import kgembed
 from kgembed.cli import main
 
 from conftest import write_dataset
@@ -115,6 +119,54 @@ def test_train_writes_checkpoint_and_log(capsys, config_path, tmp_path):
     assert any("\ttrain\tloss\t" in l for l in log)
     assert any("\tvalid\tmrr\t" in l for l in log)
     assert "best valid MRR" in stdout
+
+
+# trains ``argv[2]`` into ``argv[1]``, its first epoch held until the file ``argv[3]/go`` exists
+HELD_RUN = """
+import importlib, os, sys, time
+from kgembed.cli import main
+
+run_dir, config, marks = sys.argv[1:]
+module = importlib.import_module("kgembed.train")  # the package's ``train`` is the function
+epoch = module._ckge_epoch
+
+def held(*args):
+    open(os.path.join(marks, "started"), "w").close()
+    while not os.path.exists(os.path.join(marks, "go")):
+        time.sleep(0.01)
+    return epoch(*args)
+
+module._ckge_epoch = held
+sys.exit(main(["train", config, "--out", run_dir]))
+"""
+
+
+def test_a_second_run_on_a_run_directory_in_use_exits_2(capsys, config_path, tmp_path):
+    """Two processes: while one trains in ``run``, a second ``train --out run`` exits 2 at once,
+    naming it; the first writes its whole log, and the directory is free once it ends."""
+    run_dir = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(kgembed.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", HELD_RUN, str(run_dir), config_path, str(tmp_path)]
+    first = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    try:
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "started").exists():
+            if first.poll() is not None or time.monotonic() > deadline:
+                pytest.fail("the first run never trained")
+            time.sleep(0.01)
+        code, _, err = run(capsys, "train", config_path, "--out", str(run_dir))
+    finally:
+        (tmp_path / "go").touch()
+        output = first.communicate(timeout=120)[0].decode()
+    assert code == 2
+    assert f"run directory {run_dir} is in use by another run" in err
+    assert first.returncode == 0, output
+    log = (run_dir / "train.log").read_text().splitlines()
+    epochs = [line.split("\t")[0] for line in log if "\ttrain\t" in line]
+    assert epochs == [str(e) for e in range(1, 7)]
+    assert sorted(os.listdir(run_dir)) == ["best", "last", "train.log"]
+    assert run(capsys, "train", config_path, "--out", str(run_dir))[0] == 0
 
 
 def test_train_then_eval_prints_metrics(capsys, config_path, tmp_path):

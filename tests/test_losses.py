@@ -8,8 +8,11 @@ from kgembed.losses import (
     LossSpec,
     adversarial_weights,
     bce_loss,
+    bce_loss_grads,
     margin_loss,
+    margin_loss_grads,
     self_adversarial_loss,
+    self_adversarial_loss_grads,
 )
 
 
@@ -120,6 +123,71 @@ def test_bce_label_smoothing_midpoint():
     assert bce_loss(np.array([0.0]), np.array([1.0]), label_smoothing=0.2) == pytest.approx(
         math.log(2)
     )
+
+
+# --- one pass: coefficients and loss terms --------------------------------
+
+
+def chunked(grads, shape, *args, **kwargs):
+    """``grads`` over rows 0-2 and 3-6 of [7, ...] scores, each writing its rows' terms."""
+    terms = np.empty(shape)
+    parts = [
+        grads(*(a[sl] for a in args), **kwargs, out=terms[sl])
+        for sl in (slice(0, 3), slice(3, 7))
+    ]
+    return parts, terms
+
+
+@pytest.mark.parametrize("kind", ["margin", "self_adversarial", "bce"])
+def test_chunk_coefficients_and_terms_are_the_whole_batch_bit_for_bit(kind):
+    """Each chunk's coefficients are the whole batch's, and the mean of the terms is the loss."""
+    rng = np.random.default_rng(3)
+    pos, neg = rng.normal(0, 3, 7), rng.normal(0, 3, (7, 5))
+    if kind == "margin":
+        whole = margin_loss_grads(pos, neg, 1.5)
+        parts, terms = chunked(margin_loss_grads, neg.shape, pos, neg, margin=1.5, normalizer=35)
+        loss = margin_loss(pos, neg, 1.5)
+    elif kind == "self_adversarial":
+        whole = self_adversarial_loss_grads(pos, neg, 1.5, 0.7)
+        parts, terms = chunked(
+            self_adversarial_loss_grads, pos.shape, pos, neg, margin=1.5, temperature=0.7,
+            normalizer=7,
+        )
+        loss = self_adversarial_loss(pos, neg, 1.5, 0.7)
+    else:
+        labels = rng.random((7, 5))
+        whole = (bce_loss_grads(neg, labels, 0.1),)
+        parts, terms = chunked(
+            bce_loss_grads, neg.shape, neg, labels, label_smoothing=0.1, normalizer=35
+        )
+        parts = [(p,) for p in parts]
+        loss = bce_loss(neg, labels, 0.1)
+    for i, ref in enumerate(whole):
+        assert np.concatenate([p[i] for p in parts]).tobytes() == ref.tobytes()
+    assert np.float64(np.mean(terms)).tobytes() == np.float64(loss).tobytes()
+
+
+@pytest.mark.parametrize("fn", [bce_loss, bce_loss_grads])
+def test_bce_rejects_labels_of_another_shape(fn):
+    shapes = r"labels of shape \(3,\) do not match scores of shape \(1,\)"
+    with pytest.raises(ValueError, match=shapes):
+        fn(np.zeros(1), [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (margin_loss, (1.0,)),
+        (margin_loss_grads, (1.0,)),
+        (self_adversarial_loss, (1.0, 1.0)),
+        (self_adversarial_loss_grads, (1.0, 1.0)),
+    ],
+)
+def test_negatives_that_do_not_pair_with_the_positives_are_rejected(fn, args):
+    """One positive and four rows of negatives: the shapes disagree, and the error names both."""
+    shapes = r"negative scores of shape \(4, 2\) do not pair with positives of shape \(1,\)"
+    with pytest.raises(ValueError, match=shapes):
+        fn(np.zeros(1), np.zeros((4, 2)), *args)
 
 
 # --- LossSpec --------------------------------------------------------------

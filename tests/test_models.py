@@ -736,6 +736,35 @@ def test_one_vs_all_step_peaks_below_its_explicit_form(model):
     assert small <= 0.8 * large, (small, large)
 
 
+@pytest.mark.parametrize("model", ["distmult", "complex", "transr", "transe"])
+def test_one_vs_all_loss_keeps_no_per_entity_temporaries(monkeypatch, model):
+    """bce on [16, E] labels, E 2,000 then 8,000, rows cut mid-row: the step's peak grows by
+    fewer than 4 float64 [B] columns per extra entity (its loss terms take one, the gradient
+    rows of every entity about one), and the loss is the whole sweep's bce bit for bit."""
+    monkeypatch.setattr(models, "_GRAD_CHUNK_ELEMS", 4096)
+    b, spec = 16, LossSpec("bce")
+    rng = np.random.default_rng(57)
+
+    def peak(n_e):
+        params = init_params(model, n_e, 4, 8, seed=58)
+        positives = random_triples(rng, b, n_e)
+        labels = (rng.random((b, n_e)) < 0.01).astype(float)
+        tracemalloc.start()
+        try:
+            loss, _ = grad(params, LabeledBatch(positives, labels), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = bce_loss(score_candidates(params, positives, TAIL).ravel(), labels.ravel())
+        assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
+        return peak
+
+    peak(2000)  # numpy's one-time allocations
+    small, large = peak(2000), peak(8000)
+    columns = (large - small) / (8000 - 2000) / (b * 8)
+    assert columns < 4, (small, large, columns)
+
+
 @pytest.mark.parametrize("which", ["batch", "soft"])
 def test_grad_rejects_labels_one_column_wider_than_the_entities(which):
     params = init_params("distmult", 6, 2, 4, seed=55)
