@@ -162,7 +162,10 @@ def self_adversarial_loss_grads(
         neg = neg[:, None]
     if pos.ndim != 1 or neg.ndim != 2 or len(neg) != len(pos):
         raise _unpaired(np.shape(neg_scores), pos.shape)
-    w = adversarial_weights(neg, temperature) if weights is None else np.asarray(weights)
+    if weights is not None and np.shape(weights) != np.shape(neg_scores):
+        raise ValueError(f"weights of shape {np.shape(weights)} do not match negative scores "
+                         f"of shape {np.shape(neg_scores)}")
+    w = adversarial_weights(neg, temperature) if weights is None else np.reshape(weights, neg.shape)
     # -log s(margin + s_pos) = softplus(x) and -log s(-margin - s_neg) = softplus(z)
     x, z = -margin - pos, margin + neg
     ex, ez = np.exp(-np.abs(x)), np.exp(-np.abs(z))

@@ -92,6 +92,7 @@ from functools import partial
 import numpy as np
 
 from .losses import LossSpec, bce_loss_grads, margin_loss_grads, self_adversarial_loss_grads
+from .losses import bce_loss, margin_loss, self_adversarial_loss  # noqa: F401  (re-exported)
 from .sampling import HEAD, TAIL, LabeledBatch, NegBatch
 
 MODEL_KINDS = ("transe", "transh", "transr", "distmult", "complex", "rotate", "simple")

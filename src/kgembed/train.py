@@ -96,6 +96,7 @@ def train(
     config.validate()
     if run_dir is None or (resume and not os.path.isdir(run_dir)):  # no run to lock; a resume fails
         return _train(config, kg, groundings, run_dir, resume)
+    created = not os.path.isdir(run_dir)
     os.makedirs(run_dir, exist_ok=True)
     fd = os.open(run_dir, os.O_RDONLY)  # the directory itself: a lock file would be a run file
     try:
@@ -103,7 +104,12 @@ def train(
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise BlockingIOError(f"run directory {run_dir} is in use by another run") from None
-        return _train(config, kg, groundings, run_dir, resume)
+        try:
+            return _train(config, kg, groundings, run_dir, resume)
+        except BaseException:
+            if created and not os.listdir(run_dir):  # a fresh run that wrote nothing leaves no directory
+                os.rmdir(run_dir)
+            raise
     finally:
         os.close(fd)  # releases the lock
 

@@ -11,6 +11,7 @@ from kgembed.checkpoint import (
     save_checkpoint,
 )
 from kgembed.config import TrainConfig
+from kgembed.data import DataFormatError
 from kgembed.gnn import init_rgcn
 from kgembed.models import init_params
 from kgembed.optim import init_optimizer
@@ -483,3 +484,17 @@ def test_config_meta_parsed_by_declared_type(tmp_path, toy_kg, dataset):
     back = load_checkpoint(str(tmp_path / "last"))
     assert back.config == cfg
     assert back.config.dataset == dataset
+
+
+def test_a_fresh_run_that_fails_before_writing_leaves_no_directory(tmp_path, toy_kg):
+    """A missing rule file fails the set-up: the run directory train() made is removed,
+    one that was there is kept."""
+    _, kg = toy_kg
+    cfg = train_config(loss="bce", rule_file=str(tmp_path / "missing.tsv"), max_epochs=1)
+    with pytest.raises(DataFormatError, match="file not found"):
+        train(cfg, kg, run_dir=str(tmp_path / "fresh"))
+    assert not (tmp_path / "fresh").exists()
+    (tmp_path / "kept").mkdir()
+    with pytest.raises(DataFormatError, match="file not found"):
+        train(cfg, kg, run_dir=str(tmp_path / "kept"))
+    assert os.listdir(tmp_path / "kept") == []

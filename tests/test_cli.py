@@ -158,7 +158,12 @@ def test_a_second_run_on_a_run_directory_in_use_exits_2(capsys, config_path, tmp
         code, _, err = run(capsys, "train", config_path, "--out", str(run_dir))
     finally:
         (tmp_path / "go").touch()
-        output = first.communicate(timeout=120)[0].decode()
+        try:
+            output = first.communicate(timeout=120)[0].decode()
+        except subprocess.TimeoutExpired:
+            first.kill()
+            first.communicate()
+            pytest.fail("the first run did not end")
     assert code == 2
     assert f"run directory {run_dir} is in use by another run" in err
     assert first.returncode == 0, output

@@ -190,6 +190,20 @@ def test_negatives_that_do_not_pair_with_the_positives_are_rejected(fn, args):
         fn(np.zeros(1), np.zeros((4, 2)), *args)
 
 
+@pytest.mark.parametrize("fn", [self_adversarial_loss, self_adversarial_loss_grads])
+def test_pinned_weights_of_another_shape_are_rejected(fn):
+    shapes = r"weights of shape \(2, 3\) do not match negative scores of shape \(2, 1\)"
+    with pytest.raises(ValueError, match=shapes):
+        fn(np.zeros(2), np.zeros((2, 1)), 1.0, 1.0, weights=np.full((2, 3), 1 / 3))
+
+
+def test_pinned_weights_of_one_negative_per_positive_take_its_shape():
+    """[B] negatives pin [B] weights, as the [B, 1] form does."""
+    pos, neg, w = np.array([0.3, -1.2]), np.array([0.5, 2.0]), np.array([1.0, 0.25])
+    flat = self_adversarial_loss(pos, neg, 1.0, 1.0, weights=w)
+    assert flat == self_adversarial_loss(pos, neg[:, None], 1.0, 1.0, weights=w[:, None])
+
+
 # --- LossSpec --------------------------------------------------------------
 
 
