@@ -74,8 +74,12 @@ def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise CheckpointError(f"bad table header in {os.path.basename(path)}")
     rows, cols, _ = np.frombuffer(blob[4:16], dtype="<u4")
+    if (rows, cols) != (shape[0], int(np.prod(shape[1:], dtype=np.int64))):
+        raise CheckpointError(
+            f"{os.path.basename(path)} holds {rows}x{cols} values, meta says {_shape_str(shape)}"
+        )
     data = np.frombuffer(blob[16:], dtype="<f4")
-    if data.size != rows * cols or int(np.prod(shape, dtype=np.int64)) != data.size:
+    if data.size != rows * cols:
         raise CheckpointError(f"table size mismatch in {os.path.basename(path)}")
     return data.reshape(shape).astype(np.float32)
 
@@ -235,9 +239,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
             shape, sha = _parse_shape_sha(value)
             if tname not in opt.slots or sname not in opt.slots[tname]:
                 raise CheckpointError(f"unexpected optimizer slot {key!r}")
-            opt.slots[tname][sname] = _read_table(
-                os.path.join(directory, f"opt__{tname}__{sname}.bin"), shape, sha
-            )
+            arr = _read_table(os.path.join(directory, f"opt__{tname}__{sname}.bin"), shape, sha)
+            want = opt.slots[tname][sname].shape
+            if shape != want:
+                raise CheckpointError(
+                    f"meta {key}: shape {_shape_str(shape)}, its table needs {_shape_str(want)}"
+                )
+            opt.slots[tname][sname] = arr
             provided.add((tname, sname))
     expected = {(t, s) for t, slots in opt.slots.items() for s in slots}
     if provided != expected:

@@ -28,9 +28,11 @@ A candidate whose fast score differs from the target's by more than
 twice the query's bound is certainly above or below it. Only the band in
 between, and the target, are re-scored exactly; so the kernels never
 decide a comparison their rounding could flip. A query with any
-non-finite fast score or bound is ranked from exact scores of all its
-candidates. A scorer that has only ``score_candidates(queries, slot)``,
-an exact [B, E] matrix, takes the same path with bound zero.
+non-finite fast score or bound takes zero scores and a zero bound, so
+every unfiltered candidate ties its target and falls in the band: the
+query ranks from exact scores of all its candidates. A scorer that has
+only ``score_candidates(queries, slot)``, an exact [B, E] matrix, takes
+the same path with bound zero.
 """
 
 from __future__ import annotations
@@ -115,23 +117,20 @@ def ranks_for_queries(
             def exact(i, e):
                 return matrix[i, e]
 
-        target_scores = scores[rows, target]
         known_rows, known = filters.completions(chunk, slot)
         with np.errstate(invalid="ignore", over="ignore"):
-            # a row sum is finite only if every entry is (or falls back needlessly on overflow)
+            # a row sum is finite only if every entry is (an overflow only costs exact ranking)
             finite = np.isfinite(scores.sum(axis=1) + bounds[:, 0])
+            # a non-finite query ties every candidate with its target: all are scored exactly
+            scores[~finite] = 0.0
+            bounds = np.where(finite[:, None], bounds, 0.0)
+            target_scores = scores[rows, target]
             scores[known_rows, known] = -np.inf  # filtered: certainly below the band
             scores[rows, target] = target_scores
             scores -= target_scores[:, None]
             bounds = (bounds + bounds) * _BAND_SLACK  # the candidate's and the target's
             greater = np.count_nonzero(scores > bounds, axis=1)
             band = np.abs(scores, out=scores) <= bounds
-        fallback = ~finite  # exact scores of every unfiltered candidate
-        greater[fallback] = 0
-        band[fallback] = True
-        drop = fallback[known_rows]
-        band[known_rows[drop], known[drop]] = False
-        band[fallback, target[fallback]] = True
 
         bi, be = band.nonzero()
         band_scores = exact(bi, be)

@@ -10,7 +10,8 @@ and the others) is the mean of those terms, with a normalizer known before
 any score is: the pairs (margin), the positives (self_adversarial) or the
 scores (bce). A ``*_grads`` function takes it as ``normalizer``, so a
 caller can take the derivatives and terms of one chunk of a batch at a
-time, each bit for bit the whole batch's.
+time, each bit for bit the whole batch's. Empty scores are rejected,
+naming their shape: a mean over no terms is no loss.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ def _unpaired(neg_shape: tuple, pos_shape: tuple) -> ValueError:
     )
 
 
+def _check_nonempty(loss: str, what: str, shape: tuple) -> None:
+    if 0 in shape:
+        raise ValueError(f"the {loss} loss needs at least one score, got {what} of shape {shape}")
+
+
 def margin_loss(pos_scores: np.ndarray, neg_scores: np.ndarray, margin: float) -> float:
     """Mean over (positive, negative) pairs of max(0, margin - s_pos + s_neg).
 
@@ -103,6 +109,7 @@ def margin_loss_grads(
     paired = neg.shape != pos.shape
     if paired and neg.shape[:-1] != pos.shape:
         raise _unpaired(neg.shape, pos.shape)
+    _check_nonempty("margin", "negative scores", neg.shape)
     viol = np.maximum(0.0, margin - (pos[..., None] if paired else pos) + neg, out=out)
     d_neg = np.where(viol > 0, 1.0 / (neg.size if normalizer is None else normalizer), 0.0)
     return (-d_neg.sum(axis=-1) if paired else -d_neg), d_neg
@@ -162,6 +169,7 @@ def self_adversarial_loss_grads(
         neg = neg[:, None]
     if pos.ndim != 1 or neg.ndim != 2 or len(neg) != len(pos):
         raise _unpaired(np.shape(neg_scores), pos.shape)
+    _check_nonempty("self_adversarial", "negative scores", np.shape(neg_scores))
     if weights is not None and np.shape(weights) != np.shape(neg_scores):
         raise ValueError(f"weights of shape {np.shape(weights)} do not match negative scores "
                          f"of shape {np.shape(neg_scores)}")
@@ -199,6 +207,7 @@ def bce_loss_grads(
     labels = np.asarray(labels, dtype=np.float64)
     if labels.shape != x.shape:
         raise ValueError(f"labels of shape {labels.shape} do not match scores of shape {x.shape}")
+    _check_nonempty("bce", "scores", x.shape)
     if labels.size and (labels.min() < 0.0 or labels.max() > 1.0):
         raise ValueError("bce labels must lie in [0, 1]")
     y = _smooth(labels, label_smoothing)

@@ -57,9 +57,10 @@ Candidate scoring (one slot swept over every entity) has two paths.
 
 - ``fast_candidates`` is what ranking uses. Each model has one kernel:
   a GEMM ``q @ E.T`` for DistMult, ComplEx and SimplE; the
-  ||a||^2 + ||e||^2 - 2 a.e GEMM for TransE-L2, TransH and RotatE; for
-  TransR the same GEMM on M_r^T a, with ||M_r e||^2 computed once per
-  relation; and a float32 per-dimension accumulation for TransE-L1.
+  ||a||^2 + ||e||^2 - 2 a.e GEMM for TransE-L2, TransH and RotatE (in
+  both slots: a = R h, or R^T t for a head candidate); for TransR the
+  same GEMM on M_r^T a, with ||M_r e||^2 computed once per relation;
+  and a float32 per-dimension accumulation for TransE-L1.
   With the [B, E] scores it returns a [B, 1] bound: one per query, on
   each score's distance from the float64 value ``score`` returns for
   that triple, ``score``'s own rounding included. The bound is the
@@ -553,15 +554,20 @@ def _sqrt_scores(
     return np.negative(score, out=score), floor * (1.0 + kappa)
 
 
+def _distance_candidates(params, cache, a, query_part, ent_factor: float, width: int):
+    """-||a_b - e|| for every query row and entity, with its bound (TransE-L2 and RotatE)."""
+    ent, max_norm = _entities(params, cache)
+    neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
+    floor = _distance_root_bound(query_part, ent_factor, max_norm, width)
+    return _sqrt_scores(neg_d2, floor, width)
+
+
 def _fast_transe(params, x, r, slot, cache):
     if params.transe_p == 1:
         return _fast_transe_l1(params, x, r, slot, cache)
-    ent, max_norm = _entities(params, cache)
     xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
     a = xe + rr if slot == TAIL else xe - rr
-    neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
-    floor = _distance_root_bound(_norms(xe) + _norms(rr), 1.0, max_norm, params.dim)
-    return _sqrt_scores(neg_d2, floor, params.dim)
+    return _distance_candidates(params, cache, a, _norms(xe) + _norms(rr), 1.0, params.dim)
 
 
 # queries per block of the L1 loop: its [block, E] float32 arrays stay in cache
@@ -636,36 +642,28 @@ def _fast_transr(params, x, r, slot, cache):
 
 
 def _fast_rotate(params, x, r, slot, cache):
-    d = params.dim
-    ent, max_norm = _entities(params, cache)
-    xe = _rows(params.tables["ent"], x)
-    xre, xim = _split(xe, d)
-    theta = _rows(params.tables["rel"], r)
-    cos, sin = np.cos(theta), np.sin(theta)
-    if slot == TAIL:
-        a = np.concatenate([xre * cos - xim * sin, xre * sin + xim * cos], axis=1)
-        neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)))
-        # |rotated h_k| <= |h_re,k| + |h_im,k|, whose norm over both halves is <= 2 ||h||
-        width, floor = 2 * d, _distance_root_bound(2.0 * _norms(xe), 1.0, max_norm, 2 * d)
-    else:
-        # ||rot(e) - t||^2 = sum_k (c_k^2 + s_k^2)(e_re,k^2 + e_im,k^2) - 2 e.rot^T(t) + ||t||^2
-        # holds for the rounded cos/sin too, which need not satisfy c^2 + s^2 = 1
-        def make_terms():
-            ere, eim = _split(ent, d)
-            return np.concatenate([ere * ere + eim * eim, ere, eim, np.ones((len(ent), 1))], axis=1)
+    """-||R h - e|| (tail slot) or -||e - R^T t|| (head slot), both as one distance GEMM.
 
-        lhs = np.concatenate(
-            [
-                -(cos * cos + sin * sin),
-                2.0 * (cos * xre + sin * xim),
-                2.0 * (cos * xim - sin * xre),
-                -(xe * xe).sum(axis=1)[:, None],
-            ],
-            axis=1,
-        )
-        neg_d2 = lhs @ _memo(cache, "rotated_terms", make_terms).T
-        width, floor = 3 * d, _distance_root_bound(_norms(xe), 2.0, max_norm, 3 * d)
-    return _sqrt_scores(neg_d2, floor, width)
+    R rotates by the rounded c = fl(cos theta_r), s = fl(sin theta_r) that
+    ``score`` uses; R^T t takes c and -s. As c^2 + s^2 need not be 1, the head
+    kernel differs from ``score``'s ||R e - t|| in exact arithmetic too:
+
+        ||R e - t||^2 - ||e - R^T t||^2 = sum_k (c_k^2 + s_k^2 - 1)(|e_k|^2 - |t_k|^2)
+
+    with |e_k|^2 = e_re,k^2 + e_im,k^2. As |c^2 + s^2 - 1| <= 3u, that is at most
+    (3/4) u N^2 for the N below, well inside ``_slack(2d)``. A rotated vector's
+    coordinates are at most |x_re,k| + |x_im,k|, so its norm is at most 2 ||x||:
+    N takes query part 2 ||x|| (the rotated query row) and candidate factor 1,
+    or 2 in the head slot, where ``score`` rotates the candidate.
+    """
+    xe = _rows(params.tables["ent"], x)
+    xre, xim = _split(xe, params.dim)
+    theta = _rows(params.tables["rel"], r)
+    cos, sin, ent_factor = np.cos(theta), np.sin(theta), 1.0
+    if slot == HEAD:
+        sin, ent_factor = -sin, 2.0
+    a = np.concatenate([xre * cos - xim * sin, xre * sin + xim * cos], axis=1)
+    return _distance_candidates(params, cache, a, 2.0 * _norms(xe), ent_factor, 2 * params.dim)
 
 
 def _fast_distmult(params, x, r, slot, cache):
@@ -786,14 +784,6 @@ class GradAccumulator:
         return out
 
 
-def _scaled(rows, coef: np.ndarray) -> np.ndarray:
-    """coef * rows per triple; a pair (u, v) of rows stands for the outer product u v^T."""
-    if isinstance(rows, tuple):
-        u, v = rows
-        return (coef[..., None] * u)[..., :, None] * v[..., None, :]
-    return coef[..., None] * rows
-
-
 # ---------------------------------------------------------------------------
 # negative batches in query form
 
@@ -871,8 +861,8 @@ class _Query:
             else:
                 summed = np.einsum("bn,bn...->b...", weights, rows)
             self.acc.add(name, self.positives[used, col], summed[used])
-        if replacing is not None:
-            rows = _scaled(rows[replacing], coef[replacing])
+        if replacing is not None:  # entity rows: never a pair
+            rows = coef[replacing][:, None] * rows[replacing]
             self.acc.add(name, self.replaced[replacing], rows)
 
 

@@ -88,12 +88,28 @@ def optimizer_step(
 ) -> None:
     """Apply one update in place; rows absent from ``grads`` stay untouched.
 
-    Every gradient is checked before any table or slot is written, so a
-    rejected step leaves the whole state as it was.
+    ``grads`` maps a table name to strictly increasing row ids in [0, rows)
+    and one gradient row per id. Every gradient is checked before any table
+    or slot is written, so a rejected step leaves the whole state as it was.
     """
     for name, (ids, g) in grads.items():
         if name not in tables:
             raise KeyError(f"gradient for unknown table {name!r}")
+        table, ids = tables[name], np.asarray(ids)
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"gradient ids of table {name!r} must be integers, got {ids.dtype}")
+        if ids.ndim != 1 or np.shape(g) != ids.shape + table.shape[1:]:
+            raise ValueError(
+                f"gradient of shape {np.shape(g)} with ids of shape {ids.shape} does not fit "
+                f"table {name!r} of shape {table.shape}"
+            )
+        bad = (ids < 0) | (ids >= len(table))
+        bad[1:] |= ids[1:] <= ids[:-1]
+        if bad.any():
+            raise ValueError(
+                f"gradient ids of table {name!r} must increase strictly within "
+                f"[0, {len(table)}), got {int(ids[bad.argmax()])}"
+            )
         if not np.isfinite(g).all():
             bad = ids[np.argwhere(~np.isfinite(g).reshape(len(ids), -1).all(axis=1))[0][0]]
             raise NonFiniteGradientError(

@@ -370,6 +370,37 @@ def test_missing_optimizer_slots_rejected(tmp_path):
         load_checkpoint(str(tmp_path))
 
 
+def adam_checkpoint(path):
+    """A saved distmult checkpoint (6 entities, d 4) with adam slots; returns its meta path."""
+    params = init_params("distmult", 6, 2, 4, seed=0)
+    config = TrainConfig(model="distmult", dim=4, optimizer="adam")
+    ckpt = Checkpoint(params=params, opt_state=init_optimizer("adam", params.tables), epoch=1,
+                      best_metric=0.5, config=config, history=[])
+    save_checkpoint(ckpt, str(path))
+    return path / "meta"
+
+
+def test_a_meta_shape_that_disagrees_with_its_file_header_names_the_file(tmp_path):
+    """6x4 stored, 12x2 in meta: the same number of values, but not the file's shape."""
+    meta = adam_checkpoint(tmp_path)
+    meta.write_text(meta.read_text().replace("opt.ent.m: 6x4 ", "opt.ent.m: 12x2 "))
+    with pytest.raises(CheckpointError, match=r"opt__ent__m\.bin holds 6x4 values, meta says 12x2"):
+        load_checkpoint(str(tmp_path))
+
+
+def test_an_optimizer_slot_of_another_shape_than_its_table_names_the_meta_key(tmp_path):
+    """A 12x2 slot file with a matching header, hash and meta line, for a 6x4 table."""
+    from kgembed.checkpoint import _write_table
+
+    meta = adam_checkpoint(tmp_path)
+    sha = _write_table(str(tmp_path / "opt__ent__m.bin"), np.zeros((12, 2), dtype=np.float32))
+    lines = [f"opt.ent.m: 12x2 {sha}" if l.startswith("opt.ent.m:") else l
+             for l in meta.read_text().splitlines()]
+    meta.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=r"meta opt\.ent\.m: shape 12x2, its table needs 6x4"):
+        load_checkpoint(str(tmp_path))
+
+
 # --- resume ------------------------------------------------------------------
 
 

@@ -330,6 +330,50 @@ def test_fast_scores_within_bound(model, dim, n_entities, log_scale, sparsity, s
             assert np.all(np.abs(fast[:, e] - score(params, probe)) <= bounds[:, 0]), (slot, e)
 
 
+def off_circle_phases(n):
+    """The n float32 phases of a seeded scan whose float64 cos c and sin s put c^2 + s^2
+    farthest from 1, measured exactly."""
+    from fractions import Fraction
+
+    theta = np.random.default_rng(22).uniform(-np.pi, np.pi, 4096).astype(np.float32)
+    c, s = np.cos(theta.astype(np.float64)), np.sin(theta.astype(np.float64))
+    off = [abs(Fraction(x) ** 2 + Fraction(y) ** 2 - 1) for x, y in zip(c.tolist(), s.tolist())]
+    return theta[np.argsort(off)[-n:]]
+
+
+@pytest.mark.parametrize(
+    "odd_scale", [1e-4, 1e4], ids=["candidates-far-larger", "candidates-far-smaller"]
+)
+def test_rotate_bound_holds_where_cos_and_sin_leave_the_unit_circle(odd_scale):
+    """The head slot ranks by ||e - R^T t||, which differs from ``score``'s ||R e - t|| by
+    sum_k (c_k^2 + s_k^2 - 1)(|e_k|^2 - |t_k|^2): largest with these phases and with entity
+    norms far from the query entity's. Entities 0 and 1 are scaled by ``odd_scale``."""
+    kg = band_kg()
+    params = init_params("rotate", kg.n_entities, kg.n_relations, 8, seed=3)
+    params.tables["rel"][...] = off_circle_phases(params.tables["rel"].size).reshape(-1, 8)
+    params.tables["ent"][:2] *= np.float32(odd_scale)
+    queries = np.array([[0, 0, 1], [1, 1, 0], [0, 1, 5], [7, 0, 1], [3, 0, 0], [6, 1, 9]])
+    for slot in (HEAD, TAIL):
+        fast, bounds = CKGEScorer(params).fast_candidates(queries, slot)
+        for e in range(kg.n_entities):
+            probe = queries.copy()
+            probe[:, 0 if slot == HEAD else 2] = e
+            assert np.all(np.abs(fast[:, e] - score(params, probe)) <= bounds[:, 0]), (slot, e)
+    assert_matches_oracle(params, kg, queries)
+
+
+def test_rotate_ranks_both_slots_from_one_cached_distance_gemm():
+    """Both slots read the one [e, 1, ||e||^2] entity array that TransE-L2 uses."""
+    from kgembed import models
+
+    params = init_params("rotate", 12, 2, 4, seed=0)
+    cache = {}
+    for slot in (HEAD, TAIL):
+        models.fast_candidates(params, BAND_QUERIES, slot, cache)
+        assert sorted(map(str, cache)) == ["ent", "terms"], slot
+    assert cache["terms"].shape == (12, 2 * 4 + 2)
+
+
 @pytest.mark.parametrize("model,p", BAND_MODELS + [("rgcn", 1)])
 def test_fast_candidates_return_one_bound_per_query(model, p):
     kg = band_kg()

@@ -106,3 +106,30 @@ def test_models_reads_negatives_in_their_sampled_form():
         if isinstance(node, ast.Attribute) and node.attr == "negatives"
     ]
     assert not found, found
+
+
+def test_code_lines_leave_out_blank_lines_comments_and_docstrings():
+    """CI's code-size report (``tools/code_lines.py``) counts the lines that hold code."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "code_lines.py")
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = '''"""Module
+docstring."""
+
+import numpy  # a comment
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        text = """a string
+        that is code"""
+        return text
+'''
+    assert code_lines.code_lines(source) == 6

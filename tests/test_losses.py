@@ -197,6 +197,26 @@ def test_pinned_weights_of_another_shape_are_rejected(fn):
         fn(np.zeros(2), np.zeros((2, 1)), 1.0, 1.0, weights=np.full((2, 3), 1 / 3))
 
 
+@pytest.mark.parametrize(
+    "fn, args, named",
+    [
+        (margin_loss, (np.zeros(0), np.zeros(0), 1.0), "margin.*negative scores of shape (0,)"),
+        (margin_loss_grads, (np.zeros(2), np.zeros((2, 0)), 1.0), "margin.*shape (2, 0)"),
+        (self_adversarial_loss, (np.zeros(0), np.zeros(0), 1.0, 1.0), "adversarial.*shape (0,)"),
+        (self_adversarial_loss, (np.zeros(2), np.zeros((2, 0)), 1.0, 1.0), "shape (2, 0)"),
+        (self_adversarial_loss_grads, (np.zeros(0), np.zeros((0, 3)), 1.0, 1.0), "shape (0, 3)"),
+        (bce_loss, (np.zeros(0), np.zeros(0)), "bce.*scores of shape (0,)"),
+        (bce_loss_grads, (np.zeros((4, 0)), np.zeros((4, 0))), "bce.*shape (4, 0)"),
+    ],
+    ids=["margin", "margin-no-negatives", "adv", "adv-no-negatives", "adv-no-positives", "bce",
+         "bce-no-columns"],
+)
+def test_empty_scores_are_rejected_naming_their_shape(fn, args, named):
+    """A mean over no terms is no loss: no ZeroDivisionError, nan or failure inside numpy."""
+    with pytest.raises(ValueError, match=named.replace("(", r"\(").replace(")", r"\)") + "$"):
+        fn(*args)
+
+
 def test_pinned_weights_of_one_negative_per_positive_take_its_shape():
     """[B] negatives pin [B] weights, as the [B, 1] form does."""
     pos, neg, w = np.array([0.3, -1.2]), np.array([0.5, 2.0]), np.array([1.0, 0.25])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,55 @@ def test_rejected_step_leaves_every_table_and_slot_unchanged(kind, bad):
     with pytest.raises(error):
         optimizer_step(state, tables, grads, lr=0.1)
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([1, 1], "got 1"),  # a repeated row would be updated once, by its last gradient
+        ([2, 1], "got 1"),
+        ([-1], "got -1"),  # would update the last row
+        ([0, 5], "got 5"),
+    ],
+    ids=["repeated", "decreasing", "negative", "past-the-end"],
+)
+def test_ids_that_do_not_increase_strictly_within_the_table_are_rejected(kind, ids, message):
+    tables = {"a": np.ones((3, 2), dtype=np.float32), "w": np.ones((3, 2), dtype=np.float32)}
+    state = init_optimizer(kind, tables)
+    before = state.copy()
+    grads = {"a": (np.array([0]), np.ones((1, 2))),
+             "w": (np.array(ids), np.arange(2.0 * len(ids)).reshape(-1, 2))}
+    bad = rf"ids of table 'w' must increase strictly within \[0, 3\), {message}$"
+    with pytest.raises(ValueError, match=bad):
+        optimizer_step(state, tables, grads, lr=1.0)
+    assert (tables["a"] == 1).all() and (tables["w"] == 1).all()
+    for name, slots in state.slots.items():
+        for slot, arr in slots.items():
+            assert arr.tobytes() == before.slots[name][slot].tobytes(), (name, slot)
+
+
+def test_ids_that_are_not_integers_are_rejected_before_any_table_is_written():
+    tables = {"a": np.ones((3, 2), dtype=np.float32), "b": np.ones((3, 2), dtype=np.float32)}
+    state = init_optimizer("sgd", tables)
+    grads = {"a": (np.array([0]), np.ones((1, 2))), "b": (np.array([1.0]), np.ones((1, 2)))}
+    with pytest.raises(ValueError, match="ids of table 'b' must be integers, got float64"):
+        optimizer_step(state, tables, grads, lr=1.0)
+    assert (tables["a"] == 1).all()
+
+
+@pytest.mark.parametrize(
+    "ids, g",
+    [([0, 1], np.ones((3, 2))), ([0, 1], np.ones((2, 3))), ([[0, 1]], np.ones((1, 2, 2)))],
+    ids=["rows", "columns", "2-d-ids"],
+)
+def test_gradient_rows_of_another_shape_are_rejected_naming_both_shapes(ids, g):
+    tables = {"w": np.ones((3, 2), dtype=np.float32)}
+    state = init_optimizer("adagrad", tables)
+    shapes = f"gradient of shape {g.shape} with ids of shape {np.shape(ids)} does not fit"
+    with pytest.raises(ValueError, match=re.escape(shapes + " table 'w' of shape (3, 2)")):
+        optimizer_step(state, tables, {"w": (np.array(ids), g)}, lr=0.1)
+    assert (tables["w"] == 1).all() and not state.slots["w"]["accum"].any()
 
 
 def test_adam_lazy_bias_correction_per_row():
