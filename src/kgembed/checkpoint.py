@@ -9,6 +9,13 @@ The sha256 of every binary file is recorded in meta and checked on load,
 so a corrupted table fails loudly instead of resuming from garbage. meta
 itself is not hashed: only its ``config.*`` lines are guarded, by
 ``config_hash``; a repeated key is rejected.
+
+A fresh run and a loaded checkpoint get their state from one constructor,
+:func:`init_state`. Loading validates meta's config, builds that config's
+state for meta's vocab counts, and fills it in place: meta must list
+exactly the state's parameter tables and optimizer slots, each with the
+shape the config gives it, and an RGCN's layer activations as they are
+built.
 """
 
 from __future__ import annotations
@@ -20,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gnn, models
 from .config import ConfigError, TrainConfig, config_hash, parse_field, serialize_value
 from .data import read_text
-from .gnn import RGCNLayerParams, RGCNModel, param_tables
+from .gnn import RGCNModel, param_tables
 from .models import ModelParams
 from .optim import OptimizerState, init_optimizer
 
 MAGIC = b"KGT1"
 FORMAT_VERSION = 1
+_VOCAB = ("vocab.n_entities", "vocab.n_relations")
 
 
 class CheckpointError(ValueError):
@@ -81,7 +90,23 @@ def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
     data = np.frombuffer(blob[16:], dtype="<f4")
     if data.size != rows * cols:
         raise CheckpointError(f"table size mismatch in {os.path.basename(path)}")
-    return data.reshape(shape).astype(np.float32)
+    return data.reshape(shape)  # read-only: the loader copies it into its state
+
+
+def init_state(
+    config: TrainConfig, n_entities: int, n_relations: int
+) -> tuple[ModelParams | RGCNModel, OptimizerState]:
+    """The config's parameters and optimizer state: a fresh run's, drawn from ``config.seed``."""
+    if config.model == "rgcn":
+        params = gnn.init_rgcn(n_entities, n_relations, config.dim, config.n_bases, config.n_layers,
+                               seed=config.seed)
+    else:
+        params = models.init_params(config.model, n_entities, n_relations, config.dim,
+                                    seed=config.seed)
+        params.transe_p = config.transe_p
+    opt = init_optimizer(config.optimizer, param_tables(params), config.adam_beta1,
+                         config.adam_beta2, config.adam_eps)
+    return params, opt
 
 
 def checkpoint_path(directory: str) -> str:
@@ -160,7 +185,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         if key in meta:
             raise CheckpointError(f"meta:{lineno}: duplicate key {key!r}")
         meta[key] = value
-    for req in ("format", "epoch", "best_metric", "config_hash", "optimizer"):
+    for req in ("format", "epoch", "best_metric", "config_hash", "optimizer") + _VOCAB:
         if req not in meta:
             raise CheckpointError(f"meta missing key {req!r}")
     if meta["format"] != str(FORMAT_VERSION):
@@ -178,79 +203,39 @@ def load_checkpoint(directory: str) -> Checkpoint:
     if config_hash(config) != meta["config_hash"]:
         raise CheckpointError("config hash does not match the stored config")
 
-    tables: dict[str, np.ndarray] = {}
-    for key, value in meta.items():
-        if key.startswith("table."):
-            name = key[len("table."):]
-            shape, sha = _parse_shape_sha(value)
-            tables[name] = _read_table(
-                os.path.join(directory, f"param__{name}.bin"), shape, sha
+    n_entities, n_relations = (_meta_number(k, meta[k], int) for k in _VOCAB)
+    try:
+        config.validate()
+        params, opt = init_state(config, n_entities, n_relations)
+    except ValueError as e:
+        raise CheckpointError(f"meta: {e}") from None
+    if meta["optimizer"] != opt.kind:
+        raise CheckpointError(f"meta optimizer: {meta['optimizer']!r}, its config has {opt.kind!r}")
+    params.version = _meta_number("params_version", meta.get("params_version", "0"), int)
+
+    # meta key -> (file, the state's array that the file fills)
+    arrays = {f"table.{n}": (f"param__{n}.bin", a) for n, a in param_tables(params).items()}
+    for t, slots in opt.slots.items():
+        arrays.update({f"opt.{t}.{s}": (f"opt__{t}__{s}.bin", a) for s, a in slots.items()})
+    listed = {key for key in meta if key.startswith(("table.", "opt."))}
+    if listed != arrays.keys():
+        raise CheckpointError(
+            f"meta's arrays are incomplete or unexpected for its config: missing "
+            f"{sorted(arrays.keys() - listed)}, unexpected {sorted(listed - arrays.keys())}"
+        )
+    for key, (name, want) in arrays.items():
+        shape, sha = _parse_shape_sha(meta[key])
+        data = _read_table(os.path.join(directory, name), shape, sha)
+        if shape != want.shape:
+            raise CheckpointError(
+                f"meta {key}: shape {_shape_str(shape)}, its table needs {_shape_str(want.shape)} "
+                f"(vocab.n_entities {n_entities}, vocab.n_relations {n_relations})"
             )
-    if not tables:
-        raise CheckpointError("checkpoint has no parameter tables")
-
-    params: ModelParams | RGCNModel
-    version = _meta_number("params_version", meta.get("params_version", "0"), int)
-    if config.model == "rgcn":
-        acts = meta.get("rgcn.activations", "").split(",")
-        layers = []
-        for i in range(config.n_layers):
-            try:
-                layers.append(
-                    RGCNLayerParams(
-                        basis=tables[f"layer{i}.basis"],
-                        coeff=tables[f"layer{i}.coeff"],
-                        self_weight=tables[f"layer{i}.self"],
-                        activation=acts[i],
-                    )
-                )
-            except (KeyError, IndexError):
-                raise CheckpointError(f"missing rgcn layer {i} tables") from None
-        params = RGCNModel(
-            entity_emb=tables["entity_emb"],
-            layers=layers,
-            rel_emb=tables["rel_emb"],
-            version=version,
-        )
-    else:
-        params = ModelParams(
-            model=config.model,
-            dim=config.dim,
-            tables=tables,
-            transe_p=config.transe_p,
-            version=version,
-        )
-
-    for key, have in (("vocab.n_entities", params.n_entities), ("vocab.n_relations", params.n_relations)):
-        if key in meta and _meta_number(key, meta[key], int) != have:
-            raise CheckpointError(f"{key} is {meta[key]} but tables imply {have}")
-
-    opt = init_optimizer(
-        meta["optimizer"],
-        param_tables(params),
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_eps,
-    )
-    provided: set[tuple[str, str]] = set()
-    for key, value in meta.items():
-        if key.startswith("opt."):
-            tname, _, sname = key[len("opt."):].rpartition(".")
-            shape, sha = _parse_shape_sha(value)
-            if tname not in opt.slots or sname not in opt.slots[tname]:
-                raise CheckpointError(f"unexpected optimizer slot {key!r}")
-            arr = _read_table(os.path.join(directory, f"opt__{tname}__{sname}.bin"), shape, sha)
-            want = opt.slots[tname][sname].shape
-            if shape != want:
-                raise CheckpointError(
-                    f"meta {key}: shape {_shape_str(shape)}, its table needs {_shape_str(want)}"
-                )
-            opt.slots[tname][sname] = arr
-            provided.add((tname, sname))
-    expected = {(t, s) for t, slots in opt.slots.items() for s in slots}
-    if provided != expected:
-        missing = sorted(expected - provided)
-        raise CheckpointError(f"optimizer state incomplete, missing {missing[:3]!r}")
+        want[...] = data
+    acts = ",".join(layer.activation for layer in getattr(params, "layers", ()))
+    if meta.get("rgcn.activations", "") != acts:
+        got = meta.get("rgcn.activations")
+        raise CheckpointError(f"meta rgcn.activations: {got!r}, its config builds {acts!r}")
 
     history = []
     for item in meta.get("history", "").split(";"):

@@ -72,6 +72,9 @@ class TrainConfig:
             (self.dim >= 1, "dim", ">= 1"),
             (self.lr > 0, "lr", "> 0"),
             (self.optimizer in OPTIMIZER_KINDS, "optimizer", f"one of {OPTIMIZER_KINDS}"),
+            (0 <= self.adam_beta1 < 1, "adam_beta1", "in [0, 1)"),
+            (0 <= self.adam_beta2 < 1, "adam_beta2", "in [0, 1)"),
+            (self.adam_eps > 0, "adam_eps", "> 0"),
             (self.loss in LOSS_KINDS, "loss", f"one of {LOSS_KINDS}"),
             (self.margin >= 0, "margin", ">= 0"),
             (self.adv_temperature > 0, "adv_temperature", "> 0"),

@@ -32,7 +32,9 @@ non-finite fast score or bound takes zero scores and a zero bound, so
 every unfiltered candidate ties its target and falls in the band: the
 query ranks from exact scores of all its candidates. A scorer that has
 only ``score_candidates(queries, slot)``, an exact [B, E] matrix, takes
-the same path with bound zero.
+the same path with bound zero. A NaN exact score of an unfiltered
+candidate or of the target has no rank: it raises ``ValueError`` naming
+the query's row and triple. Infinite scores rank as any others.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def ranks_for_queries(
     col = 2 if slot == TAIL else 0
     cache: dict = {}
 
-    def run_chunk(chunk: np.ndarray) -> np.ndarray:
+    def run_chunk(lo: int) -> np.ndarray:
+        chunk = queries[lo : lo + _CHUNK_QUERIES]
         n = len(chunk)
         rows = np.arange(n)
         target = chunk[:, col]
@@ -135,16 +138,20 @@ def ranks_for_queries(
         bi, be = band.nonzero()
         band_scores = exact(bi, be)
         exact_targets = exact(rows, target)[bi]
+        nan = bi[np.isnan(band_scores) | np.isnan(exact_targets)]  # NaN is neither above nor equal
+        if len(nan):
+            i = nan[0]
+            raise ValueError(f"query row {lo + i} {tuple(chunk[i].tolist())}: NaN exact score")
         greater += np.bincount(bi[band_scores > exact_targets], minlength=n)
         equal = np.bincount(bi[band_scores == exact_targets], minlength=n)
         return 1 + greater + equal // 2
 
-    chunks = [queries[lo : lo + _CHUNK_QUERIES] for lo in range(0, len(queries), _CHUNK_QUERIES)]
-    if threads > 1 and len(chunks) > 1:
+    starts = range(0, len(queries), _CHUNK_QUERIES)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
+            parts = list(pool.map(run_chunk, starts))
     else:
-        parts = [run_chunk(c) for c in chunks]
+        parts = [run_chunk(lo) for lo in starts]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 

@@ -112,6 +112,8 @@ def init_rgcn(
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not 1 <= n_bases <= n_relations:
         raise ValueError(f"n_bases must be in [1, n_relations], got {n_bases}")
+    if n_layers < 1:
+        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, rules
-from .checkpoint import Checkpoint, CheckpointError, checkpoint_path, load_checkpoint, save_checkpoint
+from .checkpoint import (Checkpoint, CheckpointError, checkpoint_path, init_state, load_checkpoint,
+                         save_checkpoint)
 from .config import ConfigError, TrainConfig, config_hash
 from .data import TAIL, Groundings, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
-from .gnn import RGCNModel, RGCNScorer, init_rgcn, param_tables, rgcn_loss_and_grad
+from .gnn import RGCNModel, RGCNScorer, rgcn_loss_and_grad
 from .losses import LossSpec
-from .optim import NonFiniteGradientError, init_optimizer, optimizer_step
+from .optim import NonFiniteGradientError, optimizer_step
 from .sampling import (
     LabeledBatch,
     bern_negatives,
@@ -148,28 +149,7 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
             best_metric = max(m for _, m in history)
         _drop_log_after(os.path.join(run_dir, "train.log"), start_epoch)
     else:
-        if config.model == "rgcn":
-            params = init_rgcn(
-                kg.n_entities,
-                kg.n_relations,
-                dim=config.dim,
-                n_bases=config.n_bases,
-                n_layers=config.n_layers,
-                seed=config.seed,
-            )
-        else:
-            params = models.init_params(
-                config.model, kg.n_entities, kg.n_relations, config.dim, seed=config.seed
-            )
-            if config.model == "transe":
-                params.transe_p = config.transe_p
-        opt = init_optimizer(
-            config.optimizer,
-            param_tables(params),
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            eps=config.adam_eps,
-        )
+        params, opt = init_state(config, kg.n_entities, kg.n_relations)
         best_ckpt = None
 
     bern = bernoulli_table(kg) if config.sampler == "bern" else None
@@ -273,14 +253,17 @@ def _drop_log_after(path: str, epoch: int) -> None:
     os.truncate(path, keep)
 
 
-def _step(config, opt, tables, grads, epoch: int, batch: int) -> None:
-    """One optimizer update; a non-finite gradient also names the epoch, batch and model."""
+def _step(config, opt, tables, grads, loss: float, epoch: int, batch: int) -> None:
+    """One optimizer update; a non-finite gradient or loss stops the run, naming the epoch,
+    batch and model. The loss is checked after the step: a loss may drop a non-finite pair
+    (a zero margin coefficient) whose gradient rows stay finite."""
+    where = f"epoch {epoch}, batch {batch}, model {config.model}"
     try:
         optimizer_step(opt, tables, grads, config.lr)
     except NonFiniteGradientError as err:
-        raise NonFiniteGradientError(
-            f"epoch {epoch}, batch {batch}, model {config.model}: {err}"
-        ) from err
+        raise NonFiniteGradientError(f"{where}: {err}") from err
+    if not math.isfinite(loss):
+        raise ValueError(f"{where}: non-finite training loss {loss!r}")
 
 
 def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float:
@@ -313,7 +296,7 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
         else:
             loss, grads = models.grad(params, batch, spec)
 
-        _step(config, opt, params.tables, grads, epoch, bi)
+        _step(config, opt, params.tables, grads, loss, epoch, bi)
         del batch, grads  # freed before the next step draws its own
         params.version += 1
         models.renormalize_normals(params)
@@ -340,7 +323,7 @@ def _rgcn_epoch(config, kg, params, opt, spec, epoch) -> float:
         else:
             msg_graph = None
         loss, grads = rgcn_loss_and_grad(params, graph, msg_graph, spec)
-        _step(config, opt, params.tables(), grads, epoch, bi)
+        _step(config, opt, params.tables(), grads, loss, epoch, bi)
         params.version += 1
         total += loss
         batches += 1

@@ -10,9 +10,9 @@ from kgembed.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from kgembed.config import TrainConfig
+from kgembed.config import TrainConfig, config_hash
 from kgembed.data import DataFormatError
-from kgembed.gnn import init_rgcn
+from kgembed.gnn import init_rgcn, param_tables
 from kgembed.models import init_params
 from kgembed.optim import init_optimizer
 from kgembed.train import train
@@ -398,6 +398,107 @@ def test_an_optimizer_slot_of_another_shape_than_its_table_names_the_meta_key(tm
              for l in meta.read_text().splitlines()]
     meta.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match=r"meta opt\.ent\.m: shape 12x2, its table needs 6x4"):
+        load_checkpoint(str(tmp_path))
+
+
+def set_meta(directory, key, value):
+    """Replace meta ``key``'s line with ``value``, or drop it for None."""
+    meta = directory / "meta"
+    lines = [l for l in meta.read_text().splitlines() if not l.startswith(f"{key}: ")]
+    meta.write_text("\n".join(lines + ([f"{key}: {value}"] if value is not None else [])) + "\n")
+
+
+def put_array(directory, key, arr):
+    """Write ``arr`` as meta ``key``'s file, with a meta line matching its header and hash."""
+    from kgembed.checkpoint import _write_table
+
+    kind, _, name = key.partition(".")
+    fname = f"param__{name}.bin" if kind == "table" else "opt__{}__{}.bin".format(*name.rsplit(".", 1))
+    sha = _write_table(str(directory / fname), arr)
+    set_meta(directory, key, f"{'x'.join(map(str, arr.shape))} {sha}")
+
+
+def zeros(*shape):
+    return np.zeros(shape, dtype=np.float32)
+
+
+def wider_rel(d):
+    for key in ("table.rel", "opt.rel.m", "opt.rel.v"):
+        put_array(d, key, zeros(2, 5))
+
+
+def invalid_lr(d):
+    config = TrainConfig(model="distmult", dim=4, optimizer="sgd", lr=-0.5)
+    set_meta(d, "config.lr", "-0.5")
+    set_meta(d, "config_hash", config_hash(config))
+
+
+SGD_DISTMULT = TrainConfig(model="distmult", dim=4, optimizer="sgd")
+SGD_RGCN = TrainConfig(model="rgcn", dim=4, n_bases=2, optimizer="sgd")
+
+# (config, its parameters as saved, an edit of the saved directory, the load error)
+FOREIGN_STATE = {
+    "table_of_another_dim": (
+        TrainConfig(model="distmult", dim=4),
+        lambda: init_params("distmult", 6, 2, 4, seed=0),
+        wider_rel,
+        r"^meta table\.rel: shape 2x5, its table needs 2x4 "
+        r"\(vocab\.n_entities 6, vocab\.n_relations 2\)$",
+    ),
+    "extra_table": (
+        SGD_DISTMULT,
+        lambda: init_params("distmult", 6, 2, 4, seed=0),
+        lambda d: put_array(d, "table.foo", zeros(3, 4)),
+        r"for its config: missing \[\], unexpected \['table\.foo'\]$",
+    ),
+    "transh_without_normals": (
+        TrainConfig(model="transh", dim=4, optimizer="sgd"),
+        lambda: init_params("transh", 6, 2, 4, seed=0),
+        lambda d: set_meta(d, "table.norm", None),
+        r"for its config: missing \['table\.norm'\], unexpected \[\]$",
+    ),
+    "rgcn_layer_past_n_layers": (
+        SGD_RGCN,
+        lambda: init_rgcn(8, 3, dim=4, n_bases=2, n_layers=3, seed=1),
+        lambda d: None,
+        r"unexpected \['table\.layer2\.basis', 'table\.layer2\.coeff', 'table\.layer2\.self'\]$",
+    ),
+    "rgcn_basis_past_n_bases": (
+        SGD_RGCN,
+        lambda: init_rgcn(8, 3, dim=4, n_bases=2, seed=1),
+        lambda d: put_array(d, "table.layer0.basis", zeros(3, 4, 4)),
+        r"^meta table\.layer0\.basis: shape 3x4x4, its table needs 2x4x4 ",
+    ),
+    "rgcn_activations": (
+        SGD_RGCN,
+        lambda: init_rgcn(8, 3, dim=4, n_bases=2, seed=1),
+        lambda d: set_meta(d, "rgcn.activations", "relu,relu"),
+        r"^meta rgcn\.activations: 'relu,relu', its config builds 'relu,identity'$",
+    ),
+    "optimizer_of_another_kind": (
+        TrainConfig(model="distmult", dim=4),
+        lambda: init_params("distmult", 6, 2, 4, seed=0),
+        lambda d: set_meta(d, "optimizer", "adagrad"),
+        r"^meta optimizer: 'adagrad', its config has 'adam'$",
+    ),
+    "invalid_config": (
+        SGD_DISTMULT,
+        lambda: init_params("distmult", 6, 2, 4, seed=0),
+        invalid_lr,
+        r"^meta: config field 'lr' must be > 0, got -0\.5$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FOREIGN_STATE))
+def test_a_checkpoint_must_fill_exactly_its_configs_state(tmp_path, case):
+    """Every case has consistent files, headers and hashes; only the config's state rejects it."""
+    config, make_params, edit, message = FOREIGN_STATE[case]
+    params = make_params()
+    state = init_optimizer(config.optimizer, param_tables(params))
+    save_checkpoint(Checkpoint(params, state, 1, 0.5, config, []), str(tmp_path))
+    edit(tmp_path)
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(str(tmp_path))
 
 

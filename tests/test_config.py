@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from kgembed.config import (
@@ -107,6 +109,25 @@ def test_validation_names_field():
         TrainConfig(limit_val_batches=1.5).validate()
     with pytest.raises(ConfigError, match="'sampler'"):
         TrainConfig(sampler="lol").validate()
+
+
+@pytest.mark.parametrize(
+    "field, bad, expect",
+    [
+        ("adam_beta1", 1.0, "in [0, 1)"),
+        ("adam_beta1", -0.1, "in [0, 1)"),
+        ("adam_beta2", 1.0, "in [0, 1)"),
+        ("adam_beta2", float("nan"), "in [0, 1)"),
+        ("adam_eps", 0.0, "> 0"),
+        ("adam_eps", -1e-8, "> 0"),
+    ],
+)
+def test_adam_settings_outside_their_range_name_the_field(field, bad, expect):
+    """beta 1 divides Adam's bias correction by zero; eps 0 divides by a zero second moment."""
+    message = f"config field '{field}' must be {expect}, got {bad!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        TrainConfig(**{field: bad}).validate()
+    TrainConfig(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-12).validate()
 
 
 @pytest.mark.parametrize("sampler", ["bern", "all"])

@@ -468,6 +468,29 @@ def test_rows_holding_both_infinities_rank_without_warnings():
     assert ranks.tolist() == [2, 3]
 
 
+def test_all_nan_tables_do_not_rank_every_target_first():
+    """A NaN target would rank 1: nothing is above it or equal to it."""
+    _, kg = make_kg([("a", "r", "b"), ("c", "r", "d"), ("a", "r", "c")])
+    params = init_params("distmult", kg.n_entities, kg.n_relations, 4, seed=0)
+    for table in params.tables.values():
+        table[...] = np.nan
+    with pytest.raises(ValueError, match=r"^query row 0 \(0, 0, 1\): NaN exact score$"):
+        evaluate(CKGEScorer(params), kg, "train", build_filter_sets(kg))
+
+
+@pytest.mark.parametrize("slot", [HEAD, TAIL])
+def test_a_nan_candidate_names_its_query_row_and_triple(monkeypatch, slot):
+    """Relation 1 is NaN: query row 2 is the first to score it, in the second chunk of two."""
+    import importlib
+
+    _, kg = make_kg([("a", "r", "b"), ("c", "r", "d"), ("a", "s", "c"), ("b", "s", "d")])
+    params = init_params("distmult", kg.n_entities, kg.n_relations, 4, seed=0)
+    params.tables["rel"][1] = np.nan
+    monkeypatch.setattr(importlib.import_module("kgembed.evaluate"), "_CHUNK_QUERIES", 2)
+    with pytest.raises(ValueError, match=r"^query row 2 \(0, 1, 2\): NaN exact score$"):
+        ranks_for_queries(CKGEScorer(params), kg.train, slot, build_filter_sets(kg))
+
+
 def test_non_finite_fast_scores_fall_back_to_exact():
     # float32 L1 accumulation overflows where float64 score() does not
     kg = band_kg()

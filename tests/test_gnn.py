@@ -159,6 +159,12 @@ def test_a_relation_id_outside_the_layers_names_its_edge(bad):
         rgcn_forward(model.layers, graph, np.zeros((4, 4)))
 
 
+def test_init_rgcn_rejects_no_layers():
+    """Zero layers would build a model whose forward fails on a bare index."""
+    with pytest.raises(ValueError, match=r"^n_layers must be >= 1, got 0$"):
+        init_rgcn(4, 3, dim=4, n_bases=2, n_layers=0, seed=0)
+
+
 def test_layer_param_validation():
     with pytest.raises(ValueError, match="n_bases"):
         RGCNLayerParams(

@@ -133,3 +133,14 @@ class A:
         return text
 '''
     assert code_lines.code_lines(source) == 6
+
+
+def test_code_lines_without_paths_prints_its_usage_and_exits_2():
+    """A report over no files would read 0 lines and pass for a count."""
+    import subprocess
+    import sys
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "code_lines.py")
+    run = subprocess.run([sys.executable, path], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == "" and run.stderr.startswith("usage: ")

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import kgembed.gnn
 import kgembed.models
 import kgembed.rules
 from kgembed.checkpoint import CheckpointError
@@ -348,7 +349,7 @@ def nan_relation_row(model):
             tiny_config(model="transe", loss="self_adversarial", batch_size=4, max_epochs=1),
         ),
         (
-            train_module,
+            kgembed.gnn,
             "init_rgcn",
             nan_relation_row,
             TrainConfig(model="rgcn", dim=4, n_bases=2, loss="bce", n_neg=2, max_epochs=1, seed=0),
@@ -373,6 +374,24 @@ def test_non_finite_gradient_names_epoch_batch_and_model(
         train(cfg, kg)
     pattern = rf"epoch 1, batch 0, model {cfg.model}: non-finite gradient in table '[\w.]+' at row \d+"
     assert re.fullmatch(pattern, str(err.value)), str(err.value)
+
+
+def test_non_finite_loss_names_epoch_batch_and_model(monkeypatch, toy_kg):
+    """A margin pair holding a NaN gets a zero coefficient, so its gradient rows stay finite."""
+    _, kg = toy_kg
+    init = kgembed.models.init_params
+
+    def planted(*args, **kwargs):
+        made = init(*args, **kwargs)
+        nan_entity_row(made)
+        return made
+
+    monkeypatch.setattr(kgembed.models, "init_params", planted)
+    cfg = tiny_config(model="transe", loss="margin", batch_size=len(kg.train), max_epochs=1)
+    with pytest.raises(ValueError) as err:
+        train(cfg, kg)
+    assert not isinstance(err.value, NonFiniteGradientError)
+    assert str(err.value) == "epoch 1, batch 0, model transe: non-finite training loss nan"
 
 
 # --- rule injection ---------------------------------------------------------

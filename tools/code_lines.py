@@ -45,4 +45,7 @@ def main(paths: list[str]) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.stderr.write("usage: python3 tools/code_lines.py FILE.py [FILE.py ...]\n")
+        sys.exit(2)
     main(sys.argv[1:])
