@@ -183,22 +183,23 @@ def init_params(model: str, n_entities: int, n_relations: int, dim: int, seed) -
     return ModelParams(model=model, dim=dim, tables=tables)
 
 
+def _unit_rows(t: np.ndarray) -> None:
+    """Divide each row of ``t`` in place by its float64 L2 norm (floored at 1e-12)."""
+    norms = np.linalg.norm(t.astype(np.float64), axis=1, keepdims=True)
+    np.divide(t, np.maximum(norms, 1e-12), out=t, casting="unsafe")
+
+
 def renormalize_entities(params: ModelParams) -> None:
     """Project entity rows onto the unit L2 sphere (epoch-start constraint)."""
     for name in _ENTITY_TABLES:
         if name in params.tables:
-            t = params.tables[name]
-            norms = np.linalg.norm(t.astype(np.float64), axis=1, keepdims=True)
-            np.divide(t, np.maximum(norms, 1e-12), out=t, casting="unsafe")
+            _unit_rows(params.tables[name])
 
 
 def renormalize_normals(params: ModelParams) -> None:
     """Re-unit the transh hyperplane normals (after each optimizer step)."""
-    if params.model != "transh":
-        return
-    t = params.tables["norm"]
-    norms = np.linalg.norm(t.astype(np.float64), axis=1, keepdims=True)
-    np.divide(t, np.maximum(norms, 1e-12), out=t, casting="unsafe")
+    if params.model == "transh":
+        _unit_rows(params.tables["norm"])
 
 
 def _check_ids(params: ModelParams, triples: np.ndarray) -> np.ndarray:

@@ -1,5 +1,11 @@
 """The training loop: mini-batch updates, periodic validation, early stopping.
 
+Every model family trains through one epoch loop, ``_epoch``: it takes the
+``(loss, grads)`` of each batch from the family's generator, steps the
+optimizer, counts the step in ``params.version`` and sums the loss.
+``_ckge_batches`` draws the conventional models' (and RUGE's) batches and
+applies their constraints; ``_rgcn_batches`` draws the RGCN's graphs.
+
 Determinism contract: given (config, seed) the whole run is reproducible —
 every RNG is derived from (seed, epoch, batch, purpose) so a resumed run
 replays exactly the batches an uninterrupted run would have seen.
@@ -8,6 +14,7 @@ replays exactly the batches an uninterrupted run would have seen.
 from __future__ import annotations
 
 import fcntl
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +27,7 @@ from .checkpoint import (Checkpoint, CheckpointError, checkpoint_path, init_stat
 from .config import ConfigError, TrainConfig, config_hash
 from .data import TAIL, Groundings, IndexedKG, read_groundings
 from .evaluate import CKGEScorer, RankingReport, build_filter_sets, evaluate
-from .gnn import RGCNModel, RGCNScorer, rgcn_loss_and_grad
+from .gnn import RGCNModel, RGCNScorer, param_tables, rgcn_loss_and_grad
 from .losses import LossSpec
 from .optim import NonFiniteGradientError, optimizer_step
 from .sampling import (
@@ -67,7 +74,16 @@ def _stream(config: TrainConfig, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((config.seed,) + key)
 
 
+def _check_size(params, kg: IndexedKG, error=ValueError) -> None:
+    """Raise ``error`` unless ``params`` were built for ``kg``'s entity and relation counts."""
+    have, want = (params.n_entities, params.n_relations), (kg.n_entities, kg.n_relations)
+    if have != want:
+        raise error(f"parameters for {have[0]} entities and {have[1]} relations; "
+                    f"the KG has {want[0]} entities and {want[1]} relations")
+
+
 def make_scorer(params, kg: IndexedKG):
+    _check_size(params, kg)
     if isinstance(params, RGCNModel):
         return RGCNScorer(params, full_graph(kg, n_neg=0))
     return CKGEScorer(params)
@@ -116,14 +132,7 @@ def train(
 
 
 def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
-    spec = LossSpec(
-        kind=config.loss,
-        margin=config.margin,
-        adv_temperature=config.adv_temperature,
-        label_smoothing=config.label_smoothing,
-    )
-    rule_mode = bool(config.rule_file)
-    if rule_mode and groundings is None:
+    if config.rule_file and groundings is None:
         groundings = read_groundings(config.rule_file, kg)
 
     history: list[tuple[int, float]] = []
@@ -135,6 +144,7 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
         last = load_checkpoint(os.path.join(run_dir, "last"))
         if last.config_hash != config_hash(config):
             raise ConfigError("checkpoint config does not match the requested config")
+        _check_size(last.params, kg, CheckpointError)
         params = last.params
         opt = last.opt_state
         start_epoch = last.epoch
@@ -152,7 +162,7 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
         params, opt = init_state(config, kg.n_entities, kg.n_relations)
         best_ckpt = None
 
-    bern = bernoulli_table(kg) if config.sampler == "bern" else None
+    batches = _batch_source(config, kg, params, groundings)
     filters = build_filter_sets(kg) if len(kg.valid) else None
     log: list[str] = []
 
@@ -177,14 +187,7 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
     current_epoch = start_epoch
     saved_last = saved_best = None  # the checkpoints this run wrote to last/ and best/
     for epoch in range(start_epoch + 1, config.max_epochs + 1):
-        if config.model != "rgcn" and config.renorm_enabled():
-            models.renormalize_entities(params)
-
-        if config.model == "rgcn":
-            epoch_loss = _rgcn_epoch(config, kg, params, opt, spec, epoch)
-        else:
-            epoch_loss = _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings)
-        emit(epoch, "train", "loss", epoch_loss)
+        emit(epoch, "train", "loss", _epoch(config, params, opt, epoch, batches(epoch)))
         current_epoch = epoch
 
         if epoch % config.check_per_epoch == 0 and filters is not None:
@@ -253,25 +256,48 @@ def _drop_log_after(path: str, epoch: int) -> None:
     os.truncate(path, keep)
 
 
-def _step(config, opt, tables, grads, loss: float, epoch: int, batch: int) -> None:
-    """One optimizer update; a non-finite gradient or loss stops the run, naming the epoch,
-    batch and model. The loss is checked after the step: a loss may drop a non-finite pair
-    (a zero margin coefficient) whose gradient rows stay finite."""
-    where = f"epoch {epoch}, batch {batch}, model {config.model}"
-    try:
-        optimizer_step(opt, tables, grads, config.lr)
-    except NonFiniteGradientError as err:
-        raise NonFiniteGradientError(f"{where}: {err}") from err
-    if not math.isfinite(loss):
-        raise ValueError(f"{where}: non-finite training loss {loss!r}")
+def _batch_source(config, kg, params, groundings):
+    """The run's batches: a function from an epoch to its generator of ``(loss, grads)``."""
+    spec = LossSpec(kind=config.loss, margin=config.margin, adv_temperature=config.adv_temperature,
+                    label_smoothing=config.label_smoothing)
+    if isinstance(params, RGCNModel):
+        return functools.partial(_rgcn_batches, config, kg, params, spec)
+    bern = bernoulli_table(kg) if config.sampler == "bern" else None
+    pool = rules.unlabeled_conclusions(groundings) if config.rule_file else None  # once per run
+    return functools.partial(_ckge_batches, config, kg, params, spec, bern, groundings, pool)
 
 
-def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float:
+def _epoch(config, params, opt, epoch: int, batches) -> float:
+    """Step the optimizer on each ``(loss, grads)`` that ``batches`` yields; the mean loss.
+
+    A non-finite gradient or loss stops the run, naming the epoch, batch and model. The loss
+    is checked after the step: a loss may drop a non-finite pair (a zero margin coefficient)
+    whose gradient rows stay finite. Each gradient is dropped before the next batch is drawn.
+    """
+    tables = param_tables(params)
+    total, bi = 0.0, 0
+    for loss, grads in batches:  # not enumerate: its reused result tuple would hold grads
+        where = f"epoch {epoch}, batch {bi}, model {config.model}"
+        try:
+            optimizer_step(opt, tables, grads, config.lr)
+        except NonFiniteGradientError as err:
+            raise NonFiniteGradientError(f"{where}: {err}") from err
+        del grads
+        if not math.isfinite(loss):
+            raise ValueError(f"{where}: non-finite training loss {loss!r}")
+        params.version += 1
+        total += loss
+        bi += 1
+    return total / max(bi, 1)
+
+
+def _ckge_batches(config, kg, params, spec, bern, groundings, pool, epoch: int):
+    """A conventional model's (or RUGE's) epoch of batches, with the model's constraints:
+    entity renorm before the first batch, the TransH normals after each step."""
+    if config.renorm_enabled():
+        models.renormalize_entities(params)
     rng = np.random.default_rng(_stream(config, epoch, 0, _SHUFFLE))
     perm = rng.permutation(len(kg.train))
-    total, batches = 0.0, 0
-    rule_mode = bool(config.rule_file)
-    pool = rules.unlabeled_conclusions(groundings) if rule_mode else None
     for bi, lo in enumerate(range(0, len(perm), config.batch_size)):
         positives = kg.train[perm[lo : lo + config.batch_size]]
         seed = _stream(config, epoch, bi, _SAMPLER)
@@ -284,7 +310,7 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
         else:  # uniform and adv share uniform candidate generation
             batch = uniform_negatives(kg, positives, config.n_neg, seed)
 
-        if rule_mode:
+        if pool is not None:
             rule_rng = np.random.default_rng(_stream(config, epoch, bi, _RULE))
             take = config.rule_batch or config.batch_size
             if len(pool) > take:
@@ -292,42 +318,28 @@ def _ckge_epoch(config, kg, params, opt, spec, epoch, bern, groundings) -> float
             else:
                 subset = pool
             soft = rules.predict_soft_labels(params, groundings, config.rule_weight, pool=subset)
-            loss, grads = rules.ruge_grad(params, batch, soft)
+            yield rules.ruge_grad(params, batch, soft)
         else:
-            loss, grads = models.grad(params, batch, spec)
-
-        _step(config, opt, params.tables, grads, loss, epoch, bi)
-        del batch, grads  # freed before the next step draws its own
-        params.version += 1
+            yield models.grad(params, batch, spec)
+        del batch  # freed before the next batch is drawn
         models.renormalize_normals(params)
-        total += loss
-        batches += 1
-    return total / max(batches, 1)
 
 
-def _rgcn_epoch(config, kg, params, opt, spec, epoch) -> float:
+def _rgcn_batches(config, kg, params, spec, epoch: int):
+    """An RGCN epoch: the full graph in one batch, or sampled subgraphs past the threshold."""
     n_train = len(kg.train)
-    total, batches = 0.0, 0
-    if n_train <= config.full_graph_threshold:
-        steps = 1
-    else:
-        steps = math.ceil(n_train / config.graph_batch_edges)
+    steps = 1 if n_train <= config.full_graph_threshold else math.ceil(n_train / config.graph_batch_edges)
     for bi in range(steps):
         seed = _stream(config, epoch, bi, _GRAPH)
         if steps == 1:
             graph = full_graph(kg, n_neg=config.n_neg, seed=seed)
         else:
             graph = sample_graph(kg, config.graph_batch_edges, config.n_neg, seed)
+        msg_graph = None
         if config.edge_dropout > 0:
             msg_graph = mask_edges(graph, config.edge_dropout, _stream(config, epoch, bi, _DROPOUT))
-        else:
-            msg_graph = None
-        loss, grads = rgcn_loss_and_grad(params, graph, msg_graph, spec)
-        _step(config, opt, params.tables(), grads, loss, epoch, bi)
-        params.version += 1
-        total += loss
-        batches += 1
-    return total / max(batches, 1)
+        yield rgcn_loss_and_grad(params, graph, msg_graph, spec)
+        del graph, msg_graph
 
 
 def final_report(

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from kgembed.data import build_vocab, index_kg
+from kgembed.data import Groundings, build_vocab, index_kg
 
 
 def make_kg(train, valid=None, test=None):
@@ -19,6 +19,21 @@ def random_label_triples(rng, n_entities, n_relations, n_triples):
         (f"e{rng.integers(n_entities)}", f"r{rng.integers(n_relations)}", f"e{rng.integers(n_entities)}")
         for _ in range(n_triples)
     ]
+
+
+def rule_groundings(kg):
+    """Groundings saying relation 1 follows relation 0 on the same pair."""
+    body = np.unique(kg.train[kg.train[:, 1] == 0], axis=0)  # distinct, ascending
+    conclusions = body.copy()
+    conclusions[:, 1] = 1
+    return Groundings(
+        conclusions=conclusions,
+        bodies=np.stack([body, np.full_like(body, -1)], axis=1),
+        confidence=np.full(len(body), 0.9),
+        in_train=kg.in_train(conclusions),
+        n_entities=kg.n_entities,
+        n_relations=kg.n_relations,
+    )
 
 
 @pytest.fixture

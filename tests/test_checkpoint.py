@@ -17,7 +17,7 @@ from kgembed.models import init_params
 from kgembed.optim import init_optimizer
 from kgembed.train import train
 
-from conftest import make_kg
+from conftest import make_kg, rule_groundings
 
 
 def roundtrip(ckpt, path):
@@ -542,16 +542,13 @@ def test_a_run_writes_each_checkpoint_once(tmp_path, toy_kg, monkeypatch):
     assert load_checkpoint(str(tmp_path / "last")).epoch == result.last.epoch == 1
 
 
-def test_resume_matches_uninterrupted(tmp_path, toy_kg):
-    _, kg = toy_kg
-    cfg = train_config()  # 5 epochs, checkpoint every epoch
-    full = train(cfg, kg)
+def assert_resume_matches_uninterrupted(cfg, kg, resume_dir, groundings=None):
+    full = train(cfg, kg, groundings=groundings)
 
     # epoch-by-epoch state does not depend on max_epochs, so a finished
     # 3-epoch run is exactly "interrupted after epoch 3" once its stored
     # config is relabeled to the 5-epoch one
-    three = train(cfg.with_overrides(max_epochs=3), kg)
-    resume_dir = tmp_path / "resume"
+    three = train(cfg.with_overrides(max_epochs=3), kg, groundings=groundings)
     for slot, ck in (("last", three.last), ("best", three.best)):
         save_checkpoint(
             Checkpoint(
@@ -564,13 +561,47 @@ def test_resume_matches_uninterrupted(tmp_path, toy_kg):
             ),
             str(resume_dir / slot),
         )
-    resumed = train(cfg, kg, run_dir=str(resume_dir), resume=True)
-    for name, table in full.last.params.tables.items():
-        assert table.tobytes() == resumed.last.params.tables[name].tobytes(), name
+    resumed = train(cfg, kg, groundings=groundings, run_dir=str(resume_dir), resume=True)
+    assert_tables_equal(full.last.params, resumed.last.params)
     assert resumed.history == full.history
     assert resumed.best.best_metric == full.best.best_metric
-    for name, table in full.best.params.tables.items():
-        assert table.tobytes() == resumed.best.params.tables[name].tobytes(), name
+    assert_tables_equal(full.best.params, resumed.best.params)
+
+
+def test_resume_matches_uninterrupted(tmp_path, toy_kg):
+    _, kg = toy_kg
+    assert_resume_matches_uninterrupted(train_config(), kg, tmp_path / "resume")  # 5 epochs
+
+
+@pytest.mark.parametrize("family", ["rgcn", "ruge"])
+def test_resume_matches_uninterrupted_for_every_family(tmp_path, toy_kg, family):
+    """RGCN on sampled subgraphs with edge dropout, and RUGE, resume bit for bit too."""
+    _, kg = toy_kg
+    if family == "rgcn":
+        cfg = train_config(model="rgcn", n_bases=2, loss="bce", n_neg=2,
+                           full_graph_threshold=4, graph_batch_edges=4, edge_dropout=0.3)
+        groundings = None
+    else:
+        cfg = train_config(loss="bce", rule_file="unused.tsv", rule_weight=0.8, rule_batch=2)
+        groundings = rule_groundings(kg)
+    assert_resume_matches_uninterrupted(cfg, kg, tmp_path / "resume", groundings)
+
+
+def test_resume_rejects_a_kg_of_another_size(tmp_path, toy_kg):
+    """A checkpoint of 6 entities does not resume on 3; the error names both sizes."""
+    _, kg = toy_kg
+    cfg = train_config(model="distmult")
+    train(cfg.with_overrides(max_epochs=1), kg, run_dir=str(tmp_path / "small"))
+    last = load_checkpoint(str(tmp_path / "small" / "last"))
+    save_checkpoint(
+        Checkpoint(last.params, last.opt_state, last.epoch, last.best_metric, cfg, last.history),
+        str(tmp_path / "run" / "last"),
+    )
+    _, other = make_kg([("x", "r1", "y"), ("y", "r2", "z")])
+    with pytest.raises(CheckpointError, match=r"^parameters for 6 entities and 3 relations; "
+                       r"the KG has 3 entities and 2 relations$"):
+        train(cfg, other, run_dir=str(tmp_path / "run"), resume=True)
+    assert load_checkpoint(str(tmp_path / "run" / "last")).epoch == 1  # nothing trained
 
 
 @pytest.mark.parametrize(

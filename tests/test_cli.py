@@ -128,7 +128,7 @@ from kgembed.cli import main
 
 run_dir, config, marks = sys.argv[1:]
 module = importlib.import_module("kgembed.train")  # the package's ``train`` is the function
-epoch = module._ckge_epoch
+epoch = module._epoch
 
 def held(*args):
     open(os.path.join(marks, "started"), "w").close()
@@ -136,7 +136,7 @@ def held(*args):
         time.sleep(0.01)
     return epoch(*args)
 
-module._ckge_epoch = held
+module._epoch = held
 sys.exit(main(["train", config, "--out", run_dir]))
 """
 
@@ -227,6 +227,18 @@ def test_every_threads_override_below_one_exits_1(capsys, config_path, tmp_path,
         code, stdout, err = run(capsys, *command, "--threads", threads)
         assert code == 1 and not stdout, command
         assert "config field 'threads' must be >= 1" in err, command
+
+
+def test_eval_on_a_kg_of_another_size_exits_2(capsys, config_path, tmp_path):
+    """A checkpoint of 8 entities evaluated on a 10-entity dataset names both sizes."""
+    out = str(tmp_path / "run")
+    assert run(capsys, "train", config_path, "--out", out)[0] == 0
+    rows = [(f"a{i}", "fwd", f"b{i}") for i in range(5)]
+    bigger = str(write_dataset(tmp_path / "big", rows, rows[:2], rows[2:]))
+    code, stdout, err = run(capsys, "eval", os.path.join(out, "best"), "--dataset", bigger)
+    assert code == 2 and not stdout
+    assert err == ("error: parameters for 8 entities and 2 relations; "
+                   "the KG has 10 entities and 1 relations\n")
 
 
 def test_eval_missing_checkpoint(capsys, tmp_path):

@@ -10,11 +10,11 @@ import kgembed.models
 import kgembed.rules
 from kgembed.checkpoint import CheckpointError
 from kgembed.config import ConfigError, TrainConfig
-from kgembed.data import Groundings, Rule, ground_rules, write_groundings
+from kgembed.data import Rule, ground_rules, write_groundings
 from kgembed.optim import NonFiniteGradientError
 from kgembed.train import early_stop, final_report, train
 
-from conftest import make_kg
+from conftest import make_kg, rule_groundings
 
 # the module; the package exports its ``train`` function under the same name
 train_module = importlib.import_module("kgembed.train")
@@ -201,17 +201,17 @@ def test_resume_after_a_crash_writes_the_uninterrupted_log(monkeypatch, toy_kg, 
     cfg = tiny_config(check_per_epoch=2, max_epochs=4)
     train(cfg, kg, run_dir=str(tmp_path / "whole"))
 
-    epoch_fn = train_module._ckge_epoch
+    epoch_fn = train_module._epoch
 
-    def crash_in_epoch_4(config, kg, params, opt, spec, epoch, *rest):
+    def crash_in_epoch_4(config, params, opt, epoch, batches):
         if epoch == 4:
             raise RuntimeError("crash")
-        return epoch_fn(config, kg, params, opt, spec, epoch, *rest)
+        return epoch_fn(config, params, opt, epoch, batches)
 
-    monkeypatch.setattr(train_module, "_ckge_epoch", crash_in_epoch_4)
+    monkeypatch.setattr(train_module, "_epoch", crash_in_epoch_4)
     with pytest.raises(RuntimeError, match="crash"):
         train(cfg, kg, run_dir=str(tmp_path / "crashed"))
-    monkeypatch.setattr(train_module, "_ckge_epoch", epoch_fn)
+    monkeypatch.setattr(train_module, "_epoch", epoch_fn)
     train(cfg, kg, run_dir=str(tmp_path / "crashed"), resume=True)
 
     whole = (tmp_path / "whole" / "train.log").read_bytes()
@@ -308,6 +308,23 @@ def test_rgcn_trains_and_improves(matching_kg):
     assert trained.mrr > base.mrr
 
 
+@pytest.mark.parametrize(
+    "params,sizes",
+    [
+        (kgembed.models.init_params("distmult", 2, 3, 4, seed=0), (2, 3)),
+        (kgembed.gnn.init_rgcn(6, 2, dim=4, n_bases=2, seed=0), (6, 2)),
+    ],
+    ids=["distmult", "rgcn"],
+)
+def test_final_report_rejects_params_of_another_size(toy_kg, params, sizes):
+    """Evaluation names both sizes instead of failing on an out-of-range row."""
+    _, kg = toy_kg  # 6 entities, 3 relations
+    want = (f"^parameters for {sizes[0]} entities and {sizes[1]} relations; "
+            "the KG has 6 entities and 3 relations$")
+    with pytest.raises(ValueError, match=want):
+        final_report(params, kg)
+
+
 def test_rgcn_subsampled_epochs(toy_kg):
     _, kg = toy_kg
     cfg = TrainConfig(
@@ -395,21 +412,6 @@ def test_non_finite_loss_names_epoch_batch_and_model(monkeypatch, toy_kg):
 
 
 # --- rule injection ---------------------------------------------------------
-
-
-def rule_groundings(kg):
-    """Groundings saying relation 1 follows relation 0 on the same pair."""
-    body = np.unique(kg.train[kg.train[:, 1] == 0], axis=0)  # distinct, ascending
-    conclusions = body.copy()
-    conclusions[:, 1] = 1
-    return Groundings(
-        conclusions=conclusions,
-        bodies=np.stack([body, np.full_like(body, -1)], axis=1),
-        confidence=np.full(len(body), 0.9),
-        in_train=kg.in_train(conclusions),
-        n_entities=kg.n_entities,
-        n_relations=kg.n_relations,
-    )
 
 
 def test_rule_zero_weight_matches_plain_trajectory(toy_kg):
