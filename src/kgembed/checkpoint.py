@@ -11,16 +11,20 @@ itself is not hashed: only its ``config.*`` lines are guarded, by
 ``config_hash``; a repeated key is rejected.
 
 A fresh run and a loaded checkpoint get their state from one constructor,
-:func:`init_state`. Loading validates meta's config, builds that config's
-state for meta's vocab counts, and fills it in place: meta must list
-exactly the state's parameter tables and optimizer slots, each with the
-shape the config gives it, and an RGCN's layer activations as they are
-built.
+:func:`init_state`. Loading validates meta's config and builds that
+config's state for meta's vocab counts in its shapes-only form, which
+draws and allocates nothing: meta must list exactly the state's parameter
+tables and optimizer slots, and each file's header must hold the shape
+that meta gives it and the config gives it, before any array is
+allocated (meta's vocab counts are not hashed). The state is then
+allocated, never drawn, and filled in place; an RGCN's layer activations
+must be as they are built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shutil
 from dataclasses import dataclass
@@ -72,7 +76,21 @@ def _write_table(path: str, arr: np.ndarray) -> str:
     return sha.hexdigest()
 
 
+def _read_header(path: str) -> tuple[int, int]:
+    """The rows and cols that a table file's 16-byte header gives."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(16)
+    except OSError as e:
+        raise CheckpointError(f"cannot read table file: {e}") from None
+    if len(header) < 16 or header[:4] != MAGIC:
+        raise CheckpointError(f"bad table header in {os.path.basename(path)}")
+    rows, cols, _ = np.frombuffer(header[4:], dtype="<u4")
+    return int(rows), int(cols)
+
+
 def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
+    """The values of a table file whose header holds ``shape``, checked against its sha256."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -80,32 +98,29 @@ def _read_table(path: str, shape: tuple[int, ...], want_sha: str) -> np.ndarray:
         raise CheckpointError(f"cannot read table file: {e}") from None
     if hashlib.sha256(blob).hexdigest() != want_sha:
         raise CheckpointError(f"checksum mismatch for {os.path.basename(path)}")
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise CheckpointError(f"bad table header in {os.path.basename(path)}")
-    rows, cols, _ = np.frombuffer(blob[4:16], dtype="<u4")
-    if (rows, cols) != (shape[0], int(np.prod(shape[1:], dtype=np.int64))):
-        raise CheckpointError(
-            f"{os.path.basename(path)} holds {rows}x{cols} values, meta says {_shape_str(shape)}"
-        )
     data = np.frombuffer(blob[16:], dtype="<f4")
-    if data.size != rows * cols:
+    if data.size != math.prod(shape):
         raise CheckpointError(f"table size mismatch in {os.path.basename(path)}")
     return data.reshape(shape)  # read-only: the loader copies it into its state
 
 
 def init_state(
-    config: TrainConfig, n_entities: int, n_relations: int
+    config: TrainConfig, n_entities: int, n_relations: int, shapes_only: bool = False
 ) -> tuple[ModelParams | RGCNModel, OptimizerState]:
-    """The config's parameters and optimizer state: a fresh run's, drawn from ``config.seed``."""
+    """The config's parameters and optimizer state: a fresh run's, drawn from ``config.seed``.
+
+    With ``shapes_only`` every array is a read-only zero-stride view of its
+    shape, so nothing is drawn and no array memory is allocated.
+    """
     if config.model == "rgcn":
         params = gnn.init_rgcn(n_entities, n_relations, config.dim, config.n_bases, config.n_layers,
-                               seed=config.seed)
+                               seed=config.seed, shapes_only=shapes_only)
     else:
         params = models.init_params(config.model, n_entities, n_relations, config.dim,
-                                    seed=config.seed)
+                                    seed=config.seed, shapes_only=shapes_only)
         params.transe_p = config.transe_p
     opt = init_optimizer(config.optimizer, param_tables(params), config.adam_beta1,
-                         config.adam_beta2, config.adam_eps)
+                         config.adam_beta2, config.adam_eps, shapes_only=shapes_only)
     return params, opt
 
 
@@ -206,32 +221,38 @@ def load_checkpoint(directory: str) -> Checkpoint:
     n_entities, n_relations = (_meta_number(k, meta[k], int) for k in _VOCAB)
     try:
         config.validate()
-        params, opt = init_state(config, n_entities, n_relations)
+        params, opt = init_state(config, n_entities, n_relations, shapes_only=True)
     except ValueError as e:
         raise CheckpointError(f"meta: {e}") from None
     if meta["optimizer"] != opt.kind:
         raise CheckpointError(f"meta optimizer: {meta['optimizer']!r}, its config has {opt.kind!r}")
-    params.version = _meta_number("params_version", meta.get("params_version", "0"), int)
 
-    # meta key -> (file, the state's array that the file fills)
-    arrays = {f"table.{n}": (f"param__{n}.bin", a) for n, a in param_tables(params).items()}
-    for t, slots in opt.slots.items():
-        arrays.update({f"opt.{t}.{s}": (f"opt__{t}__{s}.bin", a) for s, a in slots.items()})
+    arrays = _arrays(params, opt)
     listed = {key for key in meta if key.startswith(("table.", "opt."))}
     if listed != arrays.keys():
         raise CheckpointError(
             f"meta's arrays are incomplete or unexpected for its config: missing "
             f"{sorted(arrays.keys() - listed)}, unexpected {sorted(listed - arrays.keys())}"
         )
+    # every file's header against meta, and meta against the config's shape, before any
+    # array is allocated: meta's vocab counts are not hashed
+    files = {}
     for key, (name, want) in arrays.items():
         shape, sha = _parse_shape_sha(meta[key])
-        data = _read_table(os.path.join(directory, name), shape, sha)
+        path = os.path.join(directory, name)
+        rows, cols = _read_header(path)
+        if (rows, cols) != (shape[0], math.prod(shape[1:])):
+            raise CheckpointError(f"{name} holds {rows}x{cols} values, meta says {_shape_str(shape)}")
         if shape != want.shape:
             raise CheckpointError(
                 f"meta {key}: shape {_shape_str(shape)}, its table needs {_shape_str(want.shape)} "
                 f"(vocab.n_entities {n_entities}, vocab.n_relations {n_relations})"
             )
-        want[...] = data
+        files[key] = (path, shape, sha)
+    params, opt = params.copy(_empty), opt.copy(_empty)  # filled below
+    params.version = _meta_number("params_version", meta.get("params_version", "0"), int)
+    for key, (_, array) in _arrays(params, opt).items():
+        array[...] = _read_table(*files[key])
     acts = ",".join(layer.activation for layer in getattr(params, "layers", ()))
     if meta.get("rgcn.activations", "") != acts:
         got = meta.get("rgcn.activations")
@@ -250,6 +271,19 @@ def load_checkpoint(directory: str) -> Checkpoint:
         config=config,
         history=history,
     )
+
+
+def _empty(array: np.ndarray) -> np.ndarray:
+    """A C-ordered array of ``array``'s shape and dtype, allocated and not written."""
+    return np.empty(array.shape, array.dtype)
+
+
+def _arrays(params, opt: OptimizerState) -> dict[str, tuple[str, np.ndarray]]:
+    """meta key -> (file, the state's array that the file fills)."""
+    arrays = {f"table.{n}": (f"param__{n}.bin", a) for n, a in param_tables(params).items()}
+    for t, slots in opt.slots.items():
+        arrays.update({f"opt.{t}.{s}": (f"opt__{t}__{s}.bin", a) for s, a in slots.items()})
+    return arrays
 
 
 def _meta_number(key: str, text: str, kind):

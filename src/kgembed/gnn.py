@@ -82,19 +82,20 @@ class RGCNModel:
             out[f"layer{i}.self"] = layer.self_weight
         return out
 
-    def copy(self) -> "RGCNModel":
+    def copy(self, array=np.ndarray.copy) -> "RGCNModel":
+        """A copy whose tables are ``array`` of each (by default a copy of it)."""
         return RGCNModel(
-            entity_emb=self.entity_emb.copy(),
+            entity_emb=array(self.entity_emb),
             layers=[
                 replace(
                     l,
-                    basis=l.basis.copy(),
-                    coeff=l.coeff.copy(),
-                    self_weight=l.self_weight.copy(),
+                    basis=array(l.basis),
+                    coeff=array(l.coeff),
+                    self_weight=array(l.self_weight),
                 )
                 for l in self.layers
             ],
-            rel_emb=self.rel_emb.copy(),
+            rel_emb=array(self.rel_emb),
             version=self.version,
         )
 
@@ -105,9 +106,19 @@ def param_tables(params: models.ModelParams | RGCNModel) -> dict[str, np.ndarray
 
 
 def init_rgcn(
-    n_entities: int, n_relations: int, dim: int, n_bases: int, n_layers: int = 2, seed=0
+    n_entities: int,
+    n_relations: int,
+    dim: int,
+    n_bases: int,
+    n_layers: int = 2,
+    seed=0,
+    shapes_only: bool = False,
 ) -> RGCNModel:
-    """Seeded uniform init; all layer widths equal ``dim``."""
+    """Seeded uniform init; all layer widths equal ``dim``.
+
+    With ``shapes_only`` each table is a read-only zero-stride view of its
+    shape: nothing is drawn and no table memory is allocated.
+    """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not 1 <= n_bases <= n_relations:
@@ -118,6 +129,8 @@ def init_rgcn(
     bound = 6.0 / np.sqrt(dim)
 
     def uni(shape, b=bound):
+        if shapes_only:
+            return np.broadcast_to(np.float32(0.0), shape)
         return rng.uniform(-b, b, size=shape).astype(np.float32)
 
     layers = [

@@ -12,7 +12,14 @@ through an accessor, builds the forward once and returns the scores. When
 the accessor has a coefficient callback, the formula asks it for the
 coefficients of those scores and hands each row's derivative, with the
 coefficient that scales it, back to the accessor from the same
-temporaries.
+temporaries. The bilinear models (DistMult, ComplEx, SimplE) hand over
+their partials instead: each scores a triple as a trilinear form
+T(h, r, t), so d(T)/d(row) is q_h(r, t), q_r(h, t) or q_t(h, r), each
+linear in both of its rows and written once per model. The accessor takes
+an anchor's gradient as one partial of S, the coefficient-weighted sum of
+the replaced rows it pairs with, and a replaced row's as its coefficient
+times the partial of its positive's anchor rows, so no [b, n] derivative
+row is built. Ranking takes its query vectors from the same q_t and q_h.
 
 There is one accessor, :class:`_Query`, and every score and gradient runs
 in its query form: b positives and the entities that replace one slot of
@@ -41,7 +48,8 @@ scored and writes its derivatives through one :class:`GradAccumulator`,
 which holds a zero row for every id the queries can reach, scatters into
 it in place, and keeps only the rows that were reached. A replaced entity
 gets coefficient * d(score)/d(row), and an anchor the sum of those over
-the corruptions of the chunk that use it, once per positive. Corruptions
+the corruptions of the chunk that use it, once per positive (for a
+bilinear model, the partial of their summed partners). Corruptions
 with a zero coefficient reach no row. The call that gives a chunk's
 coefficients also writes its loss terms into one buffer per group, laid
 out as the whole batch's loss sums them, so no score is kept and the loss
@@ -136,16 +144,21 @@ class ModelParams:
     def n_relations(self) -> int:
         return self.tables["rel"].shape[0]
 
-    def copy(self) -> "ModelParams":
-        return replace(self, tables={k: v.copy() for k, v in self.tables.items()})
+    def copy(self, array=np.ndarray.copy) -> "ModelParams":
+        """A copy whose tables are ``array`` of each (by default a copy of it)."""
+        return replace(self, tables={k: array(v) for k, v in self.tables.items()})
 
 
-def init_params(model: str, n_entities: int, n_relations: int, dim: int, seed) -> ModelParams:
+def init_params(
+    model: str, n_entities: int, n_relations: int, dim: int, seed, shapes_only: bool = False
+) -> ModelParams:
     """Seeded uniform init in [-6/sqrt(d), 6/sqrt(d)] per entry.
 
     Exceptions to the uniform bound: rotate phases are uniform in
     [-pi, pi), transr projections start at the identity, and transh
-    normals are normalized to unit rows after drawing.
+    normals are normalized to unit rows after drawing. With
+    ``shapes_only`` each table is a read-only zero-stride view of its
+    shape: nothing is drawn and no table memory is allocated.
     """
     if model not in MODEL_KINDS:
         raise ValueError(f"unknown model kind: {model!r}")
@@ -154,7 +167,9 @@ def init_params(model: str, n_entities: int, n_relations: int, dim: int, seed) -
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
 
-    def uni(shape):
+    def uni(shape, bound=bound):
+        if shapes_only:
+            return np.broadcast_to(np.float32(0.0), shape)
         return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
     tables: dict[str, np.ndarray] = {}
@@ -162,19 +177,18 @@ def init_params(model: str, n_entities: int, n_relations: int, dim: int, seed) -
         tables["ent"] = uni((n_entities, dim))
         tables["rel"] = uni((n_relations, dim))
         if model == "transh":
-            w = uni((n_relations, dim)).astype(np.float64)
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-            tables["norm"] = w.astype(np.float32)
+            tables["norm"] = uni((n_relations, dim))
+            if not shapes_only:
+                _unit_rows(tables["norm"])
         elif model == "transr":
-            tables["proj"] = np.broadcast_to(
-                np.eye(dim, dtype=np.float32), (n_relations, dim, dim)
-            ).copy()
+            proj = np.broadcast_to(np.eye(dim, dtype=np.float32), (n_relations, dim, dim))
+            tables["proj"] = proj if shapes_only else proj.copy()
     elif model == "complex":
         tables["ent"] = uni((n_entities, 2 * dim))
         tables["rel"] = uni((n_relations, 2 * dim))
     elif model == "rotate":
         tables["ent"] = uni((n_entities, 2 * dim))
-        tables["rel"] = rng.uniform(-np.pi, np.pi, size=(n_relations, dim)).astype(np.float32)
+        tables["rel"] = uni((n_relations, dim), np.pi)
     elif model == "simple":
         tables["ent_h"] = uni((n_entities, dim))
         tables["ent_t"] = uni((n_entities, dim))
@@ -246,7 +260,8 @@ def score(params: ModelParams, triples: np.ndarray) -> np.ndarray:
 # ``x.coef(scores)`` for the coefficients of those scores; unless that is
 # None (scores only, or no coefficient is nonzero) it hands every row it
 # read, with d(score)/d(row) and the coefficient that scales it, to
-# ``x.add_h``, ``x.add_r`` or ``x.add_t``, built from the same temporaries.
+# ``x.add_h``, ``x.add_r`` or ``x.add_t``, built from the same temporaries;
+# a bilinear formula hands its partials and rows to ``x.add_trilinear``.
 
 
 def _transe(params, x):
@@ -315,6 +330,14 @@ def _transr(params, x):
     return s
 
 
+# The bilinear models score a triple as a trilinear form T(h, r, t) of its rows, so each
+# row's derivative is linear in the other two: q_h(r, t), q_r(h, t) and q_t(h, r), with
+# T = q_h(r, t).h = q_r(h, t).r = q_t(h, r).t. A model's partials are written once, as this
+# (q_h, q_r, q_t) triple; training hands them to ``x.add_trilinear`` and ranking takes its
+# query vectors from q_t and q_h.
+_DISTMULT = (np.multiply, np.multiply, np.multiply)
+
+
 def _distmult(params, x):
     he = x.h("ent")
     re = x.r("rel")
@@ -322,11 +345,8 @@ def _distmult(params, x):
     hr = he * re
     s = (hr * te).sum(axis=-1)
     c = x.coef(s)
-    if c is None:
-        return s
-    x.add_h("ent", re * te, c)
-    x.add_r("rel", he * te, c)
-    x.add_t("ent", hr, c)
+    if c is not None:
+        x.add_trilinear(_DISTMULT, ("ent", "rel", "ent"), (he, re, te), c)
     return s
 
 
@@ -334,22 +354,32 @@ def _split(x, d):
     return x[..., :d], x[..., d:]
 
 
+def _conj_product(a, t):
+    """ComplEx's q_h(r, t) and q_r(h, t): Re(<a, b, conj(t)>) as a dot product with b."""
+    d = a.shape[-1] // 2
+    (are, aim), (tre, tim) = _split(a, d), _split(t, d)
+    return np.concatenate([are * tre + aim * tim, are * tim - aim * tre], axis=-1)
+
+
+def _complex_product(h, r):
+    """ComplEx's q_t(h, r): the complex product h r, real halves then imaginary."""
+    d = h.shape[-1] // 2
+    (hre, him), (rre, rim) = _split(h, d), _split(r, d)
+    return np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=-1)
+
+
+_COMPLEX = (_conj_product, _conj_product, _complex_product)
+
+
 def _complex(params, x):
-    d = params.dim
-    hre, him = _split(x.h("ent"), d)
-    rre, rim = _split(x.r("rel"), d)
-    tre, tim = _split(x.t("ent"), d)
+    rows = x.h("ent"), x.r("rel"), x.t("ent")
+    (hre, him), (rre, rim), (tre, tim) = (_split(row, params.dim) for row in rows)
     re = hre * rre - him * rim
     im = hre * rim + him * rre
     s = (re * tre + im * tim).sum(axis=-1)
     c = x.coef(s)
-    if c is None:
-        return s
-    gh = np.concatenate([rre * tre + rim * tim, rre * tim - rim * tre], axis=-1)
-    gr = np.concatenate([hre * tre + him * tim, hre * tim - him * tre], axis=-1)
-    x.add_h("ent", gh, c)
-    x.add_r("rel", gr, c)
-    x.add_t("ent", np.concatenate([re, im], axis=-1), c)
+    if c is not None:
+        x.add_trilinear(_COMPLEX, ("ent", "rel", "ent"), rows, c)
     return s
 
 
@@ -376,6 +406,10 @@ def _rotate(params, x):
     return s
 
 
+# SimplE's score is the mean of two DistMult terms, each (head table, relation table, tail table)
+_SIMPLE_TERMS = (("ent_h", "rel", "ent_t"), ("ent_t", "rel_inv", "ent_h"))
+
+
 def _simple(params, x):
     eh_h = x.h("ent_h")
     et_t = x.t("ent_t")
@@ -387,15 +421,10 @@ def _simple(params, x):
     tri = eh_t * ri
     s = 0.5 * ((hr * et_t).sum(axis=-1) + (tri * et_h).sum(axis=-1))
     c = x.coef(s)
-    if c is None:
-        return s
-    half = 0.5 * c
-    x.add_h("ent_h", rr * et_t, half)
-    x.add_r("rel", eh_h * et_t, half)
-    x.add_t("ent_t", hr, half)
-    x.add_t("ent_h", ri * et_h, half)
-    x.add_r("rel_inv", eh_t * et_h, half)
-    x.add_h("ent_t", tri, half)
+    if c is not None:
+        half = 0.5 * c
+        for names, rows in zip(_SIMPLE_TERMS, ((eh_h, rr, et_t), (et_h, ri, eh_t))):
+            x.add_trilinear(_DISTMULT, names, rows, half)
     return s
 
 
@@ -667,34 +696,36 @@ def _fast_rotate(params, x, r, slot, cache):
     return _distance_candidates(params, cache, a, 2.0 * _norms(xe), ent_factor, 2 * params.dim)
 
 
+def _query_vectors(partials, slot, fixed, rel):
+    """What a trilinear score multiplies a candidate row by: q_t(h, r) for a tail candidate,
+    q_h(r, t) for a head one, from the query's ``fixed`` entity rows and its ``rel`` rows."""
+    q_h, _, q_t = partials
+    return q_t(fixed, rel) if slot == TAIL else q_h(rel, fixed)
+
+
 def _fast_distmult(params, x, r, slot, cache):
-    q = _rows(params.tables["ent"], x) * _rows(params.tables["rel"], r)
+    q = _query_vectors(
+        _DISTMULT, slot, _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
+    )
     return _bilinear_candidates(q, *_entities(params, cache), params.dim)
 
 
 def _fast_complex(params, x, r, slot, cache):
-    d = params.dim
-    xre, xim = _split(_rows(params.tables["ent"], x), d)
-    rre, rim = _split(_rows(params.tables["rel"], r), d)
-    if slot == TAIL:  # Re(<h, r, conj(e)>) = (h r)_re . e_re + (h r)_im . e_im
-        q = [xre * rre - xim * rim, xre * rim + xim * rre]
-    else:  # the same sum regrouped by the candidate's halves
-        q = [rre * xre + rim * xim, rre * xim - rim * xre]
+    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
     # forming q may cancel: bound by the magnitudes of its products
-    mag = [np.abs(xre * rre) + np.abs(xim * rim), np.abs(xre * rim) + np.abs(xim * rre)]
-    return _bilinear_candidates(
-        np.concatenate(q, axis=1), *_entities(params, cache), 2 * d, mag=np.concatenate(mag, axis=1)
-    )
+    (xre, xim), (rre, rim) = _split(np.abs(xe), params.dim), _split(np.abs(rr), params.dim)
+    mag = np.concatenate([xre * rre + xim * rim, xre * rim + xim * rre], axis=1)
+    q = _query_vectors(_COMPLEX, slot, xe, rr)
+    return _bilinear_candidates(q, *_entities(params, cache), 2 * params.dim, mag=mag)
 
 
 def _fast_simple(params, x, r, slot, cache):
-    rr, ri = _rows(params.tables["rel"], r), _rows(params.tables["rel_inv"], r)
-    if slot == TAIL:  # h_h r e_t + e_h r_inv t_h
-        q = [_rows(params.tables["ent_h"], x) * rr, ri * _rows(params.tables["ent_t"], x)]
-        names = ("ent_t", "ent_h")
-    else:  # e_h r t_t + t_h r_inv e_t
-        q = [rr * _rows(params.tables["ent_t"], x), _rows(params.tables["ent_h"], x) * ri]
-        names = ("ent_h", "ent_t")
+    tables, q, names = params.tables, [], []
+    for h, rel, t in _SIMPLE_TERMS:  # each term's fixed entity table and candidate table
+        fixed, cand = (h, t) if slot == TAIL else (t, h)
+        q.append(_query_vectors(_DISTMULT, slot, _rows(tables[fixed], x), _rows(tables[rel], r)))
+        names.append(cand)
+    names = tuple(names)
 
     def make():
         cand = np.concatenate([params.tables[n].astype(np.float64) for n in names], axis=1)
@@ -802,7 +833,8 @@ class _Query:
     ``coef`` has kept the corruptions whose coefficient is nonzero,
     ``add_*`` write through ``acc``: a replaced entity's row as it is, and
     an anchor's rows summed over the kept corruptions that use it, once
-    per positive.
+    per positive. ``add_trilinear`` takes a bilinear model's partials
+    instead of rows and sums before it differentiates.
     """
 
     def __init__(self, params, positives, replaced, head, coef=None, acc=None):
@@ -854,17 +886,56 @@ class _Query:
 
     def _add(self, name, rows, coef, col):
         replacing, anchored = self._uses[col]
-        used = anchored.any(axis=1)
-        if used.any():
-            weights = coef * anchored
+        if anchored.any():
             if isinstance(rows, tuple):
-                summed = np.einsum("bn,bni,bnj->bij", weights, *rows)
+                summed = np.einsum("bn,bni,bnj->bij", coef * anchored, *rows)
             else:
-                summed = np.einsum("bn,bn...->b...", weights, rows)
-            self.acc.add(name, self.positives[used, col], summed[used])
+                summed = _summed(coef, anchored, rows)
+            self._add_anchors(name, col, summed, anchored)
         if replacing is not None:  # entity rows: never a pair
             rows = coef[replacing][:, None] * rows[replacing]
             self.acc.add(name, self.replaced[replacing], rows)
+
+    def _add_anchors(self, name, col, rows, anchored):
+        """Row b of ``rows`` to the positive's id in ``col``, for each b with an anchored corruption."""
+        used = anchored.any(axis=1)
+        if used.any():
+            self.acc.add(name, self.positives[used, col], rows[used])
+
+    def add_trilinear(self, partials, names, rows, coef):
+        """The gradient of a trilinear term from its partials, without a [b, n] derivative row.
+
+        ``partials`` is (q_h, q_r, q_t), ``names`` the term's (head, relation, tail) tables and
+        ``rows`` the [b, n] head, [b, 1] relation and [b, n] tail rows the formula read. A
+        replaced entity gets its coefficient times q of its positive's anchor rows. The
+        anchor gets q of S, the coefficient-weighted sum of the replaced rows it pairs with
+        (q is linear in each row); the relation gets q_r(h, S_t) + q_r(S_h, t).
+        """
+        q_h, q_r, q_t = partials
+        (h_name, r_name, t_name), (he, re, te) = names, rows
+        r, rel = re[:, 0], 0.0
+        tails, heads = self._uses[2][0], self._uses[0][0]  # the kept corruptions of each slot
+        if tails.any():
+            anchor, summed = self._gather(h_name, self.positives[:, 0]), _summed(coef, tails, te)
+            self._add_anchors(h_name, 0, q_h(r, summed), tails)
+            self._add_replaced(t_name, q_t(anchor, r), coef, tails)
+            rel = q_r(anchor, summed)
+        if heads.any():
+            anchor, summed = self._gather(t_name, self.positives[:, 2]), _summed(coef, heads, he)
+            self._add_anchors(t_name, 2, q_t(summed, r), heads)
+            self._add_replaced(h_name, q_h(r, anchor), coef, heads)
+            rel = rel + q_r(summed, anchor)
+        self._add_anchors(r_name, 1, rel, tails | heads)
+
+    def _add_replaced(self, name, q, coef, replacing):
+        """Each replacing corruption's coefficient times its positive's row of ``q``."""
+        rows = coef[replacing][:, None] * q[np.nonzero(replacing)[0]]
+        self.acc.add(name, self.replaced[replacing], rows)
+
+
+def _summed(coef, mask, rows):
+    """[b, ...] sum over n of coef * rows, over the [b, n] corruptions in ``mask``."""
+    return np.einsum("bn,bn...->b...", coef * mask, rows)
 
 
 def _as_queries(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,13 +48,14 @@ class OptimizerState:
     eps: float = 1e-8
     slots: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
 
-    def copy(self) -> "OptimizerState":
+    def copy(self, array=np.ndarray.copy) -> "OptimizerState":
+        """A copy whose slots are ``array`` of each (by default a copy of it)."""
         return OptimizerState(
             kind=self.kind,
             beta1=self.beta1,
             beta2=self.beta2,
             eps=self.eps,
-            slots={t: {k: v.copy() for k, v in s.items()} for t, s in self.slots.items()},
+            slots={t: {k: array(v) for k, v in s.items()} for t, s in self.slots.items()},
         )
 
 
@@ -64,19 +65,25 @@ def init_optimizer(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    shapes_only: bool = False,
 ) -> OptimizerState:
+    """Zeroed slots for ``tables``; with ``shapes_only`` read-only zero-stride views of their
+    shapes, with no slot memory allocated."""
     if kind not in OPTIMIZER_KINDS:
         raise ValueError(f"unknown optimizer kind: {kind!r}")
+
+    def zeros(shape):
+        if shapes_only:
+            return np.broadcast_to(np.float32(0.0), shape)
+        return np.zeros(shape, dtype=np.float32)
+
     slots: dict[str, dict[str, np.ndarray]] = {}
     for name, table in tables.items():
         if kind == "adagrad":
-            slots[name] = {"accum": np.zeros_like(table, dtype=np.float32)}
+            slots[name] = {"accum": zeros(table.shape)}
         elif kind == "adam":
-            slots[name] = {
-                "m": np.zeros_like(table, dtype=np.float32),
-                "v": np.zeros_like(table, dtype=np.float32),
-                "steps": np.zeros(table.shape[0], dtype=np.float32),
-            }
+            slots[name] = {"m": zeros(table.shape), "v": zeros(table.shape),
+                           "steps": zeros(table.shape[:1])}
     return OptimizerState(kind=kind, beta1=beta1, beta2=beta2, eps=eps, slots=slots)
 
 

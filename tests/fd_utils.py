@@ -111,6 +111,13 @@ class FlatTriples:
     def add_t(self, name, rows, coef):
         self._add(name, 2, rows, coef)
 
+    def add_trilinear(self, partials, names, rows, coef):
+        """Each triple's own q_h(r, t), q_r(h, t) and q_t(h, r), as its rows' derivatives."""
+        q_h, q_r, q_t = partials
+        h, r, t = rows
+        for col, (name, part) in enumerate(zip(names, (q_h(r, t), q_r(h, t), q_t(h, r)))):
+            self._add(name, col, part, coef)
+
 
 def flat_scores(params, triples):
     return models._FORMULA[params.model](params, FlatTriples(params, np.asarray(triples)))

@@ -435,7 +435,9 @@ def test_criterion_5_gradient_suite():
                 np.float32
             )
         for spec in losses:
-            rng = np.random.default_rng(hash((model, spec.kind)) % (1 << 32))
+            # str hashes change per process (PYTHONHASHSEED): every assertion names the seed
+            seed = hash((model, spec.kind)) % (1 << 32)
+            rng = np.random.default_rng(seed)
             from test_models import random_batch
 
             batch = random_batch(params, rng, b=6, n=4)
@@ -445,7 +447,7 @@ def test_criterion_5_gradient_suite():
                 for table, (ids, rows) in grads.items()
                 for i in range(len(ids))
             ]
-            assert flat, (model, spec.kind)
+            assert flat, f"probe seed {seed}: {model}/{spec.kind} reached no row"
             done = 0
             attempts = 0
             while done < 20 and attempts < 200:
@@ -457,9 +459,14 @@ def test_criterion_5_gradient_suite():
                     continue  # kink within the probe step; redraw
                 rel = relative_error(rowgrad[coord], numeric)
                 worst = max(worst, rel)
-                assert rel < 1e-4, (model, spec.kind, table, row, coord, rowgrad[coord], numeric)
+                assert rel < 1e-4, (
+                    f"probe seed {seed}: {model}/{spec.kind} {table} row {row} {coord}: "
+                    f"analytic {rowgrad[coord]!r}, numeric {numeric!r}"
+                )
                 done += 1
-            assert done == 20, f"could not find 20 smooth probes for {model}/{spec.kind}"
+            assert done == 20, (
+                f"could not find 20 smooth probes for {model}/{spec.kind} (probe seed {seed})"
+            )
     elapsed = time.time() - start
     assert elapsed < 120, f"gradient suite took {elapsed:.1f}s"
     ok("5", f"7 models x 3 losses x 20 probes, worst rel err {worst:.2e} < 1e-4, {elapsed:.0f}s")

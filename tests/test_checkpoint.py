@@ -401,6 +401,34 @@ def test_an_optimizer_slot_of_another_shape_than_its_table_names_the_meta_key(tm
         load_checkpoint(str(tmp_path))
 
 
+def test_a_vocab_count_too_large_to_allocate_is_rejected_before_any_allocation(tmp_path):
+    """vocab.n_entities 2**40 (meta's vocab is not hashed): its [2**40, 4] tables are more
+    than numpy can allocate, so the headers are checked against the config's shapes first."""
+    meta = adam_checkpoint(tmp_path)
+    meta.write_text(meta.read_text().replace("vocab.n_entities: 6", f"vocab.n_entities: {2**40}"))
+    with pytest.raises(CheckpointError, match=rf"^meta table\.ent: shape 6x4, its table needs "
+                                              rf"{2**40}x4 \(vocab\.n_entities {2**40}, "):
+        load_checkpoint(str(tmp_path))
+
+
+def state_arrays(params, opt):
+    arrays = dict(param_tables(params))
+    arrays.update({(t, k): a for t, slots in opt.slots.items() for k, a in slots.items()})
+    return arrays
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adagrad", "adam"])
+@pytest.mark.parametrize("model", ["transh", "transr", "rotate", "simple", "rgcn"])
+def test_a_shapes_only_state_has_the_drawn_shapes_and_holds_no_memory(model, optimizer):
+    from kgembed.checkpoint import init_state
+
+    config = TrainConfig(model=model, dim=4, n_bases=2, optimizer=optimizer)
+    drawn = state_arrays(*init_state(config, 7, 3))
+    blank = state_arrays(*init_state(config, 7, 3, shapes_only=True))
+    assert {k: a.shape for k, a in blank.items()} == {k: a.shape for k, a in drawn.items()}
+    assert all(a.strides[0] == 0 and not a.flags.writeable for a in blank.values())
+
+
 def set_meta(directory, key, value):
     """Replace meta ``key``'s line with ``value``, or drop it for None."""
     meta = directory / "meta"

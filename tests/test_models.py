@@ -192,6 +192,33 @@ def test_simple_is_mean_of_directional_products():
         assert score(params, np.array([[h, r, t]]))[0] == pytest.approx(0.5 * (s1 + s2))
 
 
+# each bilinear model's partials (q_h, q_r, q_t), and the trilinear terms whose mean is its
+# score, each as (head table, relation table, tail table)
+BILINEAR_TERMS = {
+    "distmult": (models._DISTMULT, [("ent", "rel", "ent")]),
+    "complex": (models._COMPLEX, [("ent", "rel", "ent")]),
+    "simple": (models._DISTMULT, [("ent_h", "rel", "ent_t"), ("ent_t", "rel_inv", "ent_h")]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(BILINEAR_TERMS))
+def test_each_partial_dotted_with_its_row_is_the_score(model):
+    """Euler's identity for a trilinear form: q_h(r, t).h = q_r(h, t).r = q_t(h, r).t = T.
+    SimplE's score is the mean of its two terms, so each of its entity tables is checked
+    as a head row and as a tail row."""
+    params = init_params(model, 30, 4, 7, seed=61)
+    triples = random_triples(np.random.default_rng(62), 200, 30)
+    (q_h, q_r, q_t), terms = BILINEAR_TERMS[model]
+    expected = score(params, triples)
+    for part in range(3):
+        total = 0.0
+        for names in terms:
+            h, r, t = (params.tables[n][triples[:, col]].astype(np.float64)
+                       for col, n in enumerate(names))
+            total = total + ((q_h(r, t) * h, q_r(h, t) * r, q_t(h, r) * t)[part]).sum(axis=1)
+        np.testing.assert_allclose(total / len(terms), expected, rtol=1e-12, atol=0, err_msg=part)
+
+
 # --- candidate scoring consistency ----------------------------------------
 
 
