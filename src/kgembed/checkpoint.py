@@ -152,7 +152,6 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
         f"history: {';'.join(f'{e},{serialize_value(float(m))}' for e, m in ckpt.history)}",
         f"vocab.n_entities: {params.n_entities}",
         f"vocab.n_relations: {params.n_relations}",
-        f"vocab.dataset: {ckpt.config.dataset}",
     ]
     for key, value in ckpt.config.to_dict().items():
         lines.append(f"config.{key}: {serialize_value(value)}")

@@ -98,6 +98,9 @@ class TrainConfig:
             (0 <= self.edge_dropout < 1, "edge_dropout", "in [0, 1)"),
             (self.threads >= 1, "threads", ">= 1"),
         ]
+        # a line break would split the field's line in a checkpoint's meta file
+        checks += [(not {"\n", "\r"} & set(str(getattr(self, f.name))), f.name, "one line")
+                   for f in fields(self) if f.type == "str"]
         for ok, key, expect in checks:
             if not ok:
                 raise ConfigError(f"config field {key!r} must be {expect}, got {getattr(self, key)!r}")

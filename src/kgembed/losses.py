@@ -39,9 +39,9 @@ class LossSpec:
     def validate(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind: {self.kind!r}")
-        if self.kind in ("margin", "self_adversarial") and self.margin < 0:
+        if self.kind in ("margin", "self_adversarial") and not self.margin >= 0:
             raise ValueError(f"margin must be >= 0, got {self.margin}")
-        if self.kind == "self_adversarial" and self.adv_temperature <= 0:
+        if self.kind == "self_adversarial" and not self.adv_temperature > 0:
             raise ValueError(f"adv_temperature must be > 0, got {self.adv_temperature}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
@@ -102,7 +102,7 @@ def margin_loss_grads(
     ``neg_scores.size``); ``out``, shaped as ``neg_scores``, receives each
     pair's term.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
@@ -117,7 +117,7 @@ def margin_loss_grads(
 
 def adversarial_weights(neg_scores: np.ndarray, temperature: float) -> np.ndarray:
     """Softmax of temperature * neg_scores along the last axis, treated as constants."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"adv_temperature must be > 0, got {temperature}")
     z = temperature * np.asarray(neg_scores, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
@@ -160,7 +160,7 @@ def self_adversarial_loss_grads(
     ``len(pos_scores)``); ``out``, shaped as ``pos_scores``, receives each
     positive's term; ``weights`` pins the softmax weights.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
@@ -208,8 +208,9 @@ def bce_loss_grads(
     if labels.shape != x.shape:
         raise ValueError(f"labels of shape {labels.shape} do not match scores of shape {x.shape}")
     _check_nonempty("bce", "scores", x.shape)
-    if labels.size and (labels.min() < 0.0 or labels.max() > 1.0):
-        raise ValueError("bce labels must lie in [0, 1]")
+    lo, hi = labels.min(), labels.max()  # NaN if any label is
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise ValueError(f"bce labels must lie in [0, 1], got {hi if lo >= 0.0 else lo}")
     y = _smooth(labels, label_smoothing)
     e = np.exp(-np.abs(x))
     if out is not None:

@@ -12,10 +12,13 @@ through an accessor, builds the forward once and returns the scores. When
 the accessor has a coefficient callback, the formula asks it for the
 coefficients of those scores and hands each row's derivative, with the
 coefficient that scales it, back to the accessor from the same
-temporaries. The bilinear models (DistMult, ComplEx, SimplE) hand over
-their partials instead: each scores a triple as a trilinear form
-T(h, r, t), so d(T)/d(row) is q_h(r, t), q_r(h, t) or q_t(h, r), each
-linear in both of its rows and written once per model. The accessor takes
+temporaries. The bilinear models (DistMult, ComplEx, SimplE) are data,
+not formulas: each is one row of ``_TRILINEAR``, and one formula scores
+and differentiates all three. A row's score is the mean of trilinear
+forms T(h, r, t), so d(T)/d(row) is q_h(r, t), q_r(h, t) or q_t(h, r),
+each linear in both of its rows; the row holds these partials, a
+majorant of their magnitudes and its terms' tables, and the formula
+hands the partials to the accessor instead of rows. The accessor takes
 an anchor's gradient as one partial of S, the coefficient-weighted sum of
 the replaced rows it pairs with, and a replaced row's as its coefficient
 times the partial of its positive's anchor rows, so no [b, n] derivative
@@ -64,7 +67,9 @@ softmax over all its negatives.
 Candidate scoring (one slot swept over every entity) has two paths.
 
 - ``fast_candidates`` is what ranking uses. Each model has one kernel:
-  a GEMM ``q @ E.T`` for DistMult, ComplEx and SimplE; the
+  for DistMult, ComplEx and SimplE one shared GEMM ``q @ E.T``, built
+  from the model's ``_TRILINEAR`` row (q from q_t or q_h of each term, E
+  the terms' candidate tables side by side); the
   ||a||^2 + ||e||^2 - 2 a.e GEMM for TransE-L2, TransH and RotatE (in
   both slots: a = R h, or R^T t for a head candidate); for TransR the
   same GEMM on M_r^T a, with ||M_r e||^2 computed once per relation;
@@ -330,24 +335,12 @@ def _transr(params, x):
     return s
 
 
-# The bilinear models score a triple as a trilinear form T(h, r, t) of its rows, so each
-# row's derivative is linear in the other two: q_h(r, t), q_r(h, t) and q_t(h, r), with
-# T = q_h(r, t).h = q_r(h, t).r = q_t(h, r).t. A model's partials are written once, as this
-# (q_h, q_r, q_t) triple; training hands them to ``x.add_trilinear`` and ranking takes its
-# query vectors from q_t and q_h.
-_DISTMULT = (np.multiply, np.multiply, np.multiply)
-
-
-def _distmult(params, x):
-    he = x.h("ent")
-    re = x.r("rel")
-    te = x.t("ent")
-    hr = he * re
-    s = (hr * te).sum(axis=-1)
-    c = x.coef(s)
-    if c is not None:
-        x.add_trilinear(_DISTMULT, ("ent", "rel", "ent"), (he, re, te), c)
-    return s
+# The bilinear models score a triple as the mean of trilinear forms T(h, r, t) of its rows,
+# so each row's derivative is linear in the other two: q_h(r, t), q_r(h, t) and q_t(h, r),
+# with T = q_h(r, t).h = q_r(h, t).r = q_t(h, r).t. A model is one row of ``_TRILINEAR``:
+# its partials (q_h, q_r, q_t), a majorant m(|x|, |r|) >= |q_t(x, r)| and >= |q_h(r, x)|
+# elementwise, and its terms, each (head table, relation table, tail table). Training hands
+# the partials to ``x.add_trilinear``; ranking takes its query vectors from q_t and q_h.
 
 
 def _split(x, d):
@@ -368,18 +361,40 @@ def _complex_product(h, r):
     return np.concatenate([hre * rre - him * rim, hre * rim + him * rre], axis=-1)
 
 
-_COMPLEX = (_conj_product, _conj_product, _complex_product)
+def _complex_magnitude(x, r):
+    """The magnitudes of the products each entry of ComplEx's q is made of; q itself may cancel."""
+    d = x.shape[-1] // 2
+    (xre, xim), (rre, rim) = _split(x, d), _split(r, d)
+    return np.concatenate([xre * rre + xim * rim, xre * rim + xim * rre], axis=-1)
 
 
-def _complex(params, x):
-    rows = x.h("ent"), x.r("rel"), x.t("ent")
-    (hre, him), (rre, rim), (tre, tim) = (_split(row, params.dim) for row in rows)
-    re = hre * rre - him * rim
-    im = hre * rim + him * rre
-    s = (re * tre + im * tim).sum(axis=-1)
+_TRILINEAR = {
+    "distmult": ((np.multiply,) * 3, np.multiply, (("ent", "rel", "ent"),)),
+    "complex": ((_conj_product, _conj_product, _complex_product), _complex_magnitude,
+                (("ent", "rel", "ent"),)),
+    # SimplE: the head's head-role row with the tail's tail-role row, then the reverse
+    "simple": ((np.multiply,) * 3, np.multiply,
+               (("ent_h", "rel", "ent_t"), ("ent_t", "rel_inv", "ent_h"))),
+}
+
+
+def _dot(q, t, d):
+    """q.t over the last axis; a row of two d-wide halves (ComplEx's real and imaginary parts)
+    adds its halves first, so the score rounds as the real part of a complex product does."""
+    p = q * t
+    return (p[..., :d] + p[..., d:] if p.shape[-1] > d else p).sum(axis=-1)
+
+
+def _trilinear(params, x):
+    partials, _, terms = _TRILINEAR[params.model]
+    rows = [(x.h(h), x.r(r), x.t(t)) for h, r, t in terms]
+    s = [_dot(partials[2](h, r), t, params.dim) for h, r, t in rows]
+    s = sum(s[1:], s[0]) / len(terms)
     c = x.coef(s)
     if c is not None:
-        x.add_trilinear(_COMPLEX, ("ent", "rel", "ent"), rows, c)
+        c = c / len(terms)
+        for names, term_rows in zip(terms, rows):
+            x.add_trilinear(partials, names, term_rows, c)
     return s
 
 
@@ -406,36 +421,14 @@ def _rotate(params, x):
     return s
 
 
-# SimplE's score is the mean of two DistMult terms, each (head table, relation table, tail table)
-_SIMPLE_TERMS = (("ent_h", "rel", "ent_t"), ("ent_t", "rel_inv", "ent_h"))
-
-
-def _simple(params, x):
-    eh_h = x.h("ent_h")
-    et_t = x.t("ent_t")
-    eh_t = x.t("ent_h")
-    et_h = x.h("ent_t")
-    rr = x.r("rel")
-    ri = x.r("rel_inv")
-    hr = eh_h * rr
-    tri = eh_t * ri
-    s = 0.5 * ((hr * et_t).sum(axis=-1) + (tri * et_h).sum(axis=-1))
-    c = x.coef(s)
-    if c is not None:
-        half = 0.5 * c
-        for names, rows in zip(_SIMPLE_TERMS, ((eh_h, rr, et_t), (et_h, ri, eh_t))):
-            x.add_trilinear(_DISTMULT, names, rows, half)
-    return s
-
-
 _FORMULA = {
     "transe": _transe,
     "transh": _transh,
     "transr": _transr,
-    "distmult": _distmult,
-    "complex": _complex,
+    "distmult": _trilinear,
+    "complex": _trilinear,
     "rotate": _rotate,
-    "simple": _simple,
+    "simple": _trilinear,
 }
 
 
@@ -494,14 +487,16 @@ def _memo(cache: dict, key, make):
     return cache[key]
 
 
-def _entities(params: ModelParams, cache: dict, name: str = "ent"):
-    """An entity table in float64 (the table itself if it is float64) and its largest row norm."""
+def _entities(params: ModelParams, cache: dict, names=("ent",)):
+    """Entity tables side by side in float64 (a float64 table itself) and their largest row norm,
+    cached under the tables' joined names."""
 
     def make():
-        ent = params.tables[name].astype(np.float64, copy=False)
+        tables = [params.tables[name].astype(np.float64, copy=False) for name in names]
+        ent = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
         return ent, _norms(ent).max(initial=0.0)
 
-    return _memo(cache, name, make)
+    return _memo(cache, "+".join(names), make)
 
 
 def fast_candidates(
@@ -523,16 +518,15 @@ def fast_candidates(
 
 
 def _bilinear_candidates(
-    q: np.ndarray, ent: np.ndarray, max_norm: float, width: int, mag: np.ndarray | None = None
+    q: np.ndarray, ent: np.ndarray, max_norm: float, width: int, mag: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``q @ ent.T`` and its bound, for scores sum_k q_k e_k.
 
     Row b of ``q`` holds what the score multiplies a candidate row by.
-    ``mag`` (default ``|q|``) majorizes the magnitudes of the products
-    each entry is made of, up to a rounding the slack covers; it differs
-    from ``|q|`` where forming ``q`` cancels.
+    ``mag`` majorizes the magnitudes of the products each entry is made
+    of, up to a rounding the slack covers; it exceeds ``|q|`` where
+    forming ``q`` cancels.
     """
-    mag = np.abs(q) if mag is None else mag
     return q @ ent.T, (_slack(width) * _norms(mag) * max_norm)[:, None]
 
 
@@ -663,9 +657,8 @@ def _fast_transr(params, x, r, slot, cache):
 
     neg_d2 = (2.0 * np.einsum("nij,ni->nj", m, a)) @ ent.T
     neg_d2 -= (a * a).sum(axis=1)[:, None]
-    neg_d2 -= np.stack(
-        [_memo(cache, ("proj", int(rel)), lambda: projected_sq_norms(rel)) for rel in r]
-    )
+    for row, rel in zip(neg_d2, r):
+        row -= _memo(cache, ("proj", int(rel)), lambda: projected_sq_norms(rel))
     f = np.sqrt((m * m).sum(axis=(1, 2)))  # ||M||_F bounds the projection's gain
     floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], max_norm, params.dim)
     return neg_d2, floor * floor
@@ -696,53 +689,30 @@ def _fast_rotate(params, x, r, slot, cache):
     return _distance_candidates(params, cache, a, 2.0 * _norms(xe), ent_factor, 2 * params.dim)
 
 
-def _query_vectors(partials, slot, fixed, rel):
-    """What a trilinear score multiplies a candidate row by: q_t(h, r) for a tail candidate,
-    q_h(r, t) for a head one, from the query's ``fixed`` entity rows and its ``rel`` rows."""
-    q_h, _, q_t = partials
-    return q_t(fixed, rel) if slot == TAIL else q_h(rel, fixed)
-
-
-def _fast_distmult(params, x, r, slot, cache):
-    q = _query_vectors(
-        _DISTMULT, slot, _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
-    )
-    return _bilinear_candidates(q, *_entities(params, cache), params.dim)
-
-
-def _fast_complex(params, x, r, slot, cache):
-    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
-    # forming q may cancel: bound by the magnitudes of its products
-    (xre, xim), (rre, rim) = _split(np.abs(xe), params.dim), _split(np.abs(rr), params.dim)
-    mag = np.concatenate([xre * rre + xim * rim, xre * rim + xim * rre], axis=1)
-    q = _query_vectors(_COMPLEX, slot, xe, rr)
-    return _bilinear_candidates(q, *_entities(params, cache), 2 * params.dim, mag=mag)
-
-
-def _fast_simple(params, x, r, slot, cache):
-    tables, q, names = params.tables, [], []
-    for h, rel, t in _SIMPLE_TERMS:  # each term's fixed entity table and candidate table
+def _fast_trilinear(params, x, r, slot, cache):
+    """``q @ E.T`` with E the terms' candidate tables side by side and q their query vectors,
+    q_t(h, r) or q_h(r, t), in the same order and divided by the number of terms; the
+    majorants of the q, likewise, bound the score's error."""
+    (q_h, _, q_t), majorant, terms = _TRILINEAR[params.model]
+    q, mag, names = [], [], []
+    for h, rel, t in terms:  # each term's fixed entity table and candidate table
         fixed, cand = (h, t) if slot == TAIL else (t, h)
-        q.append(_query_vectors(_DISTMULT, slot, _rows(tables[fixed], x), _rows(tables[rel], r)))
+        xe, rr = _rows(params.tables[fixed], x), _rows(params.tables[rel], r)
+        q.append(q_t(xe, rr) if slot == TAIL else q_h(rr, xe))
+        mag.append(majorant(np.abs(xe), np.abs(rr)))
         names.append(cand)
-    names = tuple(names)
-
-    def make():
-        cand = np.concatenate([params.tables[n].astype(np.float64) for n in names], axis=1)
-        return cand, _norms(cand).max(initial=0.0)
-
-    cand, max_norm = _memo(cache, names, make)
-    return _bilinear_candidates(0.5 * np.concatenate(q, axis=1), cand, max_norm, 2 * params.dim)
+    q, mag = (np.concatenate(a, axis=1) / len(terms) for a in (q, mag))
+    return _bilinear_candidates(q, *_entities(params, cache, names), q.shape[1], mag)
 
 
 _FAST = {
     "transe": _fast_transe,
     "transh": _fast_transh,
     "transr": _fast_transr,
-    "distmult": _fast_distmult,
-    "complex": _fast_complex,
+    "distmult": _fast_trilinear,
+    "complex": _fast_trilinear,
     "rotate": _fast_rotate,
-    "simple": _fast_simple,
+    "simple": _fast_trilinear,
 }
 
 

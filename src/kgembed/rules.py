@@ -73,7 +73,7 @@ def predict_soft_labels(
     ``pool`` restricts prediction to a subset of conclusions (mini-batch
     alternation); by default every unlabeled conclusion is labeled.
     """
-    if rule_weight < 0:
+    if not rule_weight >= 0:
         raise ValueError(f"rule weight must be >= 0, got {rule_weight}")
     if pool is None:
         pool = unlabeled_conclusions(groundings)

@@ -10,7 +10,7 @@ from kgembed.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from kgembed.config import TrainConfig, config_hash
+from kgembed.config import ConfigError, TrainConfig, config_hash
 from kgembed.data import DataFormatError
 from kgembed.gnn import init_rgcn, param_tables
 from kgembed.models import init_params
@@ -675,6 +675,32 @@ def test_config_meta_parsed_by_declared_type(tmp_path, toy_kg, dataset):
     back = load_checkpoint(str(tmp_path / "last"))
     assert back.config == cfg
     assert back.config.dataset == dataset
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"])
+def test_a_dataset_name_with_a_line_break_fails_before_the_run_directory(
+    tmp_path, toy_kg, line_break
+):
+    """Its checkpoints could not be read back: the name would split its meta line."""
+    _, kg = toy_kg
+    cfg = train_config(dataset=f"toy{line_break}set", max_epochs=1)
+    with pytest.raises(ConfigError, match="config field 'dataset' must be one line"):
+        train(cfg, kg, run_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_checkpoint_with_the_former_vocab_dataset_line_loads(tmp_path, toy_kg):
+    """Checkpoints once also wrote ``vocab.dataset``, which no reader needs."""
+    _, kg = toy_kg
+    cfg = train_config(dataset="toy", max_epochs=1)
+    train(cfg, kg, run_dir=str(tmp_path))
+    meta = tmp_path / "last" / "meta"
+    text = meta.read_text(encoding="utf-8")
+    assert "vocab.dataset" not in text
+    meta.write_text(text.replace("vocab.n_entities:", "vocab.dataset: toy\nvocab.n_entities:"),
+                    encoding="utf-8")
+    back = load_checkpoint(str(tmp_path / "last"))
+    assert back.config == cfg
 
 
 def test_a_fresh_run_that_fails_before_writing_leaves_no_directory(tmp_path, toy_kg):

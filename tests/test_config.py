@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -138,6 +139,18 @@ def test_rgcn_rejects_a_sampler_it_would_ignore(sampler):
         TrainConfig(model="rgcn", loss="bce", sampler=sampler).validate()
     for ok in ("uniform", "adv"):
         TrainConfig(model="rgcn", loss="bce", sampler=ok).validate()
+
+
+STR_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "str"]
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"])
+@pytest.mark.parametrize("field", STR_FIELDS)
+def test_a_line_break_in_a_str_field_is_rejected_naming_it(field, line_break):
+    """A checkpoint's meta holds one field per line, so its value must be one line."""
+    value = getattr(TrainConfig(), field) + line_break + "x"
+    with pytest.raises(ConfigError, match=f"config field '{field}' must be"):
+        build_train_config({field: value})
 
 
 def test_with_overrides_unknown_key():

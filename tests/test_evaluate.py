@@ -387,6 +387,20 @@ def test_fast_candidates_return_one_bound_per_query(model, p):
         assert (bounds.shape, bounds.dtype) == ((len(BAND_QUERIES), 1), np.float64)
 
 
+@pytest.mark.parametrize("slot", [HEAD, TAIL])
+@pytest.mark.parametrize("model,p", BAND_MODELS + [("rgcn", 1)])
+def test_fast_candidates_of_no_queries_are_empty(model, p, slot):
+    """No query is [0, E] scores and [0, 1] bounds, TransR's per-relation entity norms too."""
+    kg = band_kg()
+    if model == "rgcn":
+        scorer = make_scorer(init_rgcn(kg.n_entities, kg.n_relations, 4, n_bases=2, seed=0), kg)
+    else:
+        scorer = CKGEScorer(band_params(model, p, kg))
+    scores, bounds = scorer.fast_candidates(np.zeros((0, 3), dtype=np.int64), slot, {})
+    assert (scores.shape, scores.dtype) == ((0, kg.n_entities), np.float64)
+    assert (bounds.shape, bounds.dtype) == ((0, 1), np.float64)
+
+
 @pytest.mark.parametrize("model,p", BAND_MODELS)
 def test_ranking_a_chunk_holds_no_bound_per_candidate(model, p):
     """One 32-query chunk over 20,000 entities peaks below 2.75 [32, E] float64 arrays.

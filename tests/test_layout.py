@@ -76,6 +76,15 @@ def test_one_formula_per_model():
     assert not split, split
 
 
+def test_the_bilinear_models_share_one_formula_and_one_ranking_kernel():
+    """DistMult, ComplEx and SimplE are rows of ``_TRILINEAR``, not functions of their own."""
+    from kgembed import models
+
+    assert sorted(models._TRILINEAR) == ["complex", "distmult", "simple"]
+    for table in (models._FORMULA, models._FAST):
+        assert len({table[model] for model in models._TRILINEAR}) == 1, table
+
+
 def test_the_library_imports_only_numpy_and_the_standard_library():
     """The runtime is numpy-only: every import in ``src/kgembed`` is numpy, a
     sibling module, or a module of the standard library."""

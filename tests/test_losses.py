@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -44,6 +45,11 @@ def test_margin_negative_gamma_errors():
         margin_loss(np.array([1.0]), np.array([[0.0]]), margin=-0.1)
 
 
+def test_margin_loss_rejects_a_nan_margin():
+    with pytest.raises(ValueError, match="margin must be >= 0, got nan"):
+        margin_loss(np.array([1.0]), np.array([[0.0]]), margin=math.nan)
+
+
 # --- self-adversarial ------------------------------------------------------
 
 
@@ -86,6 +92,16 @@ def test_adv_bad_temperature():
         self_adversarial_loss(np.array([0.0]), np.array([[0.0]]), 1.0, 0.0)
 
 
+def test_adversarial_weights_reject_a_nan_temperature():
+    with pytest.raises(ValueError, match="adv_temperature must be > 0, got nan"):
+        adversarial_weights(np.array([[0.0, 1.0]]), math.nan)
+
+
+def test_self_adversarial_grads_reject_a_nan_margin():
+    with pytest.raises(ValueError, match="margin must be >= 0, got nan"):
+        self_adversarial_loss_grads(np.array([0.0]), np.array([[0.0]]), math.nan, 1.0)
+
+
 # --- bce -------------------------------------------------------------------
 
 
@@ -116,6 +132,13 @@ def test_bce_rejects_bad_labels():
         bce_loss(np.array([0.0]), np.array([1.5]))
     with pytest.raises(ValueError):
         bce_loss(np.array([0.0]), np.array([-0.1]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1])
+def test_bce_rejects_a_nan_or_out_of_range_label_naming_it(bad):
+    """A NaN label fails the [0, 1] check like a label outside it; the error names it."""
+    with pytest.raises(ValueError, match=re.escape(f"bce labels must lie in [0, 1], got {bad}")):
+        bce_loss(np.array([0.0, 0.0, 0.0]), np.array([0.5, bad, 1.0]))
 
 
 def test_bce_label_smoothing_midpoint():
@@ -237,3 +260,11 @@ def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(kind="bce", label_smoothing=1.0).validate()
     LossSpec(kind="bce", label_smoothing=0.3).validate()
+
+
+def test_loss_spec_rejects_a_nan_margin_and_temperature():
+    for kind in ("margin", "self_adversarial"):
+        with pytest.raises(ValueError, match="margin must be >= 0, got nan"):
+            LossSpec(kind=kind, margin=math.nan).validate()
+    with pytest.raises(ValueError, match="adv_temperature must be > 0, got nan"):
+        LossSpec(kind="self_adversarial", adv_temperature=math.nan).validate()

@@ -195,9 +195,7 @@ def test_simple_is_mean_of_directional_products():
 # each bilinear model's partials (q_h, q_r, q_t), and the trilinear terms whose mean is its
 # score, each as (head table, relation table, tail table)
 BILINEAR_TERMS = {
-    "distmult": (models._DISTMULT, [("ent", "rel", "ent")]),
-    "complex": (models._COMPLEX, [("ent", "rel", "ent")]),
-    "simple": (models._DISTMULT, [("ent_h", "rel", "ent_t"), ("ent_t", "rel_inv", "ent_h")]),
+    model: (partials, terms) for model, (partials, _, terms) in models._TRILINEAR.items()
 }
 
 
@@ -217,6 +215,23 @@ def test_each_partial_dotted_with_its_row_is_the_score(model):
                        for col, n in enumerate(names))
             total = total + ((q_h(r, t) * h, q_r(h, t) * r, q_t(h, r) * t)[part]).sum(axis=1)
         np.testing.assert_allclose(total / len(terms), expected, rtol=1e-12, atol=0, err_msg=part)
+
+
+@pytest.mark.parametrize("model", sorted(BILINEAR_TERMS))
+def test_each_majorant_bounds_both_query_vectors(model):
+    """m(|x|, |r|) >= |q_t(x, r)| and >= |q_h(r, x)| elementwise: ranking's bound takes it for
+    the magnitudes of q's products. Relation rows built from the entity rows' halves make each
+    half of ComplEx's q_t and q_h cancel in turn, where |q| alone would undercount."""
+    (q_h, _, q_t), majorant, _ = models._TRILINEAR[model]
+    rng = np.random.default_rng(64)
+    x = rng.normal(size=(50, 12)).astype(np.float32).astype(np.float64)
+    a, b = x[:, :6], x[:, 6:]
+    pairs = [rng.normal(size=x.shape).astype(np.float32), np.zeros(x.shape)]
+    pairs += [np.concatenate(halves, axis=1) for halves in ((b, a), (a, -b), (b, -a), (a, b))]
+    x, r = np.concatenate([x] * len(pairs)), np.concatenate(pairs)
+    mag = majorant(np.abs(x), np.abs(r))
+    assert np.all(mag >= np.abs(q_t(x, r)))
+    assert np.all(mag >= np.abs(q_h(r, x)))
 
 
 # --- candidate scoring consistency ----------------------------------------

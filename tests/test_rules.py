@@ -208,6 +208,13 @@ def test_negative_weight_rejected(cparams):
         predict_soft_labels(cparams, [], rule_weight=-0.1)
 
 
+def test_nan_weight_rejected(cparams):
+    """A NaN weight would make every label NaN."""
+    gs = grounding_table(cparams, [g((0, 1, 2), [(0, 0, 2)], conf=0.9)])
+    with pytest.raises(ValueError, match="rule weight must be >= 0, got nan"):
+        predict_soft_labels(cparams, gs, rule_weight=float("nan"))
+
+
 def test_ruge_loss_empty_soft_equals_plain_bce(cparams):
     labeled = LabeledBatch(np.array([[0, 0, 1], [2, 1, 3]]), np.array([1.0, 0.0]))
     soft = SoftLabelSet(
