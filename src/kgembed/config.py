@@ -9,6 +9,7 @@ loudly instead of silently training the wrong thing.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .data import read_text
@@ -65,6 +66,11 @@ class TrainConfig:
     full_graph_threshold: int = 50000
     edge_dropout: float = 0.2
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        # one type rule however the config is built: in code, from a file or from meta
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(f.name, f.type, getattr(self, f.name)))
 
     def validate(self) -> None:
         checks = [
@@ -166,14 +172,12 @@ def parse_field(key: str, text: str):
     """Parse one serialized TrainConfig value by the field's declared type.
 
     Strings stay verbatim (a dataset named ``007`` or ``true`` is not a
-    number or a bool); other types take ``parse_scalar`` and the type
-    check of the config-file path.
+    number or a bool); other types take ``parse_scalar``. The value is
+    type-checked as a config holding it, so a bad one raises here.
     """
-    ftypes = {f.name: f.type for f in fields(TrainConfig)}
-    if key not in ftypes:
-        raise ConfigError(f"unknown config key: {key!r}")
-    value = text if ftypes[key] == "str" else parse_scalar(text)
-    return _coerce(key, ftypes[key], value)
+    str_keys = {f.name for f in fields(TrainConfig) if f.type == "str"}
+    value = text if key in str_keys else parse_scalar(text)
+    return getattr(TrainConfig().with_overrides(**{key: value}), key)
 
 
 def parse_config_file(path: str) -> dict:
@@ -219,32 +223,32 @@ def build_train_config(doc: dict, allow_lists: bool = False) -> tuple[TrainConfi
     List values are only legal when ``allow_lists`` (the tune command);
     they are returned separately as the search space.
     """
-    ftypes = {f.name: f.type for f in fields(TrainConfig)}
-    scalars: dict = {}
-    space: dict = {}
-    for key, value in doc.items():
-        if key not in ftypes:
-            raise ConfigError(f"unknown config key: {key!r}")
-        if isinstance(value, list):
-            if not allow_lists:
-                raise ConfigError(f"config key {key!r} has a list value; lists are for tuning")
-            space[key] = [_coerce(key, ftypes[key], v) for v in value]
-        else:
-            scalars[key] = _coerce(key, ftypes[key], value)
-    config = TrainConfig(**scalars)
+    lists = {key: value for key, value in doc.items() if isinstance(value, list)}
+    if lists and not allow_lists:
+        key = next(iter(lists))
+        raise ConfigError(f"config key {key!r} has a list value; lists are for tuning")
+    config = TrainConfig().with_overrides(**{k: v for k, v in doc.items() if k not in lists})
+    # each list value is type-checked now, as the trial config that will hold it
+    space = {key: [getattr(config.with_overrides(**{key: v}), key) for v in values]
+             for key, values in lists.items()}
     config.validate()
     return config, space
 
 
+# each field type's accepted values; an int field stores int(value), a float field float(value)
+_TYPES = {
+    "str": str,
+    "int": numbers.Integral,
+    "float": (numbers.Integral, float),
+    "bool": bool,
+    "bool | None": (bool, type(None)),
+}
+
+
 def _coerce(key: str, ftype: str, value):
-    if ftype == "float" and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    expected = {"str": str, "int": int, "float": float, "bool": bool}.get(ftype)
-    if expected is not None:
-        if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-            raise ConfigError(f"config key {key!r} expects {ftype}, got {value!r}")
-        return value
-    # bool | None (entity_renorm)
-    if value is not None and not isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} expects true/false/auto, got {value!r}")
-    return value
+    """``value`` as field ``key`` of type ``ftype`` stores it; a bool is no number."""
+    number = ftype in ("int", "float")
+    if not isinstance(value, _TYPES[ftype]) or (number and isinstance(value, bool)):
+        expect = "true/false/auto" if ftype == "bool | None" else ftype
+        raise ConfigError(f"config key {key!r} expects {expect}, got {value!r}")
+    return int(value) if ftype == "int" else float(value) if ftype == "float" else value

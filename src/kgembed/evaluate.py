@@ -172,6 +172,8 @@ def evaluate(
     seed-shuffled query list (debugging aid; final evaluation passes None).
     """
     if isinstance(split, str):
+        if split not in ("train", "valid", "test"):
+            raise ValueError(f"unknown split {split!r}: expected 'train', 'valid' or 'test'")
         queries = getattr(kg, split)
     else:
         queries = np.asarray(split, dtype=np.int64)

@@ -274,8 +274,12 @@ def rgcn_score(encoded: np.ndarray, rel_emb: np.ndarray, triples: np.ndarray) ->
     through :mod:`kgembed.models` with the same arithmetic.
     """
     triples = np.asarray(triples, dtype=np.int64)
-    if triples.size and triples[:, [0, 2]].max() >= encoded.shape[0]:
-        raise ValueError("triple endpoint outside the encoded node set")
+    # a negative id would read a row counted from the end
+    for what, ids, n in (("encoded node", triples[:, [0, 2]], len(encoded)),
+                         ("relation", triples[:, 1], len(rel_emb))):
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise ValueError(f"triple {what} id {bad[0]} outside [0, {n})")
     enc = np.asarray(encoded, dtype=np.float64)
     rel = np.asarray(rel_emb, dtype=np.float64)[triples[:, 1]]
     return ((enc[triples[:, 0]] * rel) * enc[triples[:, 2]]).sum(axis=-1)

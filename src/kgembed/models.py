@@ -12,8 +12,13 @@ through an accessor, builds the forward once and returns the scores. When
 the accessor has a coefficient callback, the formula asks it for the
 coefficients of those scores and hands each row's derivative, with the
 coefficient that scales it, back to the accessor from the same
-temporaries. The bilinear models (DistMult, ComplEx, SimplE) are data,
-not formulas: each is one row of ``_TRILINEAR``, and one formula scores
+temporaries. Two families are data, not formulas. The translational
+models (TransE, TransH, TransR) score -dist((P h + r) - P t) for a
+relation's projection P: each is one row of ``_TRANSLATION`` (P's table,
+P, P^T, d(dist)/d(P) and a ranking candidate term; TransE's P is the
+identity), one formula hands P^T u to the head and tail, u = d(dist)/d(d),
+and one kernel ranks all three. The bilinear models (DistMult, ComplEx,
+SimplE) are each one row of ``_TRILINEAR``, and one formula scores
 and differentiates all three. A row's score is the mean of trilinear
 forms T(h, r, t), so d(T)/d(row) is q_h(r, t), q_r(h, t) or q_t(h, r),
 each linear in both of its rows; the row holds these partials, a
@@ -69,11 +74,14 @@ Candidate scoring (one slot swept over every entity) has two paths.
 - ``fast_candidates`` is what ranking uses. Each model has one kernel:
   for DistMult, ComplEx and SimplE one shared GEMM ``q @ E.T``, built
   from the model's ``_TRILINEAR`` row (q from q_t or q_h of each term, E
-  the terms' candidate tables side by side); the
-  ||a||^2 + ||e||^2 - 2 a.e GEMM for TransE-L2, TransH and RotatE (in
-  both slots: a = R h, or R^T t for a head candidate); for TransR the
-  same GEMM on M_r^T a, with ||M_r e||^2 computed once per relation;
-  and a float32 per-dimension accumulation for TransE-L1.
+  the terms' candidate tables side by side); for TransE, TransH and
+  TransR one kernel on a = P h + r (or P t - r for a head candidate) that
+  takes -||a - P e||^2 as 2 (P^T a).e - ||a||^2 - ||P e||^2, the last
+  term from the model's ``_TRANSLATION`` row: the shared
+  [e, 1, ||e||^2] GEMM for TransE-L2 (and RotatE, in both slots: a = R h,
+  or R^T t for a head candidate), that GEMM with a (2 - ||w||^2)(w.e)^2
+  correction for TransH, ||M_r e||^2 computed once per relation for
+  TransR; and a float32 per-dimension accumulation for TransE-L1.
   With the [B, E] scores it returns a [B, 1] bound: one per query, on
   each score's distance from the float64 value ``score`` returns for
   that triple, ``score``'s own rounding included. The bound is the
@@ -269,69 +277,98 @@ def score(params: ModelParams, triples: np.ndarray) -> np.ndarray:
 # a bilinear formula hands its partials and rows to ``x.add_trilinear``.
 
 
-def _transe(params, x):
-    d = (x.h("ent") + x.r("rel")) - x.t("ent")
-    if params.transe_p == 1:
+# TransE, TransH and TransR score a triple as -dist(d) with d = (P h + r) - P t, P a projection
+# the relation selects. A model is one row of ``_TRANSLATION``: P's table (None for TransE, whose
+# P is the identity), P e, P^T e, the rows of d(dist)/d(P) from u = d(dist)/d(d), P's rows and the
+# head and tail rows, and the ranking kernel's candidate term. TransE's distance is L1 or L2 by
+# ``transe_p`` (any value but 1 reads as L2); a projecting row's is the squared L2 distance.
+
+
+def _identity(p, e):
+    return e
+
+
+def _hyperplane(w, e):
+    """TransH's P e = e - (e.w) w, onto the hyperplane of normal w; P is symmetric."""
+    return e - (e * w).sum(axis=-1, keepdims=True) * w
+
+
+def _hyperplane_grad(w, u, h, t):
+    """d(dist)/d(w) = (u.w) a + (a.w) u, with a = t - h."""
+    a = t - h
+    return (u * w).sum(axis=-1, keepdims=True) * a + (a * w).sum(axis=-1, keepdims=True) * u
+
+
+def _hyperplane_candidates(params, cache, ent, w, r, a, pa):
+    """-||a - P e||^2 = 2 (P a).e - ||a||^2 - ||e||^2 + (2 - ||w||^2) (w.e)^2 on the shared
+    [e, 1, ||e||^2] GEMM, and P's gain: it scales a vector by at most 1 + ||w||^2."""
+    neg_d2 = _neg_sq_distances(a, _memo(cache, "terms", lambda: _distance_terms(ent)), pa)
+    we = w @ ent.T
+    we *= we
+    ww = (w * w).sum(axis=1)
+    we *= (2.0 - ww)[:, None]
+    neg_d2 += we
+    return neg_d2, 1.0 + ww
+
+
+def _matrix(m, e):
+    """TransR's M e: ``m`` [..., d, d] broadcasts against ``e`` [..., d]."""
+    return np.einsum("...ij,...j->...i", m, e)
+
+
+def _matrix_t(m, e):
+    """TransR's M^T e."""
+    return np.einsum("...ij,...i->...j", m, e)
+
+
+def _matrix_candidates(params, cache, ent, m, r, a, mta):
+    """-||a - M e||^2 = 2 (M^T a).e - ||a||^2 - ||M e||^2, ||M e||^2 made once per relation, and
+    P's gain: ||M||_F bounds it."""
+
+    def projected_sq_norms(rel):
+        pe = ent @ params.tables["proj"][rel].astype(np.float64).T
+        return (pe * pe).sum(axis=1)
+
+    neg_d2 = (2.0 * mta) @ ent.T
+    neg_d2 -= (a * a).sum(axis=1)[:, None]
+    for row, rel in zip(neg_d2, r):
+        row -= _memo(cache, ("proj", int(rel)), lambda: projected_sq_norms(rel))
+    return neg_d2, np.sqrt((m * m).sum(axis=(1, 2)))
+
+
+_TRANSLATION = {
+    "transe": (None, _identity, _identity, None, None),
+    "transh": ("norm", _hyperplane, _hyperplane, _hyperplane_grad, _hyperplane_candidates),
+    # d(dist)/d(M) is the outer product u (h - t)^T
+    "transr": ("proj", _matrix, _matrix_t, lambda m, u, h, t: (u, h - t), _matrix_candidates),
+}
+
+
+def _translation(params, x):
+    table, project, transpose, p_grad, _ = _TRANSLATION[params.model]
+    p = x.r(table) if table else None
+    he, te = x.h("ent"), x.t("ent")
+    d = (project(p, he) + x.r("rel")) - project(p, te)
+    ends = (he, te) if table else ()  # only P's gradient reads them again
+    del he, te
+    l1 = table is None and params.transe_p == 1
+    if l1:
         s = -np.abs(d).sum(axis=-1)
     else:
-        nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+        nrm = (d * d).sum(axis=-1, keepdims=True)
+        nrm = nrm if table else np.sqrt(nrm)  # squared L2 for a projecting row
         s = -nrm[..., 0]
     c = x.coef(s)
     if c is None:
         return s
-    u = np.sign(d) if params.transe_p == 1 else d / np.where(nrm > 0, nrm, 1.0)
-    x.add_h("ent", u, -c)
+    # u = d(dist)/d(d): sign(d), d / ||d|| or 2 d, the last in place (d is not read again)
+    u = np.sign(d) if l1 else np.add(d, d, out=d) if table else d / np.where(nrm > 0, nrm, 1.0)
+    ptu = transpose(p, u)
+    x.add_h("ent", ptu, -c)
     x.add_r("rel", u, -c)
-    x.add_t("ent", u, c)
-    return s
-
-
-def _transh_project(e, w):
-    return e - (e * w).sum(axis=-1, keepdims=True) * w
-
-
-def _transh(params, x):
-    w = x.r("norm")
-    he = x.h("ent")
-    te = x.t("ent")
-    d = (_transh_project(he, w) + x.r("rel")) - _transh_project(te, w)
-    s = -(d * d).sum(axis=-1)
-    c = x.coef(s)
-    if c is None:
-        return s
-    dw = (d * w).sum(axis=-1, keepdims=True)
-    v = d - dw * w
-    c2 = 2.0 * c
-    x.add_h("ent", v, -c2)
-    x.add_t("ent", v, c2)
-    x.add_r("rel", d, -c2)
-    a = te - he
-    aw = (a * w).sum(axis=-1, keepdims=True)
-    x.add_r("norm", dw * a + aw * d, -c2)
-    return s
-
-
-def _project(m, e):
-    """M e for each triple: ``m`` [..., d, d] broadcasts against ``e`` [..., d]."""
-    return np.einsum("...ij,...j->...i", m, e)
-
-
-def _transr(params, x):
-    m = x.r("proj")  # [..., d, d]
-    he = x.h("ent")
-    te = x.t("ent")
-    d = (_project(m, he) + x.r("rel")) - _project(m, te)
-    s = -(d * d).sum(axis=-1)
-    c = x.coef(s)
-    if c is None:
-        return s
-    c2 = 2.0 * c
-    mtd = np.einsum("...ij,...i->...j", m, d)  # M^T d
-    x.add_h("ent", mtd, -c2)
-    x.add_t("ent", mtd, c2)
-    x.add_r("rel", d, -c2)
-    # dF/dM = -2c * outer(d, h - t)
-    x.add_r("proj", (d, he - te), -2.0 * c)
+    x.add_t("ent", ptu, c)
+    if table:
+        x.add_r(table, p_grad(p, u, *ends), -c)
     return s
 
 
@@ -422,9 +459,9 @@ def _rotate(params, x):
 
 
 _FORMULA = {
-    "transe": _transe,
-    "transh": _transh,
-    "transr": _transr,
+    "transe": _translation,
+    "transh": _translation,
+    "transr": _translation,
     "distmult": _trilinear,
     "complex": _trilinear,
     "rotate": _rotate,
@@ -586,12 +623,25 @@ def _distance_candidates(params, cache, a, query_part, ent_factor: float, width:
     return _sqrt_scores(neg_d2, floor, width)
 
 
-def _fast_transe(params, x, r, slot, cache):
-    if params.transe_p == 1:
+def _fast_translation(params, x, r, slot, cache):
+    """-dist(a, P e) for every candidate e, a = P h + r (tail slot) or P t - r (head slot).
+
+    For TransH and TransR the row's candidate term gives -||a - P e||^2 and P's gain g, the
+    most P scales a vector by; the bound's N is then g ||x|| + ||r|| + g max ||e||.
+    """
+    table, project, transpose, _, candidates = _TRANSLATION[params.model]
+    if table is None and params.transe_p == 1:
         return _fast_transe_l1(params, x, r, slot, cache)
+    p = _rows(params.tables[table], r) if table else None
     xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
-    a = xe + rr if slot == TAIL else xe - rr
-    return _distance_candidates(params, cache, a, _norms(xe) + _norms(rr), 1.0, params.dim)
+    xp = project(p, xe)
+    a = xp + rr if slot == TAIL else xp - rr
+    if table is None:
+        return _distance_candidates(params, cache, a, _norms(xe) + _norms(rr), 1.0, params.dim)
+    ent, max_norm = _entities(params, cache)
+    neg_d2, g = candidates(params, cache, ent, p, r, a, transpose(p, a))
+    floor = _distance_root_bound(g * _norms(xe) + _norms(rr), g[:, None], max_norm, params.dim)
+    return neg_d2, floor * floor
 
 
 # queries per block of the L1 loop: its [block, E] float32 arrays stay in cache
@@ -622,46 +672,6 @@ def _fast_transe_l1(params, x, r, slot, cache):
     c = _gamma(n, 2.0**-24) + _gamma(n)
     query_l1 = np.abs(xe).sum(axis=1) + np.abs(rr).sum(axis=1)
     return scores, (c * query_l1 + n * 2.0**-149 + c * max_l1)[:, None]
-
-
-def _fast_transh(params, x, r, slot, cache):
-    ent, max_norm = _entities(params, cache)
-    w = _rows(params.tables["norm"], r)
-    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
-    xp = _transh_project(xe, w)
-    a = xp + rr if slot == TAIL else xp - rr
-    # -||a - P e||^2 = 2 (P a).e - ||a||^2 - ||e||^2 + (2 - ||w||^2) (w.e)^2,  P = I - w w^T
-    terms = _memo(cache, "terms", lambda: _distance_terms(ent))
-    neg_d2 = _neg_sq_distances(a, terms, linear=_transh_project(a, w))
-    we = w @ ent.T
-    we *= we
-    ww = (w * w).sum(axis=1)
-    we *= (2.0 - ww)[:, None]
-    neg_d2 += we
-    # a projection scales a vector by at most 1 + ||w||^2
-    f = 1.0 + ww
-    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], max_norm, params.dim)
-    return neg_d2, floor * floor
-
-
-def _fast_transr(params, x, r, slot, cache):
-    ent, max_norm = _entities(params, cache)
-    m = _rows(params.tables["proj"], r)
-    xe, rr = _rows(params.tables["ent"], x), _rows(params.tables["rel"], r)
-    xm = np.einsum("nij,nj->ni", m, xe)
-    a = xm + rr if slot == TAIL else xm - rr
-    # -||a - M e||^2 = 2 (M^T a).e - ||a||^2 - ||M e||^2, ||M e||^2 made once per relation
-    def projected_sq_norms(rel):
-        pe = ent @ params.tables["proj"][rel].astype(np.float64).T
-        return (pe * pe).sum(axis=1)
-
-    neg_d2 = (2.0 * np.einsum("nij,ni->nj", m, a)) @ ent.T
-    neg_d2 -= (a * a).sum(axis=1)[:, None]
-    for row, rel in zip(neg_d2, r):
-        row -= _memo(cache, ("proj", int(rel)), lambda: projected_sq_norms(rel))
-    f = np.sqrt((m * m).sum(axis=(1, 2)))  # ||M||_F bounds the projection's gain
-    floor = _distance_root_bound(f * _norms(xe) + _norms(rr), f[:, None], max_norm, params.dim)
-    return neg_d2, floor * floor
 
 
 def _fast_rotate(params, x, r, slot, cache):
@@ -706,9 +716,9 @@ def _fast_trilinear(params, x, r, slot, cache):
 
 
 _FAST = {
-    "transe": _fast_transe,
-    "transh": _fast_transh,
-    "transr": _fast_transr,
+    "transe": _fast_translation,
+    "transh": _fast_translation,
+    "transr": _fast_translation,
     "distmult": _fast_trilinear,
     "complex": _fast_trilinear,
     "rotate": _fast_rotate,

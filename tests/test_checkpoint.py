@@ -667,6 +667,17 @@ def test_resume_rejects_config_drift(tmp_path, toy_kg):
         train(cfg.with_overrides(lr=0.1), kg, run_dir=str(tmp_path), resume=True)
 
 
+def test_an_int_in_a_float_field_survives_save_load_and_resume(tmp_path, toy_kg):
+    """``lr=1`` and ``margin=2`` built in code are hashed as the floats meta gives back."""
+    _, kg = toy_kg
+    cfg = train_config(lr=1, margin=2, max_epochs=2)
+    first = train(cfg, kg, run_dir=str(tmp_path))
+    assert load_checkpoint(str(tmp_path / "last")).config == cfg
+    resumed = train(cfg, kg, run_dir=str(tmp_path), resume=True)
+    assert resumed.history == first.history
+    assert_tables_equal(resumed.last.params, first.last.params)
+
+
 @pytest.mark.parametrize("dataset", ["007", "1e5", "true"])
 def test_config_meta_parsed_by_declared_type(tmp_path, toy_kg, dataset):
     _, kg = toy_kg

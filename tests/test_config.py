@@ -1,6 +1,7 @@
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from kgembed.config import (
@@ -101,6 +102,29 @@ def test_build_type_coercion():
         build_train_config({"model": 7})
     with pytest.raises(ConfigError, match="inverse_relations"):
         build_train_config({"inverse_relations": "yes"})
+
+
+@pytest.mark.parametrize("field, bad", [("dim", 2.5), ("n_neg", 2.0), ("dataset", 5), ("threads", True)])
+def test_a_wrongly_typed_field_built_in_code_names_it(field, bad):
+    """A config built in code takes the type rule of config files and checkpoint meta."""
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{field}' expects")):
+        TrainConfig(**{field: bad})
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{field}' expects")):
+        TrainConfig().with_overrides(**{field: bad})
+
+
+def test_a_config_built_in_code_stores_its_declared_types():
+    """An int field takes any integer but a bool, numpy's too, and a float field an int; each
+    stores its own type, so the config hashes as one built from a file."""
+    config = TrainConfig(lr=1, margin=2, dim=np.int64(8), n_neg=np.int32(3))
+    values = (config.lr, config.margin, config.dim, config.n_neg)
+    assert values == (1.0, 2.0, 8, 3)
+    assert [type(v) for v in values] == [float, float, int, int]
+    from_file, _ = build_train_config({"lr": 1.0, "margin": 2.0, "dim": 8, "n_neg": 3})
+    assert config == from_file and config_hash(config) == config_hash(from_file)
+    for field, bad in (("lr", True), ("dim", np.bool_(True)), ("n_neg", np.float64(3.0))):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            TrainConfig(**{field: bad})
 
 
 def test_validation_names_field():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -144,6 +145,17 @@ def test_empty_split_errors(toy_kg):
     params = init_params("distmult", kg.n_entities, kg.n_relations, 4, seed=0)
     with pytest.raises(ValueError, match="empty"):
         evaluate(CKGEScorer(params), kg, np.zeros((0, 3), dtype=np.int64), filters)
+
+
+@pytest.mark.parametrize("split", ["validation", "Test", "n_entities", ""])
+def test_an_unknown_split_name_is_rejected_naming_it(toy_kg, split):
+    """Only the three splits are read by name, not any attribute of the KG."""
+    _, kg = toy_kg
+    filters = build_filter_sets(kg)
+    params = init_params("distmult", kg.n_entities, kg.n_relations, 4, seed=0)
+    want = f"unknown split {split!r}: expected 'train', 'valid' or 'test'"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        evaluate(CKGEScorer(params), kg, split, filters)
 
 
 def test_metric_bounds_and_direction_average(toy_kg):

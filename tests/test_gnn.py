@@ -209,6 +209,23 @@ def test_rgcn_score_endpoint_out_of_range():
         rgcn_score(np.ones((2, 3)), np.ones((1, 3), dtype=np.float32), np.array([[0, 0, 5]]))
 
 
+@pytest.mark.parametrize(
+    "triple, want",
+    [
+        ([-1, 0, 0], r"encoded node id -1 outside \[0, 3\)"),
+        ([0, 0, -2], r"encoded node id -2 outside \[0, 3\)"),
+        ([0, -1, 1], r"relation id -1 outside \[0, 2\)"),
+        ([0, 2, 1], r"relation id 2 outside \[0, 2\)"),
+    ],
+)
+def test_rgcn_score_rejects_an_id_outside_its_table(triple, want):
+    """A negative id would read a row counted from the end; neither scores."""
+    encoded = np.arange(9, dtype=np.float64).reshape(3, 3)
+    rel = np.ones((2, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match=want):
+        rgcn_score(encoded, rel, np.array([triple]))
+
+
 # --- training gradient -----------------------------------------------------
 
 

@@ -85,6 +85,22 @@ def test_the_bilinear_models_share_one_formula_and_one_ranking_kernel():
         assert len({table[model] for model in models._TRILINEAR}) == 1, table
 
 
+def test_the_translational_models_share_one_formula_and_one_ranking_kernel():
+    """TransE, TransH and TransR are rows of ``_TRANSLATION``, not functions of their own; only
+    TransE-L1's float32 ranking loop is named after one of them."""
+    from kgembed import models
+
+    assert sorted(models._TRANSLATION) == ["transe", "transh", "transr"]
+    for table in (models._FORMULA, models._FAST):
+        assert len({table[model] for model in models._TRANSLATION}) == 1, table
+    named = [
+        node.name
+        for node in ast.walk(dict(modules())["models.py"])
+        if isinstance(node, ast.FunctionDef) and any(m in node.name for m in models._TRANSLATION)
+    ]
+    assert named == ["_fast_transe_l1"], named
+
+
 def test_the_library_imports_only_numpy_and_the_standard_library():
     """The runtime is numpy-only: every import in ``src/kgembed`` is numpy, a
     sibling module, or a module of the standard library."""
@@ -153,3 +169,22 @@ def test_code_lines_without_paths_prints_its_usage_and_exits_2():
     run = subprocess.run([sys.executable, path], capture_output=True, text=True)
     assert run.returncode == 2
     assert run.stdout == "" and run.stderr.startswith("usage: ")
+
+
+def test_digests_repeat_and_cover_every_model():
+    """``tools/digests.py`` compares two library versions by their seeded outputs, so two runs
+    of one version print the same lines, and the cases cover every model family."""
+    import subprocess
+    import sys
+
+    from kgembed.models import MODEL_KINDS
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "digests.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    runs = [subprocess.run([sys.executable, path], capture_output=True, text=True, env=env,
+                           check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    lines = [line.split() for line in runs[0].splitlines()]
+    assert all(len(line) == 2 and len(line[1]) == 16 for line in lines), lines
+    families = {line[0].split("/")[0] for line in lines}
+    assert families == set(MODEL_KINDS) | {"rgcn", "ruge"}, families

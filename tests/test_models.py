@@ -217,6 +217,42 @@ def test_each_partial_dotted_with_its_row_is_the_score(model):
         np.testing.assert_allclose(total / len(terms), expected, rtol=1e-12, atol=0, err_msg=part)
 
 
+@pytest.mark.parametrize("model", ["transh", "transr"])
+def test_each_projection_and_its_transpose_are_adjoint(model):
+    """(P x).y = x.(P^T y) for a projecting ``_TRANSLATION`` row, in the formula's broadcast
+    shapes: a [b, 1] projection row per positive against [b, n] entity rows. TransR's M is
+    drawn far from the identity, so a P^T that is M itself fails."""
+    table, project, transpose = models._TRANSLATION[model][:3]
+    rng = np.random.default_rng(65)
+    d = 7
+    p = rng.normal(size=(5, 1, d) if table == "norm" else (5, 1, d, d))
+    x, y = rng.normal(size=(2, 5, 4, d))
+    lhs, rhs = (project(p, x) * y).sum(axis=-1), (x * transpose(p, y)).sum(axis=-1)
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
+def test_transe_p_other_than_1_reads_as_l2():
+    """Only ``transe_p`` 1 selects TransE's L1 distance: a hand-built 3 scores, trains and ranks
+    on L2, bit for bit as 2 does, and never on the squared distance of a projecting row."""
+    rng = np.random.default_rng(66)
+    params = {p: init_params("transe", 12, 4, 6, seed=67) for p in (2, 3)}
+    for p, prm in params.items():
+        prm.transe_p = p
+    triples = random_triples(rng, 20, 12)
+    batch = neg_batch(triples[:8], rng.integers(0, 2, (8, 3)), rng.integers(0, 12, (8, 3)))
+    out = {}
+    for p, prm in params.items():
+        loss, grads = grad(prm, batch, LossSpec("margin", margin=2.0))
+        out[p] = [score(prm, triples), np.float64(loss)]
+        out[p] += [a for name in sorted(grads) for a in grads[name]]
+        out[p] += [a for slot in (HEAD, TAIL) for a in fast_candidates(prm, triples, slot)]
+    assert [a.tobytes() for a in out[3]] == [a.tobytes() for a in out[2]]
+    l2 = np.linalg.norm(params[2].tables["ent"][triples[:, 0]].astype(np.float64)
+                        + params[2].tables["rel"][triples[:, 1]]
+                        - params[2].tables["ent"][triples[:, 2]], axis=1)
+    np.testing.assert_allclose(out[3][0], -l2, rtol=1e-12)
+
+
 @pytest.mark.parametrize("model", sorted(BILINEAR_TERMS))
 def test_each_majorant_bounds_both_query_vectors(model):
     """m(|x|, |r|) >= |q_t(x, r)| and >= |q_h(r, x)| elementwise: ranking's bound takes it for

@@ -325,6 +325,13 @@ def test_final_report_rejects_params_of_another_size(toy_kg, params, sizes):
         final_report(params, kg)
 
 
+def test_final_report_rejects_an_unknown_split_name(toy_kg):
+    _, kg = toy_kg
+    params = kgembed.models.init_params("distmult", kg.n_entities, kg.n_relations, 4, seed=0)
+    with pytest.raises(ValueError, match="unknown split 'Test': expected 'train', 'valid' or 'test'"):
+        final_report(params, kg, split="Test")
+
+
 def test_rgcn_subsampled_epochs(toy_kg):
     _, kg = toy_kg
     cfg = TrainConfig(
