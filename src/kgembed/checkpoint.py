@@ -262,10 +262,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
         if item:
             e, _, m = item.partition(",")
             history.append((_meta_number("history", e, int), _meta_number("history", m, float)))
+    epoch = _meta_number("epoch", meta["epoch"], int)
+    if epoch < 0:
+        raise CheckpointError(f"meta epoch: {meta['epoch']!r} is negative")
     return Checkpoint(
         params=params,
         opt_state=opt,
-        epoch=_meta_number("epoch", meta["epoch"], int),
+        epoch=epoch,
         best_metric=_meta_number("best_metric", meta["best_metric"], float),
         config=config,
         history=history,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .data import read_text
@@ -246,9 +247,13 @@ _TYPES = {
 
 
 def _coerce(key: str, ftype: str, value):
-    """``value`` as field ``key`` of type ``ftype`` stores it; a bool is no number."""
+    """``value`` as field ``key`` of type ``ftype`` stores it; a bool is no number, and a float
+    field takes no infinity and no int too large for a float (a NaN fails ``validate``'s range
+    check, which names the field and the range)."""
     number = ftype in ("int", "float")
     if not isinstance(value, _TYPES[ftype]) or (number and isinstance(value, bool)):
         expect = "true/false/auto" if ftype == "bool | None" else ftype
         raise ConfigError(f"config key {key!r} expects {expect}, got {value!r}")
+    if ftype == "float" and abs(value) > sys.float_info.max:
+        raise ConfigError(f"config key {key!r} expects a finite float, got {value!r}")
     return int(value) if ftype == "int" else float(value) if ftype == "float" else value

@@ -436,24 +436,21 @@ def _trilinear(params, x):
 
 
 def _rotate(params, x):
-    d = params.dim
-    hre, him = _split(x.h("ent"), d)
-    tre, tim = _split(x.t("ent"), d)
+    """-||u||, u = R h - t with R h the complex product of h and (cos theta, sin theta).
+    The head's gradient row is -R^T u: the product of u and (cos theta, -sin theta), negated."""
     theta = x.r("rel")
     cos, sin = np.cos(theta), np.sin(theta)
-    hr_re = hre * cos - him * sin
-    hr_im = hre * sin + him * cos
-    ure = hr_re - tre
-    uim = hr_im - tim
-    nrm = np.sqrt((ure * ure + uim * uim).sum(axis=-1))
-    s = -nrm
+    hr = _complex_product(x.h("ent"), np.concatenate([cos, sin], axis=-1))
+    u = hr - x.t("ent")
+    s = -np.sqrt(_dot(u, u, params.dim))
     c = x.coef(s)
     if c is None:
         return s
-    fac = c / np.where(nrm > 0, nrm, 1.0)
-    gh = np.concatenate([-(ure * cos + uim * sin), -(-ure * sin + uim * cos)], axis=-1)
-    x.add_h("ent", gh, fac)
-    x.add_t("ent", np.concatenate([ure, uim], axis=-1), fac)
+    fac = c / np.where(s < 0, -s, 1.0)  # c / ||u||, or c where u is 0
+    gh = _complex_product(u, np.concatenate([cos, -sin], axis=-1))
+    x.add_h("ent", np.negative(gh, out=gh), fac)
+    x.add_t("ent", u, fac)
+    (ure, uim), (hr_re, hr_im) = _split(u, params.dim), _split(hr, params.dim)
     x.add_r("rel", ure * hr_im - uim * hr_re, fac)
     return s
 
@@ -690,12 +687,11 @@ def _fast_rotate(params, x, r, slot, cache):
     or 2 in the head slot, where ``score`` rotates the candidate.
     """
     xe = _rows(params.tables["ent"], x)
-    xre, xim = _split(xe, params.dim)
     theta = _rows(params.tables["rel"], r)
     cos, sin, ent_factor = np.cos(theta), np.sin(theta), 1.0
     if slot == HEAD:
         sin, ent_factor = -sin, 2.0
-    a = np.concatenate([xre * cos - xim * sin, xre * sin + xim * cos], axis=1)
+    a = _complex_product(xe, np.concatenate([cos, sin], axis=1))
     return _distance_candidates(params, cache, a, 2.0 * _norms(xe), ent_factor, 2 * params.dim)
 
 

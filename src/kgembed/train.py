@@ -9,6 +9,10 @@ applies their constraints; ``_rgcn_batches`` draws the RGCN's graphs.
 Determinism contract: given (config, seed) the whole run is reproducible —
 every RNG is derived from (seed, epoch, batch, purpose) so a resumed run
 replays exactly the batches an uninterrupted run would have seen.
+
+The run holds one copy of its state, the live tables. Each evaluation writes
+``last/`` from them; a new best is written to ``best/`` and kept as a copy only
+if training goes on past it, so the returned best stays as it was found.
 """
 
 from __future__ import annotations
@@ -53,21 +57,12 @@ class TrainResult:
 
 
 def early_stop(history: list[tuple[int, float]], patience: int) -> bool:
-    """Stop iff the last ``patience`` evaluations each failed to beat the
-    best metric recorded before them; an improvement resets the count."""
+    """Stop iff at least ``patience`` evaluations exist and none of the last ``patience``
+    beats the largest non-NaN metric before them (a NaN counts as beating it)."""
     if patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
-    best = -math.inf
-    failed = []
-    for _, metric in history:
-        failed.append(metric <= best)
-        best = max(best, metric)
-    run = 0
-    for flag in reversed(failed):
-        if not flag:
-            break
-        run += 1
-    return run >= patience
+    best = max((m for _, m in history[:-patience] if not math.isnan(m)), default=-math.inf)
+    return len(history) >= patience and all(m <= best for _, m in history[-patience:])
 
 
 def _stream(config: TrainConfig, *key: int) -> np.random.SeedSequence:
@@ -99,11 +94,11 @@ def train(
     """Run the configured training, returning best/last checkpoints and the log.
 
     ``run_dir`` (optional) receives ``last/`` and ``best/`` checkpoint
-    directories at every evaluation point plus a ``train.log`` file.
-    ``resume=True`` loads ``run_dir/last`` and continues its epoch count;
-    the stored config hash must match ``config``. ``train.log`` drops the
-    lines of epochs after the checkpoint's, which the resumed run writes
-    again. A run that had stopped early is returned as loaded, with
+    directories at every evaluation point plus a ``train.log`` file; a
+    fresh run starts the log anew. ``resume=True`` loads ``run_dir/last``
+    and continues its epoch count; the stored config hash must match
+    ``config``. ``train.log`` drops the lines of epochs after the
+    checkpoint's, which the resumed run writes again. A run that had stopped early is returned as loaded, with
     nothing trained or written.
 
     One process owns ``run_dir`` for the run: it holds an exclusive
@@ -157,10 +152,11 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
             best_metric = best_ckpt.best_metric
         elif history:
             best_metric = max(m for _, m in history)
-        _drop_log_after(os.path.join(run_dir, "train.log"), start_epoch)
     else:
         params, opt = init_state(config, kg.n_entities, kg.n_relations)
         best_ckpt = None
+    if run_dir is not None:  # a fresh run starts its own log; a resume rewrites what follows it
+        _drop_log_after(os.path.join(run_dir, "train.log"), start_epoch)
 
     batches = _batch_source(config, kg, params, groundings)
     filters = build_filter_sets(kg) if len(kg.valid) else None
@@ -173,11 +169,11 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
             with open(os.path.join(run_dir, "train.log"), "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
-    def snapshot(epoch: int, metric: float, final: bool) -> Checkpoint:
-        """The run's state; a ``final`` one (nothing trains after it) holds the live tables."""
+    def state(epoch: int, metric: float, copy: bool = False) -> Checkpoint:
+        """The run's state: the live tables, or a ``copy`` that later steps leave as it is."""
         return Checkpoint(
-            params=params if final else params.copy(),
-            opt_state=opt if final else opt.copy(),
+            params=params.copy() if copy else params,
+            opt_state=opt.copy() if copy else opt,
             epoch=epoch,
             best_metric=metric,
             config=config,
@@ -185,7 +181,7 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
         )
 
     current_epoch = start_epoch
-    saved_last = saved_best = None  # the checkpoints this run wrote to last/ and best/
+    last_epoch = best_saved = None  # the epoch of this run's last last/ write; the best/ it wrote
     for epoch in range(start_epoch + 1, config.max_epochs + 1):
         emit(epoch, "train", "loss", _epoch(config, params, opt, epoch, batches(epoch)))
         current_epoch = epoch
@@ -205,40 +201,35 @@ def _train(config, kg, groundings, run_dir, resume) -> TrainResult:
                 emit(epoch, "valid", f"hits@{k}", report.hits(k))
             history.append((epoch, report.mrr))
             stop = early_stop(history, config.patience)
-            final = stop or epoch == config.max_epochs
             if report.mrr > best_metric:
                 best_metric = report.mrr
-                best_ckpt = snapshot(epoch, best_metric, final)
+                # only a best that later steps would move is held as a copy
+                best_ckpt = state(epoch, best_metric, copy=not stop and epoch < config.max_epochs)
                 if run_dir is not None:
                     save_checkpoint(best_ckpt, os.path.join(run_dir, "best"))
-                    saved_best = best_ckpt
+                    best_saved = best_ckpt
             if run_dir is not None:
-                # a best snapshot taken this epoch is this state too
-                fresh = best_ckpt is not None and best_ckpt.epoch == epoch
-                saved_last = best_ckpt if fresh else snapshot(epoch, best_metric, final)
-                save_checkpoint(saved_last, os.path.join(run_dir, "last"))
+                save_checkpoint(state(epoch, best_metric), os.path.join(run_dir, "last"))
+                last_epoch = epoch
             if stop:
                 emit(epoch, "valid", "early_stop", 1.0)
                 break
 
-    final_metric = best_metric if math.isfinite(best_metric) else math.nan
-    # the loop's last save holds this state unless training went on after it or the metric differs
-    last_ckpt = saved_last
-    stale = last_ckpt is None or last_ckpt.epoch != current_epoch
-    if stale or last_ckpt.best_metric != final_metric:
-        last_ckpt = snapshot(current_epoch, final_metric, final=True)
+    last_ckpt = state(current_epoch, best_metric if math.isfinite(best_metric) else math.nan)
     if best_ckpt is None:
         best_ckpt = last_ckpt
     if run_dir is not None:
-        if last_ckpt is not saved_last:
+        # the loop's last save holds this state unless training went on after it, or unless
+        # its metric was not finite: that one reads NaN here
+        if last_epoch != current_epoch or not math.isfinite(best_metric):
             save_checkpoint(last_ckpt, os.path.join(run_dir, "last"))
-        if best_ckpt is not saved_best:  # a loaded one is written too: it may be at best.old
+        if best_ckpt is not best_saved:  # a loaded one is written too: it may be at best.old
             save_checkpoint(best_ckpt, os.path.join(run_dir, "best"))
     return TrainResult(best=best_ckpt, last=last_ckpt, log=log, history=history)
 
 
 def _drop_log_after(path: str, epoch: int) -> None:
-    """Cut the log back to its whole lines of epochs up to ``epoch``; a resume rewrites the rest."""
+    """Cut the log back to its whole lines of epochs up to ``epoch``; the run writes the rest."""
     if not os.path.exists(path):
         return
     keep = 0

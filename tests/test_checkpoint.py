@@ -313,6 +313,15 @@ def test_bad_meta_number_names_its_key(tmp_path, key, bad):
         load_checkpoint(str(tmp_path))
 
 
+def test_an_edited_epoch_loads_unless_it_is_negative(tmp_path):
+    save_checkpoint(numbered_checkpoint(2), str(tmp_path))
+    set_meta(tmp_path, "epoch", "0")
+    assert load_checkpoint(str(tmp_path)).epoch == 0
+    set_meta(tmp_path, "epoch", "-3")
+    with pytest.raises(CheckpointError, match="^meta epoch: '-3' is negative$"):
+        load_checkpoint(str(tmp_path))
+
+
 def test_meta_bytes_that_are_not_utf8_name_the_line(tmp_path):
     params = init_params("distmult", 5, 2, 3, seed=0)
     ckpt = Checkpoint(

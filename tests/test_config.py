@@ -10,6 +10,7 @@ from kgembed.config import (
     build_train_config,
     config_hash,
     parse_config_file,
+    parse_field,
 )
 
 
@@ -111,6 +112,27 @@ def test_a_wrongly_typed_field_built_in_code_names_it(field, bad):
         TrainConfig(**{field: bad})
     with pytest.raises(ConfigError, match=re.escape(f"config key '{field}' expects")):
         TrainConfig().with_overrides(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["lr", "margin", "adam_eps", "adv_temperature", "rule_weight"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_an_infinite_float_field_is_rejected_naming_it(tmp_path, field, value):
+    """However the config is built: in code, from a file, or from a meta line."""
+    expect = re.escape(f"config key '{field}' expects a finite float")
+    with pytest.raises(ConfigError, match=expect):
+        TrainConfig(**{field: value})
+    with pytest.raises(ConfigError, match=expect):
+        build_train_config(parse_config_file(write(tmp_path, f"{field}: {value}\n")))
+    with pytest.raises(ConfigError, match=expect):
+        parse_field(field, str(value))
+
+
+def test_an_integer_too_large_for_a_float_is_rejected_naming_it(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape("config key 'lr' expects a finite float")):
+        build_train_config({"lr": 10**400})
+    with pytest.raises(ConfigError, match=re.escape("config key 'lr' expects a finite float")):
+        build_train_config(parse_config_file(write(tmp_path, f"lr: {10**400}\n")))
+    assert TrainConfig(lr=2**1023).lr == 2.0**1023  # a float holds it
 
 
 def test_a_config_built_in_code_stores_its_declared_types():

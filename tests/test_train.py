@@ -1,16 +1,20 @@
 import importlib
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgembed.gnn
 import kgembed.models
 import kgembed.rules
-from kgembed.checkpoint import CheckpointError
+from kgembed.checkpoint import CheckpointError, load_checkpoint
 from kgembed.config import ConfigError, TrainConfig
 from kgembed.data import Rule, ground_rules, write_groundings
+from kgembed.evaluate import DirectionReport, RankingReport
 from kgembed.optim import NonFiniteGradientError
 from kgembed.train import early_stop, final_report, train
 
@@ -68,6 +72,33 @@ def test_early_stop_plateau_counts_as_drop():
 def test_early_stop_bad_patience():
     with pytest.raises(ValueError):
         early_stop([], patience=0)
+
+
+def early_stop_per_evaluation(history, patience):
+    """``early_stop`` as a count kept per evaluation: the run of evaluations at the end that
+    each failed to beat the best metric recorded before them."""
+    best, failed = -math.inf, []
+    for _, metric in history:
+        failed.append(metric <= best)
+        best = max(best, metric)
+    run = 0
+    for flag in reversed(failed):
+        if not flag:
+            break
+        run += 1
+    return run >= patience
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from([0.1, 0.2, 0.3, math.nan, math.inf, -math.inf]),
+                       st.floats(allow_nan=True)), max_size=12),
+    st.integers(1, 5),
+)
+def test_early_stop_matches_the_per_evaluation_count(metrics, patience):
+    """Ties, NaN and infinities included."""
+    history = list(enumerate(metrics, 1))
+    assert early_stop(history, patience) == early_stop_per_evaluation(history, patience)
 
 
 # --- config validation up front --------------------------------------------
@@ -257,6 +288,49 @@ def test_resume_after_a_failed_save_matches_the_uninterrupted_run(
     assert (crashed / "train.log").read_bytes() == (whole / "train.log").read_bytes()
     assert dir_bytes(crashed / "last") == dir_bytes(whole / "last")
     assert dir_bytes(crashed / "best") == dir_bytes(whole / "best")
+
+
+def scripted_report(mrr):
+    side = DirectionReport(mrr=mrr, hits={1: mrr, 3: mrr, 10: mrr}, n_queries=1)
+    return RankingReport(head=side, tail=side)
+
+
+def test_only_a_best_that_training_moves_past_is_copied(monkeypatch, toy_kg, tmp_path):
+    """MRR 0.1, 0.3, 0.2, 0.2, 0.4: the bests of epochs 1 and 2 are copies, as training goes
+    on after them; ``last/`` at each evaluation and the final best are the live tables."""
+    _, kg = toy_kg
+    mrrs = iter([0.1, 0.3, 0.2, 0.2, 0.4])
+    trained, copied = [], []
+    run_epoch, copy = train_module._epoch, kgembed.models.ModelParams.copy
+
+    def noted_epoch(config, params, opt, epoch, batches):
+        trained.append(epoch)
+        return run_epoch(config, params, opt, epoch, batches)
+
+    def noted_copy(params, *args):
+        copied.append(trained[-1])
+        return copy(params, *args)
+
+    monkeypatch.setattr(train_module, "evaluate", lambda *a, **kw: scripted_report(next(mrrs)))
+    monkeypatch.setattr(train_module, "_epoch", noted_epoch)
+    monkeypatch.setattr(kgembed.models.ModelParams, "copy", noted_copy)
+    cfg = tiny_config(model="transe", check_per_epoch=1, max_epochs=5, patience=10)
+    result = train(cfg, kg, run_dir=str(tmp_path))
+    monkeypatch.undo()
+
+    assert copied == [1, 2]
+    assert result.best.epoch == result.last.epoch == 5 and result.best.best_metric == 0.4
+    assert [m for _, m in result.history] == [0.1, 0.3, 0.2, 0.2, 0.4]
+    for slot in ("last", "best"):
+        assert load_checkpoint(str(tmp_path / slot)).epoch == 5
+
+
+def test_a_fresh_run_into_a_used_directory_starts_its_own_log(toy_kg, tmp_path):
+    _, kg = toy_kg
+    train(tiny_config(max_epochs=2), kg, run_dir=str(tmp_path))
+    second = train(tiny_config(max_epochs=2, seed=6), kg, run_dir=str(tmp_path))
+    assert (tmp_path / "train.log").read_text().splitlines() == second.log
+    assert load_checkpoint(str(tmp_path / "last")).config.seed == 6
 
 
 def test_resume_after_an_early_stop_trains_nothing(matching_kg, tmp_path):

@@ -53,10 +53,11 @@ def scorer_cases(name, model, transe_p=1):
 
 
 def train_digest(config, kg, groundings=None) -> str:
-    """The digest of a run's ``train.log`` and of every file of its last checkpoint."""
+    """The digest of a run's ``train.log`` and of every file of its last and best checkpoints."""
     with tempfile.TemporaryDirectory() as run_dir:
         train(config, kg, groundings=groundings, run_dir=run_dir)
-        files = ["train.log"] + [os.path.join("last", f) for f in sorted(os.listdir(run_dir + "/last"))]
+        files = ["train.log"] + [os.path.join(c, f) for c in ("last", "best")
+                                 for f in sorted(os.listdir(os.path.join(run_dir, c)))]
         return digest(*[x for f in files for x in (f, np.fromfile(os.path.join(run_dir, f), np.uint8))])
 
 
@@ -71,6 +72,10 @@ def main():
     rules = [Rule((0,), 1, 0.9), Rule((1, 2), 0, 0.8)]
     ruge = TrainConfig(model="complex", rule_file="in-memory", rule_batch=8, seed=2, **common)
     yield "ruge/train", train_digest(ruge, kg, ground_rules(rules, kg))
+    # improves at epochs 1-5, falls at 6 and 7 and stops early at 7: a best held as a copy
+    lifecycle = TrainConfig(model="transe", dim=4, lr=0.1, n_neg=2, batch_size=16, max_epochs=8,
+                            check_per_epoch=1, patience=2, seed=1)
+    yield "transe/train-lifecycle", train_digest(lifecycle, kg)
 
 
 if __name__ == "__main__":
